@@ -2,13 +2,15 @@
 
 Three interchangeable exact backends compute EHVI by decomposing the
 nondominated region into boxes and integrating a closed-form Gaussian box
-integral over them:
+integral over them (compute_ehvi for one belief, compute_ehvi_batch for many
+beliefs against one front):
 
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
 - ehvi_wfg: recursive signed-measure decomposition, at most 2^n - 1 box
   terms, any m >= 2; the general workhorse.
-- ehvi_clm3: sweep over a 2-D staircase, m = 3 only, O(n log n).
+- ehvi_clm3: sweep over a 2-D staircase that cuts the nondominated region
+  into at most 2n+1 boxes, m = 3 only, O(n log n).
 
 Around them: Monte-Carlo and 2-D quadrature verification oracles, a timing
 benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI
@@ -40,7 +42,7 @@ from .bo import (
     run_random,
     synthetic_problem,
 )
-from .clm3 import SweepState, ehvi_clm3, staircase_insert
+from .clm3 import SweepState, ehvi_clm3
 from .core import (
     EhviResult,
     Front,
@@ -56,7 +58,7 @@ from .core import (
     to_internal,
     validate_front,
 )
-from .dispatch import ALGORITHMS, BACKENDS, compute_ehvi, resolve_algorithm
+from .dispatch import ALGORITHMS, BACKENDS, compute_ehvi, compute_ehvi_batch, resolve_algorithm
 from .errors import (
     CandidatesExhaustedError,
     DimensionError,
@@ -137,6 +139,7 @@ __all__ = [
     "box_integral",
     "build_grid",
     "compute_ehvi",
+    "compute_ehvi_batch",
     "dominated_volume",
     "dominates",
     "ehvi_clm3",
@@ -163,7 +166,6 @@ __all__ = [
     "run_bo",
     "run_random",
     "signed_box_terms",
-    "staircase_insert",
     "std_normal_cdf",
     "std_normal_pdf",
     "summarize",

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Front, Orientation, ProblemFrame, Vector, nondominated_filter, validate_front
-from .dispatch import BACKENDS, resolve_algorithm
+from .dispatch import compute_ehvi_batch
 from .errors import CandidatesExhaustedError, ParameterError
-from .gaussian import GaussianBelief
 from .gp import fit_gp, gp_posterior_batch
 from .wfg import dominated_volume
 
@@ -170,16 +169,9 @@ def bo_step(state: BoState) -> BoRunRecord:
     stds = np.maximum(stds, _STDDEV_FLOOR)
 
     front = _current_front(state)
-    backend = BACKENDS[resolve_algorithm(state.backend or "auto", m)]
     start = time.perf_counter_ns()
-    best_pos = 0
-    best_value = -1.0
-    for pos in range(unexplored.size):
-        belief = GaussianBelief(mean=tuple(means[pos]), stddev=tuple(stds[pos]))
-        value = backend(front, belief).value
-        if value > best_value:
-            best_value = value
-            best_pos = pos
+    scores = compute_ehvi_batch(front, means, stds, state.backend or "auto")
+    best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed)
 

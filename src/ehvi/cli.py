@@ -52,8 +52,12 @@ def load_request(data: Any, need_belief: bool = True) -> tuple[Front, GaussianBe
     requests are negated here, once, into the internal minimization frame
     (mean included, stddev unchanged).
     """
-    m = int(_field(data, "m"))
-    maximize = bool(data.get("maximize", False))
+    m = _field(data, "m")
+    if type(m) is not int:  # bool is an int subclass; floats and strings are not coerced
+        raise ParameterError(f"request field 'm' must be an integer, got {m!r}")
+    maximize = data.get("maximize", False)
+    if type(maximize) is not bool:
+        raise ParameterError(f"request field 'maximize' must be true or false, got {maximize!r}")
     orientation = Orientation.MAXIMIZE if maximize else Orientation.MINIMIZE
     frame = ProblemFrame(m=m, reference=_field(data, "reference"), orientation=orientation)
     front = validate_front(frame, _field(data, "front"))
@@ -84,16 +88,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     start = time.perf_counter_ns()
     result = backend(front, belief)
     elapsed = time.perf_counter_ns() - start
-    print(
-        json.dumps(
-            {
-                "ehvi": result.value,
-                "algorithm": resolved,
-                "boxes": result.boxes,
-                "time_ns": elapsed,
-            }
-        )
-    )
+    payload = {"ehvi": result.value, "algorithm": resolved, "boxes": result.boxes, "time_ns": elapsed}
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise ParameterError(f"EHVI is not finite ({result.value!r}) for this request") from None
+    print(text)
     return 0
 
 

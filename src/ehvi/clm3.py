@@ -1,12 +1,20 @@
-"""Sweep-plane EHVI for exactly three objectives.
+"""Sweep-plane decomposition of the m=3 nondominated region into boxes.
 
 Points are processed in ascending third coordinate. A staircase over the
 first two coordinates (keys strictly increasing, values strictly decreasing)
-tracks the nondominated 2-D projections seen so far, together with the exact
-Gaussian integral of its dominated cross-section. Between consecutive sweep
-levels the dominated region is a prism: cross-section integral times the
-psi difference along axis 3. Summing the slabs gives the dominated-region
-integral; EHVI is the full-region integral minus that sum.
+tracks the nondominated 2-D projections seen so far. Below the reference,
+the part of the plane no staircase entry covers is a row of vertical strips:
+strip i spans (k[i-1], k[i]] on axis 1 and (-inf, v[i-1]] on axis 2, with
+k[-1] = -inf, v[-1] = r2 and k[s] = r1 for an s-entry staircase.
+
+A strip stays as it is while the sweep rises, until an inserted point
+covers part of it. The insertion closes every strip it touches at the
+current level, emitting the box strip x (birth level, current level], and
+opens at most two new strips; the sweep ends by closing the open strips at
+r3. The emitted boxes are disjoint, their union is exactly the nondominated
+region, and there are at most 2n+1 of them (Yang, Emmerich, Deutz & Fonseca,
+EMO 2017). EHVI is the Gaussian integral over those boxes, taken directly
+rather than as the full region minus the dominated one.
 
 Each point is inserted once and removed at most once, so the staircase does
 at most 2n ordered-map operations across the sweep: with a logarithmic map
@@ -18,143 +26,151 @@ benchmark sizes the list splice is cheaper than any tree's constant factor.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import EhviResult, Front
 from .errors import DimensionError, ReferenceBoundError, UnsupportedDimensionError
-from .gaussian import GaussianBelief, full_region_integral, psi, psi_vec
+from .gaussian import GaussianBelief, integrate_boxes
 
 
 @dataclass
 class SweepState:
-    """2-D staircase plus its running cross-section integral.
+    """2-D staircase, the birth level of every open strip, and the closed boxes.
 
-    keys are first coordinates (ascending), vals the matching second
-    coordinates (strictly descending). The psi caches are parallel lists so
-    the sweep never recomputes a transcendental. Confine one state to one
-    sweep; it is mutated in place.
+    `bottom` stands for -inf on every axis: the lower bound of the first
+    strip, of every strip on axis 2, and the birth level of the initial
+    strip. Any order-preserving coordinates work, which lets the m=3 backend
+    sweep breakpoint indices with bottom = 0. Coordinates are kept padded
+    with sentinels: _k = [bottom, keys..., r1] and _v = [r2, vals...,
+    bottom], so strip t spans (_k[t], _k[t+1]] on axis 1 and (bottom, _v[t]]
+    on axis 2, and births[t] is the level it was opened at. A closed box is
+    the tuple (lower_1, upper_1, upper_2, lower_3, upper_3); its lower bound
+    on axis 2 is `bottom`. Confine one state to one sweep; it is mutated in
+    place.
     """
 
-    belief: GaussianBelief  # 2-D marginals of the candidate belief
     reference: tuple[float, float]
-    keys: list[float] = field(default_factory=list)
-    vals: list[float] = field(default_factory=list)
-    running_integral: float = 0.0
-    level: float = -float("inf")
-    operations: int = 0  # inserts + removals, <= 2n over a whole sweep
-    key_psi: list[float] = field(default_factory=list)
-    val_psi: list[float] = field(default_factory=list)
-    psi_r1: float = field(init=False)
-    psi_r2: float = field(init=False)
+    bottom: float = -float("inf")
+    boxes: list[tuple] = field(default_factory=list, init=False)
+    operations: int = field(default=0, init=False)  # inserts + removals, <= 2n over a sweep
 
     def __post_init__(self) -> None:
-        if self.belief.m != 2 or len(self.reference) != 2:
-            raise DimensionError("SweepState needs a 2-D belief and a 2-D reference")
-        self.reference = (float(self.reference[0]), float(self.reference[1]))
-        self.psi_r1 = psi(self.reference[0], self.belief.mean[0], self.belief.stddev[0])
-        self.psi_r2 = psi(self.reference[1], self.belief.mean[1], self.belief.stddev[1])
+        if len(self.reference) != 2:
+            raise DimensionError(f"SweepState needs a 2-D reference, got {self.reference}")
+        r1, r2 = self.reference = tuple(self.reference)
+        self._k = [self.bottom, r1]
+        self._v = [r2, self.bottom]
+        self.births = [self.bottom]
+
+    @property
+    def keys(self) -> list[float]:
+        """First coordinates of the staircase entries, strictly ascending."""
+        return self._k[1:-1]
+
+    @property
+    def vals(self) -> list[float]:
+        """Second coordinates of the staircase entries, strictly descending."""
+        return self._v[1:-1]
+
+    def insert(self, y1: float, y2: float, level: float) -> None:
+        """Insert the 2-D point (y1, y2) at sweep level `level` (levels never decrease).
+
+        Points weakly dominated by the staircase leave the state unchanged.
+        Otherwise the entries dominated by the point (a contiguous run) are
+        removed, every strip the point covers is closed at `level`, and the
+        strips left of and under the point are opened at `level`.
+        """
+        r1, r2 = self.reference
+        bottom = self.bottom
+        if not (bottom < y1 < r1 and bottom < y2 < r2):
+            raise ReferenceBoundError(f"point ({y1}, {y2}) is not strictly inside the bound ({r1}, {r2})")
+        keys, vals, births = self._k, self._v, self.births
+        i = bisect_right(keys, y1)
+        j = i - 1  # rightmost entry (or the bottom sentinel) with key <= y1
+        if vals[j] <= y2:
+            return  # weakly dominated (covers exact reinsertion)
+        # Entries dominated by the point form a contiguous run start..end-1.
+        # It starts at the floor itself when the floor shares the point's key
+        # (its value must then be > y2); the bottom sentinel in _v ends it.
+        shared = keys[j] == y1
+        start = j if shared else i
+        end = start
+        while vals[end] >= y2:
+            end += 1
+        # Strips start-1..end-1 lie over the run and the point. Strip start-1
+        # keeps its span, and stays open, exactly when it ends at the key.
+        first = start - 1 + shared
+        for t in range(first, end):
+            if births[t] < level:
+                self.boxes.append((keys[t], keys[t + 1], vals[t], births[t], level))
+        births[first:end] = [level] * (2 - shared)
+        keys[start:end] = [y1]
+        vals[start:end] = [y2]
+        self.operations += 1 + (end - start)
+
+    def close(self, level: float) -> None:
+        """Close every open strip at `level` and reopen it there."""
+        keys, vals, births = self._k, self._v, self.births
+        for t in range(len(births)):
+            if births[t] < level:
+                self.boxes.append((keys[t], keys[t + 1], vals[t], births[t], level))
+        self.births = [level] * len(births)
 
 
-def staircase_insert(state: SweepState, p: Sequence[float]) -> float:
-    """Insert a 2-D point, returning the exact increase of the running integral.
+class BoxDecomposition(NamedTuple):
+    """Disjoint half-open boxes as index arrays into per-axis breakpoints.
 
-    Points weakly dominated by the staircase leave the state unchanged and
-    return 0. Otherwise the entries dominated by p (a contiguous run) are
-    removed and the gained region is summed slab by slab from p, its
-    surviving neighbors, and the removed entries.
+    Box b spans (breaks[j][lower[b, j]], breaks[j][upper[b, j]]] on axis j.
     """
-    y1, y2 = float(p[0]), float(p[1])
-    r1, r2 = state.reference
-    if not (y1 < r1 and y2 < r2):
-        raise ReferenceBoundError(f"point ({y1}, {y2}) is not strictly inside the bound ({r1}, {r2})")
-    b = state.belief
-    return _insert(
-        state,
-        y1,
-        y2,
-        psi(y1, b.mean[0], b.stddev[0]),
-        psi(y2, b.mean[1], b.stddev[1]),
-    )
+
+    breaks: tuple[np.ndarray, ...]
+    lower: np.ndarray  # (boxes, m) int
+    upper: np.ndarray  # (boxes, m) int
+    operations: int  # staircase inserts + removals that produced them
 
 
-def _insert(state: SweepState, y1: float, y2: float, psi1: float, psi2: float) -> float:
-    keys, vals = state.keys, state.vals
-    kp, vp = state.key_psi, state.val_psi
-    i = bisect_right(keys, y1)
-    j = i - 1  # rightmost entry with key <= y1
-    if j >= 0 and vals[j] <= y2:
-        return 0.0  # weakly dominated (covers exact reinsertion)
-    # Entries dominated by p form a contiguous run. It starts at the floor
-    # itself when the floor shares p's key (its value must then be > y2).
-    start = j if (j >= 0 and keys[j] == y1) else i
-    end = start
-    total = len(keys)
-    while end < total and vals[end] >= y2:
-        end += 1
-    # Walk the gained region in vertical slabs: left edge starts at p, the
-    # old coverage bottom starts at the surviving left neighbor (or r2).
-    left_psi = psi1
-    bottom_psi = vp[start - 1] if start >= 1 else state.psi_r2
-    delta = 0.0
-    for t in range(start, end):
-        delta += (kp[t] - left_psi) * (bottom_psi - psi2)
-        left_psi = kp[t]
-        bottom_psi = vp[t]
-    end_psi = kp[end] if end < total else state.psi_r1
-    delta += (end_psi - left_psi) * (bottom_psi - psi2)
-    if delta < 0.0:
-        delta = 0.0  # underflow-scale rounding only; every factor is >= 0
-    keys[start:end] = [y1]
-    vals[start:end] = [y2]
-    kp[start:end] = [psi1]
-    vp[start:end] = [psi2]
-    state.operations += 1 + (end - start)
-    state.running_integral += delta
-    return delta
+def nondominated_boxes(front: Front) -> BoxDecomposition:
+    """Sweep an m=3 front into at most 2n+1 disjoint nondominated boxes.
+
+    Axis j's breakpoints are [-inf, sorted coordinates, r_j]. The sweep runs
+    on breakpoint indices, a tied coordinate taking the index of its first
+    copy, so ties compare equal and no box of zero height is emitted.
+    """
+    if front.m != 3:
+        raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
+    n = front.n
+    pts = np.fromiter(chain.from_iterable(front.points), dtype=float, count=3 * n).reshape(n, 3)
+    coords = np.sort(pts, axis=0)
+    breaks = tuple(np.concatenate(([-np.inf], coords[:, j], [front.reference[j]])) for j in range(3))
+    # index of the first equal breakpoint, so tied coordinates share one index
+    ranks = [np.searchsorted(coords[:, j], pts[:, j]) + 1 for j in range(3)]
+    order = np.argsort(ranks[2], kind="stable")
+    state = SweepState(reference=(n + 1, n + 1), bottom=0)
+    insert = state.insert
+    for x, y, z in zip(ranks[0][order].tolist(), ranks[1][order].tolist(), ranks[2][order].tolist()):
+        insert(x, y, z)
+    state.close(n + 1)
+    flat = np.fromiter(chain.from_iterable(state.boxes), dtype=np.intp, count=5 * len(state.boxes))
+    boxes = flat.reshape(-1, 5)  # (lower_1, upper_1, upper_2, lower_3, upper_3)
+    lower = boxes[:, [0, 0, 3]]
+    lower[:, 1] = 0  # every box is open to -inf, breakpoint 0, on axis 2
+    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]], state.operations)
 
 
 def ehvi_clm3(front: Front, belief: GaussianBelief) -> EhviResult:
-    """EHVI for m=3 by sweeping the third axis over a 2-D staircase.
+    """EHVI for m=3: the Gaussian integral over the sweep's nondominated boxes.
 
-    Slab contributions are emitted after inserting every point at a level,
-    so tied levels add their points first and the zero-height slab between
-    them contributes exactly 0. The reported box count is the number of
-    ordered-map operations (inserts + removals).
+    The reported box count is the number of ordered-map operations (inserts
+    + removals), at most 2n.
     """
     if front.m != 3:
         raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
     if belief.m != 3:
         raise DimensionError(f"front has m=3 but belief has m={belief.m}")
-    full = full_region_integral(front.frame, belief)
-    if front.n == 0:
-        return EhviResult(value=full, boxes=0)
-    ref = front.reference
-    pts = np.asarray(front.points, dtype=float)
-    order = np.argsort(pts[:, 2], kind="stable")
-    p1, p2, p3 = pts[order, 0], pts[order, 1], pts[order, 2]
-    psi1 = psi_vec(p1, belief.mean[0], belief.stddev[0])
-    psi2 = psi_vec(p2, belief.mean[1], belief.stddev[1])
-    psi3 = psi_vec(p3, belief.mean[2], belief.stddev[2])
-    psi_r3 = psi(ref[2], belief.mean[2], belief.stddev[2])
-
-    state = SweepState(
-        belief=GaussianBelief(belief.mean[:2], belief.stddev[:2]),
-        reference=(ref[0], ref[1]),
-    )
-    dominated = 0.0
-    prev_z: float | None = None
-    prev_psi3 = 0.0
-    for t in range(len(order)):
-        z = float(p3[t])
-        if prev_z is None or z > prev_z:
-            if prev_z is not None:
-                dominated += state.running_integral * (float(psi3[t]) - prev_psi3)
-            prev_z = z
-            prev_psi3 = float(psi3[t])
-        _insert(state, float(p1[t]), float(p2[t]), float(psi1[t]), float(psi2[t]))
-        state.level = z
-    dominated += state.running_integral * (psi_r3 - prev_psi3)
-    return EhviResult(value=max(full - dominated, 0.0), boxes=state.operations)
+    boxes = nondominated_boxes(front)
+    value = integrate_boxes(boxes.breaks, boxes.lower, boxes.upper, [belief.mean], [belief.stddev])
+    return EhviResult(value=float(value[0]), boxes=boxes.operations)

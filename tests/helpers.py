@@ -1,5 +1,8 @@
 """Shared builders for test inputs."""
 
+import copy
+import math
+
 import numpy as np
 
 from ehvi import GaussianBelief, HyperBox, ProblemFrame, validate_front
@@ -34,3 +37,22 @@ def slab_integral(keys, vals, reference, belief2):
         nxt = keys[i + 1] if i + 1 < len(keys) else r1
         total += box_integral(HyperBox((k, v), (nxt, r2)), belief2)
     return total
+
+
+def open_strips(state):
+    """The open strips of a SweepState as 2-D boxes, read off by closing a copy."""
+    probe = copy.deepcopy(state)
+    before = len(probe.boxes)
+    probe.close(math.inf)
+    return [HyperBox((lo1, probe.bottom), (up1, up2)) for lo1, up1, up2, _, _ in probe.boxes[before:]]
+
+
+def decomposition_boxes(boxes):
+    """The HyperBoxes of a clm3 BoxDecomposition."""
+    return [
+        HyperBox(
+            tuple(float(axis[i]) for axis, i in zip(boxes.breaks, lo)),
+            tuple(float(axis[i]) for axis, i in zip(boxes.breaks, up)),
+        )
+        for lo, up in zip(boxes.lower, boxes.upper)
+    ]

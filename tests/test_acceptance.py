@@ -216,6 +216,6 @@ def test_acceptance_8_randomized_invariants():
     test_properties.test_psi_monotone_and_derivative()
     test_properties.test_box_integral_additive_and_bounded()
     test_properties.test_nondominated_filter_invariants()
-    test_properties.test_staircase_running_integral_consistent()
+    test_properties.test_staircase_strips_consistent()
     test_properties.test_orientation_involution_and_dominance()
     _report(8, "five property suites at 1000 cases each", started)

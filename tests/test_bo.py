@@ -108,6 +108,26 @@ def test_argmax_breaks_ties_toward_lowest_index():
     assert tuple(record.design_point) == (0.0,)
 
 
+@pytest.mark.parametrize("backend", [None, "grid", "wfg"])
+def test_batched_argmax_breaks_ties_toward_lowest_index(backend):
+    # m = 3: candidates 1 and 2 mirror each other about the one observation,
+    # so their beliefs and EHVI scores coincide; candidate 0 scores lower
+    design = np.array([[0.95], [0.0], [2.0], [1.0]])
+    objectives = np.array([[-1.0, -1.0, -1.0], [-1.0, -2.0, -3.0], [-3.0, -2.0, -1.0], [-2.0, -2.0, -2.0]])
+    frame = ProblemFrame(3, (0.0, 0.0, 0.0))
+    problem = SyntheticProblem(
+        name="mirror3",
+        candidates=CandidateSet(design, objectives),
+        frame=frame,
+        true_front=objectives.copy(),
+        reference_hypervolume=dominated_volume([tuple(r) for r in objectives], frame.reference),
+    )
+    state = BoState(problem=problem, backend=backend)
+    _observe(state, 3, 0)
+    record = bo_step(state)
+    assert tuple(record.design_point) == (0.0,)
+
+
 def test_hypervolume_trajectories_nondecreasing():
     problem = synthetic_problem("sphere2", resolution=8)
     for records in (

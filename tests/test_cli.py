@@ -95,6 +95,41 @@ def test_exit_code_2_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("maximize", "false"), ("maximize", 0), ("maximize", None), ("m", 2.9), ("m", "2"), ("m", True)],
+)
+def test_exit_code_2_mistyped_request_fields(tmp_path, capsys, field, value):
+    # bool("false") is True and int(2.9) is 2: both must be rejected, not coerced
+    path = write_request(tmp_path / "req.json", **dict(BASIC, **{field: value}))
+    assert main(["compute", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+@pytest.mark.parametrize(
+    "request_kwargs",
+    [
+        dict(BASIC, mean=[-1e308, -1e308], stddev=[1e308, 1e308]),
+        dict(
+            m=3,
+            reference=[0.0, 0.0, 0.0],
+            front=[[-1.0, -2.0, -3.0], [-3.0, -1.0, -2.0]],
+            mean=[-1e308, -1e308, -1e308],
+            stddev=[1e308, 1e308, 1e308],
+        ),
+    ],
+    ids=["m2", "m3"],
+)
+def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):
+    path = write_request(tmp_path / "req.json", **request_kwargs)
+    assert main(["compute", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_exit_code_3_invalid_front(tmp_path, capsys):
     dup = dict(BASIC, front=[[-1.0, -1.0], [-1.0, -1.0]])
     path = write_request(tmp_path / "dup.json", **dup)

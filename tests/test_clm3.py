@@ -1,5 +1,6 @@
-"""Sweep backend: staircase maintenance, slab accounting, and m=3 EHVI."""
+"""Sweep backend: staircase maintenance, box emission, and m=3 EHVI."""
 
+import copy
 import math
 
 import numpy as np
@@ -12,87 +13,148 @@ from ehvi import (
     SweepState,
     UnsupportedDimensionError,
     box_integral,
+    compute_ehvi_batch,
     ehvi_clm3,
     ehvi_grid,
     ehvi_wfg,
     full_region_integral,
+    grid_decompose,
     psi,
-    staircase_insert,
     validate_front,
     wfg_dominated_measure,
 )
 from ehvi import ProblemFrame
-from helpers import min_front, random_belief, random_front, slab_integral
+from ehvi.clm3 import nondominated_boxes
+from helpers import (
+    decomposition_boxes,
+    min_front,
+    open_strips,
+    random_belief,
+    random_front,
+    slab_integral,
+)
 
 
-def _state(seed=0):
-    belief = random_belief(2, seed)
-    return SweepState(belief=belief, reference=(0.0, 0.0)), belief
+def _state():
+    return SweepState(reference=(0.0, 0.0))
+
+
+def _integral(boxes, belief):
+    return math.fsum(box_integral(b, belief) for b in boxes)
+
+
+def _snapshot(state):
+    return copy.deepcopy((state.keys, state.vals, state.births, state.boxes, state.operations))
+
+
+def _tied_front(seed, n=25):
+    """n lattice points on the plane x + y + z = -15: ties on every axis."""
+    plane = [(-a, -b, a + b - 15.0) for a in range(1, 10) for b in range(1, 10) if 1 <= 15 - a - b <= 9]
+    rng = np.random.default_rng([31, seed])
+    return min_front((0.0, 0.0, 0.0), [plane[i] for i in rng.choice(len(plane), n, replace=False)])
 
 
 def test_empty_staircase_insert_delta():
-    state, belief = _state()
+    state = _state()
+    belief = random_belief(2, 0)
     a, b = -3.0, -1.5
-    delta = staircase_insert(state, (a, b))
+    state.insert(a, b, 1.0)
     r1, r2 = state.reference
     m1, m2 = belief.mean
     s1, s2 = belief.stddev
-    want = (psi(r1, m1, s1) - psi(a, m1, s1)) * (psi(r2, m2, s2) - psi(b, m2, s2))
-    assert delta == pytest.approx(want, rel=1e-14)
-    assert state.running_integral == delta
+    # the initial strip (the whole quadrant) closes at the insertion level
+    assert state.boxes == [(-math.inf, r1, r2, -math.inf, 1.0)]
+    assert state.births == [1.0, 1.0]
     assert state.keys == [a] and state.vals == [b]
+    strips = open_strips(state)
+    assert [(s.lower, s.upper) for s in strips] == [
+        ((-math.inf, -math.inf), (a, r2)),
+        ((a, -math.inf), (r1, b)),
+    ]
+    # the cross-section lost to the insert is the box (a, r1] x (b, r2]
+    lost = (psi(r1, m1, s1) - psi(a, m1, s1)) * (psi(r2, m2, s2) - psi(b, m2, s2))
+    full = psi(r1, m1, s1) * psi(r2, m2, s2)
+    assert _integral(strips, belief) + lost == pytest.approx(full, rel=1e-14)
 
 
 def test_reinsert_and_dominated_insert_are_no_ops():
-    state, _ = _state(1)
-    first = staircase_insert(state, (-3.0, -2.0))
-    assert first > 0.0
-    assert staircase_insert(state, (-3.0, -2.0)) == 0.0
-    assert staircase_insert(state, (-2.0, -1.0)) == 0.0
+    state = _state()
+    state.insert(-3.0, -2.0, 0.0)
+    before = _snapshot(state)
+    state.insert(-3.0, -2.0, 1.0)
+    assert _snapshot(state) == before
+    state.insert(-2.0, -1.0, 2.0)
+    assert _snapshot(state) == before
     assert state.operations == 1
     assert state.keys == [-3.0]
 
 
 def test_insert_out_of_bound_rejected():
-    state, _ = _state(2)
+    state = _state()
     with pytest.raises(ReferenceBoundError):
-        staircase_insert(state, (0.0, -1.0))
+        state.insert(0.0, -1.0, 0.0)
     with pytest.raises(ReferenceBoundError):
-        staircase_insert(state, (-1.0, 0.5))
+        state.insert(-1.0, 0.5, 0.0)
 
 
-def test_running_integral_matches_slab_recomputation():
+def test_open_strips_match_slab_recomputation():
     for seed in range(6):
-        state, belief = _state(seed + 3)
+        state = _state()
+        belief = random_belief(2, seed + 3)
+        full = psi(0.0, belief.mean[0], belief.stddev[0]) * psi(0.0, belief.mean[1], belief.stddev[1])
         rng = np.random.default_rng([21, seed])
         inserted = 0
-        for _ in range(20):
+        for level in range(20):
             p = tuple(rng.uniform(-8.0, -0.1, 2))
-            delta = staircase_insert(state, p)
-            assert delta >= 0.0
+            state.insert(*p, float(level))
             inserted += 1
             # strict staircase shape after every insertion
             assert state.keys == sorted(state.keys)
             assert all(a < b for a, b in zip(state.keys, state.keys[1:]))
             assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
-            want = slab_integral(state.keys, state.vals, state.reference, belief)
-            assert state.running_integral == pytest.approx(want, rel=1e-12)
+            assert len(state.births) == len(state.keys) + 1
+            strips = open_strips(state)
+            got = _integral(strips, belief)
+            # the open strips are the nondominated cross-section ...
+            staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
+            want = _integral(grid_decompose(staircase).boxes, belief)
+            assert got == pytest.approx(want, rel=1e-12)
+            # ... and with the slab recomputation of the dominated one they tile the quadrant
+            dominated = slab_integral(state.keys, state.vals, state.reference, belief)
+            assert got + dominated == pytest.approx(full, rel=1e-12)
         assert state.operations <= 2 * inserted
+        assert len(state.boxes) + len(strips) <= 2 * inserted + 1
 
 
-def test_running_integral_monotone():
-    state, _ = _state(9)
+def test_nondominated_cross_section_only_shrinks():
+    state = _state()
     rng = np.random.default_rng(22)
-    prev = 0.0
-    for _ in range(30):
-        staircase_insert(state, tuple(rng.uniform(-6.0, -0.2, 2)))
-        assert state.running_integral >= prev
-        prev = state.running_integral
+    samples = rng.uniform(-9.0, 0.0, (400, 2))
+
+    def inside(boxes):
+        return {
+            i
+            for i, (x, y) in enumerate(samples)
+            if any(b.lower[0] < x <= b.upper[0] and y <= b.upper[1] for b in boxes)
+        }
+
+    prev = inside(open_strips(state))
+    assert len(prev) == len(samples)
+    for level in range(30):
+        p = tuple(rng.uniform(-6.0, -0.2, 2))
+        state.insert(*p, float(level))
+        now = inside(open_strips(state))
+        assert now <= prev
+        # a sample leaves the cross-section exactly when the staircase covers it
+        covered = {i for i, s in enumerate(samples) if any(
+            k <= s[0] and v <= s[1] for k, v in zip(state.keys, state.vals))}
+        assert now == set(range(len(samples))) - covered
+        prev = now
 
 
 def test_sweep_state_validation():
     with pytest.raises(DimensionError):
-        SweepState(belief=GaussianBelief((0.0,) * 3, (1.0,) * 3), reference=(0.0, 0.0))
+        SweepState(reference=(0.0, 0.0, 0.0))
 
 
 def test_ehvi_clm3_empty_front():
@@ -117,39 +179,53 @@ def test_ehvi_clm3_single_point_analytic():
     assert res.boxes == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_box_factors_give_inf_not_nan():
+    # psi differences round to 0 on some axes while the other factors overflow
+    front = min_front((0.0, 0.0, 0.0), [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)])
+    belief = GaussianBelief((-1e308,) * 3, (1e308,) * 3)
+    assert ehvi_clm3(front, belief).value == math.inf
+
+
 def test_ehvi_clm3_wrong_dimensions():
     with pytest.raises(UnsupportedDimensionError):
         ehvi_clm3(random_front(2, 4, 0), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(DimensionError):
         ehvi_clm3(random_front(3, 4, 0), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(UnsupportedDimensionError):
+        nondominated_boxes(random_front(4, 4, 0))
 
 
-def test_slab_contributions_sum_to_dominated_measure():
+def test_emitted_boxes_integrate_to_full_minus_dominated():
     for seed in range(4):
         front = random_front(3, 12, seed)
         belief = random_belief(3, seed + 70)
-        r1, r2, r3 = front.reference
-        b12 = GaussianBelief(belief.mean[:2], belief.stddev[:2])
-        state = SweepState(belief=b12, reference=(r1, r2))
-        pts = sorted(front.points, key=lambda p: p[2])
-        psi3 = lambda z: psi(z, belief.mean[2], belief.stddev[2])
-        slabs = []
-        prev_z = None
-        for p in pts:
-            if prev_z is not None and p[2] > prev_z:
-                slabs.append(state.running_integral * (psi3(p[2]) - psi3(prev_z)))
-            if prev_z is None or p[2] > prev_z:
-                prev_z = p[2]
-            staircase_insert(state, (p[0], p[1]))
-        slabs.append(state.running_integral * (psi3(r3) - psi3(prev_z)))
-        assert all(s >= 0.0 for s in slabs)
+        boxes = decomposition_boxes(nondominated_boxes(front))
+        assert len(boxes) <= 2 * front.n + 1
+        assert all(lo < up for b in boxes for lo, up in zip(b.lower, b.upper))
+        parts = [box_integral(b, belief) for b in boxes]
+        assert all(v >= 0.0 for v in parts)
         dominated = wfg_dominated_measure(
             front.points, front.frame, lambda b: box_integral(b, belief)
         )
-        assert sum(slabs) == pytest.approx(dominated, rel=1e-12)
-        res = ehvi_clm3(front, belief)
         full = full_region_integral(front.frame, belief)
-        assert res.value == pytest.approx(full - sum(slabs), rel=1e-12)
+        assert math.fsum(parts) == pytest.approx(full - dominated, rel=1e-12)
+        assert ehvi_clm3(front, belief).value == pytest.approx(math.fsum(parts), rel=1e-12)
+
+
+def test_boxes_disjoint_cover_nondominated_region():
+    fronts = [random_front(3, 15, 5), _tied_front(0), min_front((0.0, 0.0, 0.0), [])]
+    rng = np.random.default_rng(23)
+    for front in fronts:
+        boxes = decomposition_boxes(nondominated_boxes(front))
+        ref = front.reference
+        for y in rng.uniform(-11.0, 0.0, (500, 3)):
+            hits = sum(
+                all(lo < v <= up for lo, v, up in zip(b.lower, y, b.upper)) for b in boxes
+            )
+            dominated = any(all(p <= v for p, v in zip(pt, y)) for pt in front.points)
+            inside = all(v <= r for v, r in zip(y, ref))
+            assert hits == (1 if inside and not dominated else 0)
 
 
 def test_operation_count_bound():
@@ -157,6 +233,7 @@ def test_operation_count_bound():
         front = random_front(3, n, seed)
         res = ehvi_clm3(front, random_belief(3, seed + 80))
         assert res.boxes <= 2 * n
+        assert len(nondominated_boxes(front).lower) <= 2 * n + 1
 
 
 def test_tied_levels_order_invariant():
@@ -183,3 +260,30 @@ def test_cross_backend_agreement_small():
         w = ehvi_wfg(front, belief).value
         assert c == pytest.approx(g, rel=1e-11)
         assert c == pytest.approx(w, rel=1e-11)
+
+
+def test_deep_tail_agreement_with_grid():
+    """Beliefs in or behind the front: clm3 and the batch path match grid at 1e-10.
+
+    Means are drawn from [-10, -0.2] and stddevs from [0.1, 2.5], so EHVI is
+    tiny next to the full-region integral and computing it as full minus
+    dominated would cancel. Only m = 3 is gated: m = 2 and m >= 4 still go
+    through wfg, which computes full minus dominated, until those dimensions
+    get a nondominated box decomposition as well (ROADMAP item 3).
+    """
+    fronts = [random_front(3, n, seed) for n, seed in [(5, 0), (20, 1), (40, 2)]]
+    fronts += [_tied_front(seed) for seed in range(3)]
+    for k, front in enumerate(fronts):
+        if k >= 3:
+            assert all(len({p[j] for p in front.points}) < front.n for j in range(3))
+        assert len(nondominated_boxes(front).lower) <= 2 * front.n + 1
+        rng = np.random.default_rng([32, k])
+        means = rng.uniform(-10.0, -0.2, (50, 3))
+        stds = rng.uniform(0.1, 2.5, (50, 3))
+        batch = compute_ehvi_batch(front, means, stds)
+        for mu, sd, b in zip(means, stds, batch):
+            belief = GaussianBelief(tuple(mu), tuple(sd))
+            want = ehvi_grid(front, belief).value
+            assert want > 0.0
+            assert ehvi_clm3(front, belief).value == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert b == pytest.approx(want, rel=1e-10, abs=0.0)

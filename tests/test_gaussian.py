@@ -61,6 +61,21 @@ def test_psi_monotone_and_nonnegative():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_psi_tail_accurate_and_monotone():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for x in np.linspace(2.0, 37.0, 71):
+        t = -float(x)
+        exact = float(t * mpmath.ncdf(t) + mpmath.npdf(t))
+        assert psi(1.5 * t, 0.0, 1.5) == pytest.approx(1.5 * exact, rel=1e-12)
+    # far below the mean the direct formula made psi decrease here
+    mu, sd = 7.494873326917716, 0.5
+    assert psi(0.0, mu, sd) <= psi(1.9611545981554065e-13, mu, sd)
+    grid = np.linspace(-4.0, -3.0, 2001)
+    vals = [psi(float(a), 0.0, 0.25) for a in grid]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
 def test_psi_rejects_bad_sigma():
     for sd in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):

@@ -19,12 +19,12 @@ from ehvi import (
     from_internal,
     nondominated_filter,
     psi,
+    grid_decompose,
     std_normal_cdf,
-    staircase_insert,
     to_internal,
 )
 from ehvi.clm3 import SweepState
-from helpers import slab_integral
+from helpers import min_front, open_strips, slab_integral
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -109,17 +109,25 @@ def test_nondominated_filter_invariants(points):
     count=st.integers(1, 10),
     data=st.data(),
 )
-def test_staircase_running_integral_consistent(count, data):
+def test_staircase_strips_consistent(count, data):
     mean = (data.draw(st.floats(-6.0, -1.0)), data.draw(st.floats(-6.0, -1.0)))
     sd = (data.draw(st.floats(0.5, 3.0)), data.draw(st.floats(0.5, 3.0)))
     belief = GaussianBelief(mean, sd)
-    state = SweepState(belief=belief, reference=(0.0, 0.0))
-    running = 0.0
-    for _ in range(count):
+    full = psi(0.0, mean[0], sd[0]) * psi(0.0, mean[1], sd[1])
+    state = SweepState(reference=(0.0, 0.0))
+    for level in range(count):
         point = (data.draw(st.floats(-8.0, -0.1)), data.draw(st.floats(-8.0, -0.1)))
-        running += staircase_insert(state, point)
-        recomputed = slab_integral(state.keys, state.vals, (0.0, 0.0), belief)
-        assert math.isclose(running, recomputed, rel_tol=1e-12, abs_tol=1e-300)
+        state.insert(*point, float(level))
+        assert all(a < b for a, b in zip(state.keys, state.keys[1:]))
+        assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
+        assert state.operations <= 2 * (level + 1)
+        assert len(state.boxes) + len(state.births) <= 2 * (level + 1) + 1
+        strips = math.fsum(box_integral(b, belief) for b in open_strips(state))
+        staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
+        nondominated = math.fsum(box_integral(b, belief) for b in grid_decompose(staircase).boxes)
+        assert math.isclose(strips, nondominated, rel_tol=1e-12, abs_tol=1e-300)
+        dominated = slab_integral(state.keys, state.vals, (0.0, 0.0), belief)
+        assert math.isclose(strips + dominated, full, rel_tol=1e-12, abs_tol=1e-300)
 
 
 @CASES
