@@ -1,6 +1,6 @@
 """Exact expected hypervolume improvement for multi-objective optimization.
 
-Three interchangeable exact backends compute EHVI by decomposing the
+Four interchangeable exact backends compute EHVI by decomposing the
 nondominated region into boxes and integrating a closed-form Gaussian box
 integral over them (compute_ehvi for one belief, compute_ehvi_batch for many
 beliefs against one front):
@@ -8,9 +8,13 @@ beliefs against one front):
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
 - ehvi_wfg: recursive signed-measure decomposition, at most 2^n - 1 box
-  terms, any m >= 2; the general workhorse.
+  terms, any m >= 2; full region minus dominated region, kept as a
+  reference and for hypervolume.
 - ehvi_clm3: sweep over a 2-D staircase that cuts the nondominated region
   into at most 2n+1 boxes, m = 3 only, O(n log n).
+- ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
+  staircase at m = 2, clm3's boxes at m = 3 and a box-splitting sweep over
+  the last axis at m >= 4. "auto" picks it for every m but 3.
 
 Around them: Monte-Carlo and 2-D quadrature verification oracles, a timing
 benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI
@@ -81,6 +85,7 @@ from .gaussian import (
 from .gp import DEFAULT_JITTER, GpSurrogate, fit_gp, gp_posterior, gp_posterior_batch
 from .grid import Decomposition, GridStructure, RegionKind, build_grid, ehvi_grid, grid_decompose
 from .oracle import McEstimate, ehvi_monte_carlo, ehvi_quadrature_2d
+from .sweep import ehvi_sweep
 from .wfg import (
     SignedBoxTerm,
     dominated_volume,
@@ -146,6 +151,7 @@ __all__ = [
     "ehvi_grid",
     "ehvi_monte_carlo",
     "ehvi_quadrature_2d",
+    "ehvi_sweep",
     "ehvi_wfg",
     "exclusive_volume",
     "fit_gp",

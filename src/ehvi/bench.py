@@ -95,7 +95,8 @@ def run_benchmark(
 ) -> list[BenchmarkRecord]:
     """Time every applicable (algorithm, m, n, seed) cell reps times.
 
-    The sweep backend only handles m=3 and is silently skipped elsewhere.
+    clm3 only handles m=3 and is silently skipped elsewhere; grid, wfg and
+    sweep run at every m.
     Each cell gets one untimed warm-up call per algorithm, then reps timed
     calls. All algorithms must agree on each cell's value to 1e-10 relative;
     disagreement aborts the run rather than reporting timings for wrong

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated front sizes")
     p.add_argument("--seeds", type=int, default=10, help="fronts per (m, n) cell")
     p.add_argument("--reps", type=int, default=5, help="timed repetitions per front")
-    p.add_argument("--algorithms", default="grid,wfg,clm3", help="comma-separated backends")
+    p.add_argument("--algorithms", default="grid,wfg,clm3,sweep", help="comma-separated backends")
     p.add_argument("--sigma-as-variance", action="store_true",
                    help="read the default spread 2.5 as a variance instead of a stddev")
     p.add_argument("--out", required=True, help="records CSV path (summary goes next to it)")

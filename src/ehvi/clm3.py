@@ -130,28 +130,38 @@ class BoxDecomposition(NamedTuple):
     breaks: tuple[np.ndarray, ...]
     lower: np.ndarray  # (boxes, m) int
     upper: np.ndarray  # (boxes, m) int
-    operations: int  # staircase inserts + removals that produced them
+    operations: int  # work that produced them; staircase inserts + removals at m=3 (see sweep_boxes)
+
+
+def front_ranks(front: Front) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per-axis breakpoints [-inf, sorted coordinates, r_j] and the (n, m) point ranks.
+
+    A point's rank on axis j is the index of its coordinate in breaks[j],
+    taking the first copy of a tied coordinate, so ties compare equal.
+    """
+    n, m = front.n, front.m
+    pts = np.fromiter(chain.from_iterable(front.points), dtype=float, count=m * n).reshape(n, m)
+    coords = np.sort(pts, axis=0)
+    breaks = tuple(np.concatenate(([-np.inf], coords[:, j], [front.reference[j]])) for j in range(m))
+    ranks = np.empty((n, m), dtype=np.intp)
+    for j in range(m):
+        ranks[:, j] = np.searchsorted(coords[:, j], pts[:, j])
+    return breaks, ranks + 1
 
 
 def nondominated_boxes(front: Front) -> BoxDecomposition:
     """Sweep an m=3 front into at most 2n+1 disjoint nondominated boxes.
 
-    Axis j's breakpoints are [-inf, sorted coordinates, r_j]. The sweep runs
-    on breakpoint indices, a tied coordinate taking the index of its first
-    copy, so ties compare equal and no box of zero height is emitted.
+    The sweep runs on the breakpoint ranks of front_ranks, so ties compare
+    equal and no box of zero height is emitted.
     """
     if front.m != 3:
         raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
     n = front.n
-    pts = np.fromiter(chain.from_iterable(front.points), dtype=float, count=3 * n).reshape(n, 3)
-    coords = np.sort(pts, axis=0)
-    breaks = tuple(np.concatenate(([-np.inf], coords[:, j], [front.reference[j]])) for j in range(3))
-    # index of the first equal breakpoint, so tied coordinates share one index
-    ranks = [np.searchsorted(coords[:, j], pts[:, j]) + 1 for j in range(3)]
-    order = np.argsort(ranks[2], kind="stable")
+    breaks, ranks = front_ranks(front)
     state = SweepState(reference=(n + 1, n + 1), bottom=0)
     insert = state.insert
-    for x, y, z in zip(ranks[0][order].tolist(), ranks[1][order].tolist(), ranks[2][order].tolist()):
+    for x, y, z in zip(*ranks[np.argsort(ranks[:, 2], kind="stable")].T.tolist()):
         insert(x, y, z)
     state.close(n + 1)
     flat = np.fromiter(chain.from_iterable(state.boxes), dtype=np.intp, count=5 * len(state.boxes))

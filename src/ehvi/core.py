@@ -44,7 +44,8 @@ class EhviResult(NamedTuple):
 
     `boxes` counts what the backend actually enumerated: grid cells for the
     grid backend, box-measure evaluations for the recursive backend, ordered
-    map operations (inserts + removals) for the sweep backend.
+    map operations (inserts + removals) for clm3, and boxes integrated for
+    sweep.
     """
 
     value: float

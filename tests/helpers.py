@@ -1,6 +1,7 @@
 """Shared builders for test inputs."""
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,23 @@ def min_front(reference, points):
     """Validated minimization front against an explicit reference."""
     frame = ProblemFrame(m=len(reference), reference=reference)
     return validate_front(frame, points)
+
+
+def lattice_front(m, seed, n=25):
+    """n lattice points of {-9..-1}^m on the plane sum(y) = -5m, sampled by seed.
+
+    For m >= 3 the points share coordinates on every axis; at m = 2 no two
+    nondominated points can.
+    """
+    total = 5 * m
+    plane = [
+        tuple(-float(a) for a in head) + (float(sum(head) - total),)
+        for head in itertools.product(range(1, 10), repeat=m - 1)
+        if 1 <= total - sum(head) <= 9
+    ]
+    rng = np.random.default_rng([31, seed])
+    picks = rng.choice(len(plane), min(n, len(plane)), replace=False)
+    return min_front((0.0,) * m, [plane[i] for i in picks])
 
 
 def random_belief(m, seed, mean_lo=-12.0, mean_hi=-2.0, sd_lo=0.5, sd_hi=4.0):

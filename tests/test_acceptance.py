@@ -159,11 +159,13 @@ def test_acceptance_6_decomposition_counts_and_scaling():
     high_dim_records = []
     for m in (4, 5, 6):
         high_dim_records += run_benchmark(
-            ms=[m], ns=[10], seeds=10, reps=5, algorithms=("grid", "wfg")
+            ms=[m], ns=[10], seeds=10, reps=5, algorithms=("grid", "wfg", "sweep")
         )
     for r in high_dim_records:
         if r.algorithm == "wfg":
             assert r.boxes <= 2**r.n - 1, (r.m, r.boxes)
+        elif r.algorithm == "sweep":
+            assert r.boxes <= (r.n + 1) ** r.m, (r.m, r.boxes)
         else:
             assert r.boxes <= (r.n + 1) ** r.m
 

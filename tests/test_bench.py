@@ -57,17 +57,18 @@ def test_benchmark_frame_and_belief():
 
 def test_run_benchmark_record_grid():
     records = run_benchmark(
-        ms=[2, 3],
+        ms=[2, 3, 4],
         ns=[4, 6],
         seeds=2,
         reps=2,
-        algorithms=("grid", "wfg", "clm3"),
+        algorithms=("grid", "wfg", "clm3", "sweep"),
     )
-    # clm3 applies only at m=3: 2*2*2*(2+3)*2 = 40
-    assert len(records) == 40
-    assert sum(1 for r in records if r.m == 2) == 16
-    assert sum(1 for r in records if r.m == 3) == 24
-    assert all(r.algorithm != "clm3" for r in records if r.m == 2)
+    # clm3 applies only at m=3: 2*2*2*(3+4+3) = 80
+    assert len(records) == 80
+    assert sum(1 for r in records if r.m == 2) == 24
+    assert sum(1 for r in records if r.m == 3) == 32
+    assert sum(1 for r in records if r.m == 4) == 24
+    assert all(r.algorithm != "clm3" for r in records if r.m != 3)
 
     keys = [(r.m, r.n, r.seed, r.algorithm, r.rep) for r in records]
     assert keys == sorted(keys)
@@ -78,6 +79,13 @@ def test_run_benchmark_record_grid():
             assert r.boxes <= (r.n + 1) ** r.m
         elif r.algorithm == "wfg":
             assert r.boxes <= 2**r.n - 1
+        elif r.algorithm == "sweep":
+            if r.m == 2:
+                assert r.boxes == r.n + 1
+            elif r.m == 3:
+                assert r.boxes <= 2 * r.n + 1
+            else:
+                assert r.boxes <= (r.n + 1) ** r.m
         else:
             assert r.boxes <= 2 * r.n
 

@@ -44,18 +44,19 @@ def test_compute_empty_front(tmp_path, capsys):
     code, out = run_compute(tmp_path, capsys, dict(req, mean=[0.0, 0.0]))
     assert code == 0
     assert out["ehvi"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
-    assert out["algorithm"] == "wfg"
-    assert out["boxes"] == 0
+    assert out["algorithm"] == "sweep"
+    assert out["boxes"] == 1  # the whole region below the reference
     assert isinstance(out["time_ns"], int) and out["time_ns"] > 0
 
 
 def test_compute_backends_agree(tmp_path, capsys):
     values = {}
-    for algo in ("grid", "wfg"):
+    for algo in ("grid", "wfg", "sweep"):
         code, out = run_compute(tmp_path, capsys, BASIC, ["--algorithm", algo])
         assert code == 0 and out["algorithm"] == algo
         values[algo] = out["ehvi"]
     assert values["grid"] == pytest.approx(values["wfg"], rel=1e-10)
+    assert values["grid"] == pytest.approx(values["sweep"], rel=1e-10)
 
 
 def test_compute_maximize_equals_negated_minimize(tmp_path, capsys):
@@ -283,7 +284,8 @@ def declared_entry_point():
 def assert_compute_succeeds(proc):
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
-    assert out["algorithm"] == "wfg" and out["ehvi"] > 0.0
+    assert out["algorithm"] == "sweep" and out["ehvi"] > 0.0
+    assert out["boxes"] == len(BASIC["front"]) + 1
 
 
 def test_console_script_entry_point(tmp_path):

@@ -27,6 +27,7 @@ from ehvi import ProblemFrame
 from ehvi.clm3 import nondominated_boxes
 from helpers import (
     decomposition_boxes,
+    lattice_front,
     min_front,
     open_strips,
     random_belief,
@@ -45,13 +46,6 @@ def _integral(boxes, belief):
 
 def _snapshot(state):
     return copy.deepcopy((state.keys, state.vals, state.births, state.boxes, state.operations))
-
-
-def _tied_front(seed, n=25):
-    """n lattice points on the plane x + y + z = -15: ties on every axis."""
-    plane = [(-a, -b, a + b - 15.0) for a in range(1, 10) for b in range(1, 10) if 1 <= 15 - a - b <= 9]
-    rng = np.random.default_rng([31, seed])
-    return min_front((0.0, 0.0, 0.0), [plane[i] for i in rng.choice(len(plane), n, replace=False)])
 
 
 def test_empty_staircase_insert_delta():
@@ -214,7 +208,7 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
 
 
 def test_boxes_disjoint_cover_nondominated_region():
-    fronts = [random_front(3, 15, 5), _tied_front(0), min_front((0.0, 0.0, 0.0), [])]
+    fronts = [random_front(3, 15, 5), lattice_front(3, 0), min_front((0.0, 0.0, 0.0), [])]
     rng = np.random.default_rng(23)
     for front in fronts:
         boxes = decomposition_boxes(nondominated_boxes(front))
@@ -267,12 +261,10 @@ def test_deep_tail_agreement_with_grid():
 
     Means are drawn from [-10, -0.2] and stddevs from [0.1, 2.5], so EHVI is
     tiny next to the full-region integral and computing it as full minus
-    dominated would cancel. Only m = 3 is gated: m = 2 and m >= 4 still go
-    through wfg, which computes full minus dominated, until those dimensions
-    get a nondominated box decomposition as well (ROADMAP item 3).
+    dominated would cancel. test_sweep.py gates m = 2, 4 and 5 the same way.
     """
     fronts = [random_front(3, n, seed) for n, seed in [(5, 0), (20, 1), (40, 2)]]
-    fronts += [_tied_front(seed) for seed in range(3)]
+    fronts += [lattice_front(3, seed) for seed in range(3)]
     for k, front in enumerate(fronts):
         if k >= 3:
             assert all(len({p[j] for p in front.points}) < front.n for j in range(3))

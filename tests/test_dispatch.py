@@ -10,10 +10,16 @@ from ehvi import (
     UnsupportedDimensionError,
     compute_ehvi,
     compute_ehvi_batch,
+    resolve_algorithm,
 )
+from ehvi import dispatch
 from helpers import min_front, random_front
 
-VALID = {2: ("grid", "wfg", "auto"), 3: ("grid", "wfg", "clm3", "auto"), 4: ("grid", "wfg", "auto")}
+VALID = {
+    2: ("grid", "wfg", "sweep", "auto"),
+    3: ("grid", "wfg", "clm3", "sweep", "auto"),
+    4: ("grid", "wfg", "sweep", "auto"),
+}
 
 
 def _beliefs(m, q, seed):
@@ -32,6 +38,23 @@ def test_batch_rows_equal_single_belief_calls(m, n):
         for value, mu, sd in zip(batch, means, stds):
             single = compute_ehvi(front, GaussianBelief(tuple(mu), tuple(sd)), algorithm).value
             assert value == pytest.approx(single, rel=1e-12, abs=0.0), algorithm
+
+
+def test_auto_resolves_to_a_box_decomposition():
+    assert resolve_algorithm("auto", 3) == "clm3"
+    for m in (2, 4, 5, 6, 7, 8):
+        assert resolve_algorithm("auto", m) == "sweep"
+
+
+def test_batch_decomposes_the_front_once(monkeypatch):
+    decompose = dispatch.sweep_boxes
+    calls = []
+    monkeypatch.setattr(dispatch, "sweep_boxes", lambda front: calls.append(front) or decompose(front))
+    front = random_front(4, 12, 0)
+    means, stds = _beliefs(4, 1000, 0)
+    batch = compute_ehvi_batch(front, means, stds)
+    assert len(calls) == 1 and batch.shape == (1000,)
+    assert batch[7] == pytest.approx(compute_ehvi(front, GaussianBelief(means[7], stds[7])).value, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
