@@ -1,15 +1,16 @@
 """Exact expected hypervolume improvement for multi-objective optimization.
 
-Four interchangeable exact backends compute EHVI by decomposing the
-nondominated region into boxes and integrating a closed-form Gaussian box
-integral over them (compute_ehvi for one belief, compute_ehvi_batch for many
-beliefs against one front):
+Four interchangeable exact backends compute EHVI as closed-form Gaussian
+box integrals (compute_ehvi for one belief, compute_ehvi_batch for many
+beliefs against one front). grid, clm3 and sweep integrate disjoint boxes of
+the nondominated region; wfg integrates the dominated region and subtracts
+it from the full region below the reference:
 
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
-- ehvi_wfg: recursive signed-measure decomposition, at most 2^n - 1 box
-  terms, any m >= 2; full region minus dominated region, kept as a
-  reference and for hypervolume.
+- ehvi_wfg: the WFG recursion over the dominated region, at most 2^n - 1
+  box-measure evaluations, any m >= 2; kept as a reference, and the same
+  recursion gives the hypervolume.
 - ehvi_clm3: sweep over a 2-D staircase that cuts the nondominated region
   into at most 2n+1 boxes, m = 3 only, O(n log n).
 - ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
@@ -83,19 +84,10 @@ from .gaussian import (
     std_normal_pdf,
 )
 from .gp import DEFAULT_JITTER, GpSurrogate, fit_gp, gp_posterior, gp_posterior_batch
-from .grid import Decomposition, GridStructure, RegionKind, build_grid, ehvi_grid, grid_decompose
+from .grid import Decomposition, GridStructure, build_grid, ehvi_grid, grid_decompose
 from .oracle import McEstimate, ehvi_monte_carlo, ehvi_quadrature_2d
 from .sweep import ehvi_sweep
-from .wfg import (
-    SignedBoxTerm,
-    dominated_volume,
-    ehvi_wfg,
-    exclusive_volume,
-    hypervolume,
-    limit,
-    signed_box_terms,
-    wfg_dominated_measure,
-)
+from .wfg import dominated_volume, ehvi_wfg, exclusive_volume, hypervolume, limit
 
 __version__ = "0.1.0"
 
@@ -130,9 +122,7 @@ __all__ = [
     "ParameterError",
     "ProblemFrame",
     "ReferenceBoundError",
-    "RegionKind",
     "SCALING_MS",
-    "SignedBoxTerm",
     "SweepState",
     "SyntheticProblem",
     "UnsupportedDimensionError",
@@ -171,12 +161,10 @@ __all__ = [
     "run_benchmark",
     "run_bo",
     "run_random",
-    "signed_box_terms",
     "std_normal_cdf",
     "std_normal_pdf",
     "summarize",
     "synthetic_problem",
     "to_internal",
     "validate_front",
-    "wfg_dominated_measure",
 ]

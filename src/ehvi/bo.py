@@ -58,7 +58,7 @@ class BoRunRecord:
 @dataclass
 class BoState:
     problem: SyntheticProblem
-    backend: str | None = None  # None resolves to clm3 for m=3, wfg otherwise
+    backend: str | None = None  # None means "auto": clm3 for m=3, sweep otherwise
     observed: list[int] = field(default_factory=list)
     records: list[BoRunRecord] = field(default_factory=list)
 

@@ -29,6 +29,11 @@ from .errors import (
 
 Vector = tuple[float, ...]
 
+# Above this set size the nondominated pass switches to numpy comparisons,
+# made in blocks of at most _FILTER_BLOCK elements.
+_NUMPY_FILTER_MIN = 48
+_FILTER_BLOCK = 1 << 22
+
 
 def as_vector(v: Sequence[float]) -> Vector:
     return tuple(float(x) for x in v)
@@ -162,20 +167,30 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return not worse_somewhere and strict_somewhere
 
 
-def nondominated_filter(points: Iterable[Sequence[float]]) -> list[Vector]:
-    """Points not weakly dominated by any other, duplicates collapsed.
+def nondominated_sorted(pts: list[tuple]) -> list[tuple]:
+    """The points of a lex-sorted, deduplicated list that no other point weakly dominates.
 
-    Output is deterministic: lexicographically ascending. A lex-sorted,
-    deduplicated list has every potential dominator strictly earlier, so one
-    forward pass against the survivors suffices.
+    Every potential dominator of a point sits strictly earlier in such a
+    list. Up to _NUMPY_FILTER_MIN points, one forward pass against the
+    survivors decides; above it, numpy compares each block of points with
+    everything before it. Either way the survivors are returned as the input
+    tuples themselves, in input order, so their elements stay plain Python
+    scalars.
     """
-    pts = sorted(set(as_vector(p) for p in points))
-    if not pts:
-        return []
-    m = len(pts[0])
-    if any(len(p) != m for p in pts):
-        raise DimensionError("points have mixed dimensions")
-    out: list[Vector] = []
+    n = len(pts)
+    if n > _NUMPY_FILTER_MIN:
+        cols = np.asarray(pts).T
+        keep = np.empty(n, dtype=bool)
+        step = max(1, _FILTER_BLOCK // n)
+        for s in range(0, n, step):
+            e = s + step
+            # leq[i, k]: point i <= point s+k on every axis; no later point can be
+            leq = cols[0, :e, None] <= cols[0, s:e]
+            for col in cols[1:]:
+                leq &= col[:e, None] <= col[s:e]
+            keep[s:e] = np.count_nonzero(leq, axis=0) == 1  # only the point itself
+        return [pts[i] for i in np.flatnonzero(keep)]
+    out: list[tuple] = []
     for p in pts:
         for q in out:
             for x, y in zip(q, p):
@@ -186,6 +201,20 @@ def nondominated_filter(points: Iterable[Sequence[float]]) -> list[Vector]:
         else:
             out.append(p)
     return out
+
+
+def nondominated_filter(points: Iterable[Sequence[float]]) -> list[Vector]:
+    """Points not weakly dominated by any other, duplicates collapsed.
+
+    Output is deterministic: lexicographically ascending.
+    """
+    pts = sorted(set(as_vector(p) for p in points))
+    if not pts:
+        return []
+    m = len(pts[0])
+    if any(len(p) != m for p in pts):
+        raise DimensionError("points have mixed dimensions")
+    return nondominated_sorted(pts)
 
 
 def to_internal(frame: ProblemFrame, v: Sequence[float]) -> Vector:

@@ -154,7 +154,8 @@ def integrate_boxes(
         block = slice(s, s + rows)
         p = psi_vec(points, means[block][:, axis_of], stds[block][:, axis_of])
         f = np.maximum(p[:, upper] - p[:, lower], 0.0)  # (beliefs, boxes, m)
-        with np.errstate(invalid="ignore"):
+        # a product that overflows is meant to be inf (ehvi compute exits 2 on it)
+        with np.errstate(invalid="ignore", over="ignore"):
             volume = f.prod(axis=2)
         # as in box_integral, a zero factor zeroes the box even when another
         # factor overflowed to inf (inf * 0 would be nan)

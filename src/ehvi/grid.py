@@ -16,7 +16,6 @@ verification work.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
@@ -30,17 +29,11 @@ from .gaussian import GaussianBelief, psi_vec
 _CHUNK = 1 << 22
 
 
-class RegionKind(enum.Enum):
-    NONDOMINATED = "nondominated_region"
-    DOMINATED = "dominated_region"
-
-
 @dataclass(frozen=True)
 class Decomposition:
-    """Disjoint half-open boxes covering the declared region."""
+    """Disjoint half-open boxes covering the nondominated region."""
 
     boxes: tuple[HyperBox, ...]
-    kind: RegionKind
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def grid_decompose(front: Front) -> Decomposition:
         if any(lo == up for lo, up in zip(lower, upper)):
             continue  # zero width, zero measure
         boxes.append(HyperBox(lower, upper))
-    return Decomposition(boxes=tuple(boxes), kind=RegionKind.NONDOMINATED)
+    return Decomposition(boxes=tuple(boxes))
 
 
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:

@@ -2,12 +2,13 @@
 
 These deliberately avoid the closed-form fast paths. The Monte-Carlo
 estimator samples the candidate belief and averages per-draw hypervolume
-improvements; the quadrature oracle integrates the product of normal cdfs
-numerically over the grid decomposition's boxes, so the only shared
-ingredient with the exact backends is the region shape, never the psi
-closed form. Verification ladders: sampling checks the closed form, the
-quadrature checks psi, and the grid decomposition's region is itself
-checked by brute-force dominance oracles in the tests.
+improvements, each the exact volume of the draw's box clipped against the
+nondominated boxes of sweep.sweep_boxes; the quadrature oracle integrates
+the product of normal cdfs numerically over the grid decomposition's boxes.
+So the only ingredient shared with the exact backends is the region shape,
+never the psi closed form. Verification ladders: sampling checks the closed
+form, the quadrature checks psi, and both decompositions' regions are
+themselves checked by brute-force dominance oracles in the tests.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .core import Front
 from .errors import DimensionError, ParameterError, UnsupportedDimensionError
 from .gaussian import GaussianBelief, std_normal_cdf
 from .grid import grid_decompose
-from .wfg import signed_box_terms
+from .sweep import sweep_boxes
 
 _MC_CHUNK = 100_000  # fixed so a seed reproduces bit-exactly for a given sample count
-_TERM_BLOCK = 1 << 24  # max elements in the draws x terms x axes product
+_BOX_BLOCK = 1 << 22  # max elements in the draws x boxes x axes product
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,11 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
     Generator.standard_normal (ziggurat transform) in fixed-size chunks, so a
     (seed, samples) pair reproduces bit-exactly on a platform.
 
-    Per draw, the improvement is evaluated exactly: draws weakly dominated by
-    the front or outside the reference bound contribute exactly 0.0; for the
-    rest, the dominated-region indicator expands into signed boxes
-    (wfg.signed_box_terms), so the improvement is the bound-box volume minus
-    the signed sum of clipped box volumes. This is algebraically identical to
+    Per draw y, the improvement is evaluated exactly as the volume of
+    box(y, r) inside the nondominated region: the sum, over the disjoint
+    boxes of sweep.sweep_boxes, of prod_j max(0, upper_j - max(lower_j, y_j)).
+    A draw weakly dominated by the front or outside the reference bound
+    overlaps no box on some axis, so it contributes exactly 0.0. This equals
     core.hypervolume_improvement per draw but vectorizes over draws.
     """
     if samples < 2:
@@ -58,11 +59,10 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
     m = front.m
     rng = np.random.default_rng(seed)
-    ref = np.asarray(front.reference, dtype=float)
-    pts = np.asarray(front.points, dtype=float).reshape(front.n, m)
-    terms = signed_box_terms(front.points, front.reference) if front.n else []
-    lowers = np.asarray([t.box.lower for t in terms], dtype=float).reshape(len(terms), m)
-    signs = np.asarray([float(t.sign) for t in terms])
+    boxes = sweep_boxes(front)
+    lowers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.lower.T)])
+    uppers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.upper.T)])
+    step = max(1, _BOX_BLOCK // lowers.size)
     mu = np.asarray(belief.mean)
     sd = np.asarray(belief.stddev)
 
@@ -71,24 +71,12 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
     while done < samples:
         k = min(_MC_CHUNK, samples - done)
         draws = mu + sd * rng.standard_normal((k, m))
-        out = np.zeros(k)
-        alive = (draws < ref).all(axis=1)
-        if front.n:
-            dominated = (draws[:, None, :] >= pts[None, :, :]).all(axis=2).any(axis=1)
-            alive &= ~dominated
-        if alive.any():
-            sub = draws[alive]
-            improvement = np.prod(ref - sub, axis=1)
-            if len(terms):
-                step = max(1, _TERM_BLOCK // (len(terms) * m))
-                covered = np.empty(len(sub))
-                for s in range(0, len(sub), step):
-                    block = sub[s : s + step]
-                    clipped = np.maximum(block[:, None, :], lowers[None, :, :])
-                    covered[s : s + len(block)] = np.prod(ref - clipped, axis=2) @ signs
-                improvement = improvement - covered
-            out[alive] = np.maximum(improvement, 0.0)
-        values[done : done + k] = out
+        out = values[done : done + k]
+        for s in range(0, k, step):
+            overlap = np.maximum(draws[s : s + step, None, :], lowers)
+            np.subtract(uppers, overlap, out=overlap)
+            np.maximum(overlap, 0.0, out=overlap)
+            out[s : s + step] = overlap.prod(axis=2).sum(axis=1)
         done += k
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(samples))

@@ -1,53 +1,30 @@
-"""Recursive signed-box decomposition of the dominated region (any m >= 2).
+"""WFG recursion for the dominated region (any m >= 2).
 
 The dominated measure of a point list decomposes as
 
     H(A) = sum_i H_I(a_i, {a_{i+1}, ...})
     H_I(a, S) = measure(box(a, r)) - H(nondominated(limit(S, a)))
 
-with limit the componentwise maximum. Expanding the recursion writes the
-indicator of the dominated region as a signed sum of box indicators (sign
-(-1)^depth), which is what makes one implementation serve three masters:
-Lebesgue box volume gives the exact hypervolume, the closed-form Gaussian
-box integral gives EHVI (subtracted from the full-region integral), and the
-expansion itself gives the Monte-Carlo oracle a per-draw evaluation rule.
+with limit the componentwise maximum (While, Bradstreet & Barone, IEEE TEC
+2012). Any measure that is a product of per-axis factors of the box works:
+Lebesgue volume gives the exact hypervolume, and the closed-form Gaussian
+box integral gives the dominated-region integral that ehvi_wfg subtracts
+from the full-region integral.
 
-Internally the fast path maps coordinates to per-axis ranks and replaces
-box measures by products from precomputed per-axis factor tables; the
-public wfg_dominated_measure keeps the plain measure-as-callable form
-used by verification tests.
+The recursion runs on per-axis ranks: coordinates are replaced by their
+rank among the axis's distinct values, and box measures by products from
+precomputed per-axis factor tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    EhviResult,
-    Front,
-    HyperBox,
-    ProblemFrame,
-    Vector,
-    as_vector,
-    nondominated_filter,
-)
+from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted
 from .errors import DimensionError, ReferenceBoundError
-from .gaussian import GaussianBelief, full_region_integral, psi, psi_vec
-
-# Above this set size the nondominated filter switches to a numpy pass.
-_NUMPY_FILTER_MIN = 48
-
-
-@dataclass(frozen=True)
-class SignedBoxTerm:
-    """One box of the expanded dominated-region indicator; sign = (-1)^depth."""
-
-    box: HyperBox
-    sign: int
-    depth: int
+from .gaussian import GaussianBelief, full_region_integral, psi_vec
 
 
 def limit(s: Sequence[float], a: Sequence[float]) -> Vector:
@@ -63,34 +40,6 @@ def _check_bound(points: list[Vector], reference: Vector) -> None:
             raise DimensionError(f"point {p} has {len(p)} coordinates, expected {len(reference)}")
         if not all(x < r for x, r in zip(p, reference)):
             raise ReferenceBoundError(f"point {p} is not strictly inside the bound {reference}")
-
-
-def _nd_small(pts: list[tuple]) -> list[tuple]:
-    # pts must be sorted ascending and deduplicated: dominators appear earlier.
-    out: list[tuple] = []
-    for p in pts:
-        for q in out:
-            for x, y in zip(q, p):
-                if x > y:
-                    break
-            else:
-                break
-        else:
-            out.append(p)
-    return out
-
-
-def _nd_sorted(pts: list[tuple]) -> list[tuple]:
-    if len(pts) <= _NUMPY_FILTER_MIN:
-        return _nd_small(pts)
-    arr = np.asarray(pts)
-    leq = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    keep = leq.sum(axis=0) == 1  # after dedup, only p itself precedes p
-    return [tuple(row) for row in arr[keep]]
-
-
-def _nd(pts) -> list[tuple]:
-    return _nd_sorted(sorted(set(pts)))
 
 
 def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> float:
@@ -121,7 +70,7 @@ def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> 
                     s *= col[rk]
                 t -= s
             else:
-                limited = _nd_sorted(sorted(unique))
+                limited = nondominated_sorted(sorted(unique))
                 if len(limited) == 2:
                     # same three boxes the recursion would emit, minus the frame
                     counter[0] += 3
@@ -139,23 +88,18 @@ def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> 
     return total
 
 
-def _rank_form(points: list[Vector], factor_of) -> tuple[list[tuple], list[list[float]]]:
-    """Map points to rank tuples and build per-axis factor tables.
+def _rank_form(points: Sequence[Vector]) -> tuple[list[tuple], list[list[float]]]:
+    """The nondominated rank tuples of the points and the sorted distinct values of every axis.
 
-    Per-axis ranks are order-isomorphic to values, and componentwise max
-    never leaves the per-axis value sets, so the whole recursion runs on
-    small integers with measure factors looked up instead of recomputed.
+    Rank i on axis j stands for the value uniqs[j][i]. Per-axis ranks are
+    order-isomorphic to values, and componentwise max never leaves the
+    per-axis value sets, so the whole recursion runs on small integers with
+    measure factors looked up in per-axis tables instead of recomputed.
     """
-    m = len(points[0])
-    cols = list(zip(*points))
-    table: list[list[float]] = []
-    rank_maps = []
-    for j in range(m):
-        uniq = sorted(set(cols[j]))
-        rank_maps.append({v: i for i, v in enumerate(uniq)})
-        table.append(factor_of(j, uniq))
-    pts = [tuple(rank_maps[j][p[j]] for j in range(m)) for p in points]
-    return pts, table
+    uniqs = [sorted(set(col)) for col in zip(*points)]
+    rank_maps = [{v: i for i, v in enumerate(uniq)} for uniq in uniqs]
+    pts = sorted({tuple(rm[x] for rm, x in zip(rank_maps, p)) for p in points})
+    return nondominated_sorted(pts), uniqs
 
 
 def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
@@ -165,12 +109,9 @@ def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[floa
     _check_bound(pts, ref)
     if not pts:
         return 0.0
-
-    def lebesgue_factors(j: int, uniq: list[float]) -> list[float]:
-        return [ref[j] - v for v in uniq]
-
-    rank_pts, table = _rank_form(pts, lebesgue_factors)
-    return _wfg_rec(_nd(rank_pts), table, [0])
+    rank_pts, uniqs = _rank_form(pts)
+    table = [[r - v for v in uniq] for r, uniq in zip(ref, uniqs)]
+    return _wfg_rec(rank_pts, table, [0])
 
 
 def hypervolume(front: Front) -> float:
@@ -200,95 +141,27 @@ def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     full = full_region_integral(front.frame, belief)
     if front.n == 0:
         return EhviResult(value=full, boxes=0)
-    ref = front.reference
-    m = front.m
+    rank_pts, uniqs = _rank_form(front.points)
 
     # one vectorized psi evaluation covers every axis table plus its
     # reference value, so per-axis numpy overhead does not dominate small n
-    uniqs = [sorted(set(col)) for col in zip(*front.points)]
     flat: list[float] = []
     mus: list[float] = []
     sds: list[float] = []
-    for j, uniq in enumerate(uniqs):
+    for r, mu, sd, uniq in zip(front.reference, belief.mean, belief.stddev, uniqs):
         flat.extend(uniq)
-        flat.append(ref[j])
-        mus.extend([belief.mean[j]] * (len(uniq) + 1))
-        sds.extend([belief.stddev[j]] * (len(uniq) + 1))
+        flat.append(r)
+        mus.extend([mu] * (len(uniq) + 1))
+        sds.extend([sd] * (len(uniq) + 1))
     vals = psi_vec(np.asarray(flat), np.asarray(mus), np.asarray(sds))
-
     table: list[list[float]] = []
-    rank_maps = []
     off = 0
     for uniq in uniqs:
         k = len(uniq)
         block = vals[off : off + k + 1]
         table.append(np.maximum(block[k] - block[:k], 0.0).tolist())
-        rank_maps.append({v: i for i, v in enumerate(uniq)})
         off += k + 1
-    rank_pts = [tuple(rank_maps[j][p[j]] for j in range(m)) for p in front.points]
 
     counter = [0]
-    dominated = _wfg_rec(_nd(rank_pts), table, counter)
+    dominated = _wfg_rec(rank_pts, table, counter)
     return EhviResult(value=max(full - dominated, 0.0), boxes=counter[0])
-
-
-def wfg_dominated_measure(
-    points: Sequence[Sequence[float]],
-    frame: ProblemFrame,
-    measure: Callable[[HyperBox], float],
-    prune: bool = True,
-) -> float:
-    """Dominated-region measure with a caller-supplied box measure.
-
-    HyperBox.volume gives the hypervolume; a fixed-belief box_integral gives
-    the dominated-region Gaussian integral. prune=False skips the
-    nondominated reduction of the limited sets (identical result, more work);
-    it exists so tests can demonstrate pruning soundness.
-    """
-    ref = frame.internal_reference
-    pts = [as_vector(p) for p in points]
-    _check_bound(pts, ref)
-    if not pts:
-        return 0.0
-
-    def rec(current: list[Vector]) -> float:
-        current = nondominated_filter(current) if prune else sorted(current)
-        total = 0.0
-        for i, a in enumerate(current):
-            t = measure(HyperBox(a, ref))
-            tail = current[i + 1 :]
-            if tail:
-                t -= rec([limit(s, a) for s in tail])
-            total += t
-        return total
-
-    return rec(pts)
-
-
-def signed_box_terms(
-    points: Sequence[Sequence[float]], reference: Sequence[float]
-) -> list[SignedBoxTerm]:
-    """Expand the dominated region indicator into signed boxes.
-
-    Pointwise, 1_D(x) = sum_t sign_t * 1_{box_t}(x): every recursion step is
-    set algebra on subsets of box(a, r), so the expansion holds as functions,
-    not just as measures. The term list mirrors the fast recursion exactly
-    (same sort, same pruning), so its length equals the box-measure
-    evaluation count reported by ehvi_wfg.
-    """
-    ref = as_vector(reference)
-    pts = [as_vector(p) for p in points]
-    _check_bound(pts, ref)
-    terms: list[SignedBoxTerm] = []
-
-    def rec(current: list[Vector], depth: int) -> None:
-        sign = 1 if depth % 2 == 0 else -1
-        for i, a in enumerate(current):
-            terms.append(SignedBoxTerm(box=HyperBox(a, ref), sign=sign, depth=depth))
-            tail = current[i + 1 :]
-            if tail:
-                rec(nondominated_filter(limit(s, a) for s in tail), depth + 1)
-
-    if pts:
-        rec(nondominated_filter(pts), 0)
-    return terms

@@ -54,6 +54,26 @@ def union_box_volume(lowers, reference, clip=None):
     return total
 
 
+def union_box_integral(lowers, reference, mean, stddev):
+    """Gaussian integral over the union of boxes (l_i, r] by subset inclusion-exclusion.
+
+    Each intersection box integrates to the product over axes of
+    psi(r_j) - psi(lo_j). Exponential in len(lowers); keep n small.
+    """
+    lowers = [tuple(float(x) for x in l) for l in lowers]
+    r = tuple(float(x) for x in reference)
+    m = len(r)
+    terms = []
+    for k in range(1, len(lowers) + 1):
+        for sub in itertools.combinations(lowers, k):
+            lo = tuple(max(s[j] for s in sub) for j in range(m))
+            term = math.prod(
+                _psi(r[j], mean[j], stddev[j]) - _psi(lo[j], mean[j], stddev[j]) for j in range(m)
+            )
+            terms.append(term if k % 2 == 1 else -term)
+    return math.fsum(terms)
+
+
 def brute_hypervolume(points, reference):
     """Dominated hypervolume by inclusion-exclusion over the point boxes."""
     if not points:
@@ -111,6 +131,12 @@ def rasterized_hv(points, reference, resolution=400):
 
 def _phi(t):
     return 0.5 * math.erfc(-t / SQRT2)
+
+
+def _psi(a, mu, sigma):
+    """Closed-form running integral of the normal cdf, (a - mu) Phi(t) + sigma phi(t)."""
+    t = (a - mu) / sigma
+    return (a - mu) * _phi(t) + sigma * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
 def quad_psi(a, mu, sigma):

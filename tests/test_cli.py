@@ -123,6 +123,7 @@ def test_exit_code_2_mistyped_request_fields(tmp_path, capsys, field, value):
     ],
     ids=["m2", "m3"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):
     path = write_request(tmp_path / "req.json", **request_kwargs)
     assert main(["compute", "--input", str(path)]) == 2

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import ehvi.core
 from ehvi import (
     DimensionError,
     InvalidFrontError,
@@ -65,12 +66,28 @@ def test_filter_examples():
     assert nondominated_filter([]) == []
 
 
-def test_filter_matches_brute_force():
+def test_filter_matches_brute_force(monkeypatch):
+    budgets = (ehvi.core._FILTER_BLOCK, 1000)
     for m in (2, 3, 4):
         for seed in range(5):
             rng = np.random.default_rng([m, seed])
             pts = [tuple(map(float, v)) for v in rng.integers(0, 6, size=(50, m))]
-            assert nondominated_filter(pts) == brute_nondominated(pts)
+            out = nondominated_filter(pts)
+            assert out == brute_nondominated(pts)
+            assert all(type(x) is float for p in out for x in p)
+        # above 48 distinct points the shared pass compares with numpy, in
+        # one block and then, with a small block budget, in several;
+        # integer inputs with repeats bring duplicates and dominated points
+        for block in budgets:
+            monkeypatch.setattr(ehvi.core, "_FILTER_BLOCK", block)
+            for seed in range(3):
+                rng = np.random.default_rng([m, seed, 48])
+                pts = [tuple(v) for v in rng.integers(0, 12, size=(300, m)).tolist()]
+                pts += pts[:40]
+                assert len(set(pts)) > 48
+                out = nondominated_filter(pts)
+                assert out == brute_nondominated(pts)
+                assert all(type(x) is float for p in out for x in p)
 
 
 def test_filter_output_sorted_and_mutually_nondominated():

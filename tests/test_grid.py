@@ -20,7 +20,6 @@ from ehvi import (
     hypervolume,
     validate_front,
 )
-from ehvi.grid import RegionKind
 from helpers import min_front, random_belief, random_front
 from oracles import brute_hypervolume
 
@@ -51,7 +50,6 @@ def test_build_grid_single_point():
 
 def test_decompose_empty_front():
     decomp = grid_decompose(min_front((4.0, 4.0), []))
-    assert decomp.kind is RegionKind.NONDOMINATED
     assert decomp.boxes == (HyperBox((-math.inf, -math.inf), (4.0, 4.0)),)
 
 

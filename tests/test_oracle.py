@@ -17,7 +17,7 @@ from ehvi import (
     full_region_integral,
     validate_front,
 )
-from helpers import min_front, random_belief, random_front
+from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import mc_hvi_mean
 
 
@@ -50,8 +50,15 @@ def test_mc_seed_reproducible_bit_exact():
 
 
 def test_mc_matches_plain_loop_oracle():
-    for m, n, seed in [(2, 4, 0), (3, 5, 1)]:
-        front = random_front(m, n, seed)
+    # m = 4 runs the splitting sweep; the lattice front ties coordinates on every axis
+    fronts = [
+        random_front(2, 4, 0),
+        random_front(3, 5, 1),
+        random_front(4, 5, 2),
+        lattice_front(3, 3, 6),
+    ]
+    for seed, front in enumerate(fronts):
+        m = front.m
         belief = random_belief(m, seed + 1)
         est = ehvi_monte_carlo(front, belief, samples=400, seed=42)
         plain = mc_hvi_mean(

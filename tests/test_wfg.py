@@ -1,7 +1,5 @@
-"""Recursive signed decomposition: hypervolume, EHVI, term structure."""
+"""WFG recursion: hypervolume, exclusive volume, EHVI and its term count."""
 
-import itertools
-import math
 import random
 
 import numpy as np
@@ -12,7 +10,6 @@ from ehvi import (
     GaussianBelief,
     ProblemFrame,
     ReferenceBoundError,
-    box_integral,
     dominated_volume,
     ehvi_wfg,
     exclusive_volume,
@@ -20,12 +17,16 @@ from ehvi import (
     hypervolume,
     limit,
     nondominated_filter,
-    signed_box_terms,
     validate_front,
-    wfg_dominated_measure,
 )
 from helpers import min_front, random_belief, random_front
-from oracles import brute_hvi, brute_hypervolume, rasterized_hv, staircase_hv_2d
+from oracles import (
+    brute_hvi,
+    brute_hypervolume,
+    rasterized_hv,
+    staircase_hv_2d,
+    union_box_integral,
+)
 
 
 def test_limit_examples():
@@ -42,11 +43,6 @@ def test_limit_examples():
 def test_hypervolume_worked_example():
     assert dominated_volume([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)], (4.0, 4.0)) == 6.0
     assert hypervolume(min_front((4.0, 4.0), [(1, 3), (2, 2), (3, 1)])) == 6.0
-    frame = ProblemFrame(2, (4.0, 4.0))
-    generic = wfg_dominated_measure(
-        [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)], frame, lambda b: b.volume()
-    )
-    assert generic == pytest.approx(6.0, rel=1e-14)
 
 
 def test_hypervolume_trivial_cases():
@@ -133,21 +129,9 @@ def test_ehvi_decomposition_identity():
         front = random_front(m, n, seed)
         belief = random_belief(m, seed + 20)
         full = full_region_integral(front.frame, belief)
-        dominated = wfg_dominated_measure(
-            front.points, front.frame, lambda b: box_integral(b, belief)
-        )
+        dominated = union_box_integral(front.points, front.reference, belief.mean, belief.stddev)
         res = ehvi_wfg(front, belief)
         assert res.value + dominated == pytest.approx(full, rel=1e-12)
-
-
-def test_prune_soundness():
-    for m, n, seed in [(2, 8, 3), (3, 7, 4)]:
-        front = random_front(m, n, seed)
-        belief = random_belief(m, seed + 30)
-        for measure in (lambda b: b.volume(), lambda b: box_integral(b, belief)):
-            pruned = wfg_dominated_measure(front.points, front.frame, measure, prune=True)
-            raw = wfg_dominated_measure(front.points, front.frame, measure, prune=False)
-            assert raw == pytest.approx(pruned, rel=1e-12)
 
 
 def test_term_count_bound_and_reporting():
@@ -155,42 +139,6 @@ def test_term_count_bound_and_reporting():
         front = random_front(m, n, seed)
         res = ehvi_wfg(front, random_belief(m, seed + 40))
         assert 1 <= res.boxes <= 2**n - 1
-        terms = signed_box_terms(front.points, front.reference)
-        assert len(terms) == res.boxes
-
-
-def test_signed_terms_sign_matches_depth():
-    front = random_front(3, 8, 11)
-    for t in signed_box_terms(front.points, front.reference):
-        assert t.sign == (-1) ** t.depth
-        assert t.box.upper == front.reference
-
-
-def test_signed_terms_pointwise_indicator():
-    for m, n, seed in [(2, 6, 0), (3, 6, 1), (3, 10, 2)]:
-        front = random_front(m, n, seed)
-        ref = front.reference
-        terms = signed_box_terms(front.points, ref)
-        rng = np.random.default_rng([13, seed])
-        for _ in range(40):
-            y = tuple(rng.uniform(-10.5, -0.05, m))
-            if not all(v < r for v, r in zip(y, ref)):
-                continue
-            indicator = sum(
-                t.sign for t in terms if all(v > lo for v, lo in zip(y, t.box.lower))
-            )
-            covered = any(all(a <= v for a, v in zip(p, y)) for p in front.points)
-            assert indicator == (1 if covered else 0)
-
-
-def test_signed_terms_measure_identity():
-    front = random_front(3, 7, 14)
-    ref = front.reference
-    terms = signed_box_terms(front.points, ref)
-    total = sum(
-        t.sign * math.prod(r - lo for r, lo in zip(ref, t.box.lower)) for t in terms
-    )
-    assert total == pytest.approx(hypervolume(front), rel=1e-12)
 
 
 def test_exclusive_volume_matches_inclusion_exclusion():
