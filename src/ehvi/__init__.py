@@ -22,48 +22,11 @@ benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI
 as its acquisition function over GP surrogates.
 """
 
-from .bench import (
-    DEFAULT_MEAN,
-    DEFAULT_NS,
-    DEFAULT_SIGMA,
-    GEN_HIGH,
-    GEN_LOW,
-    SCALING_MS,
-    BenchmarkRecord,
-    benchmark_belief,
-    benchmark_frame,
-    generate_front,
-    run_benchmark,
-    summarize,
-)
-from .bo import (
-    DEFAULT_RESOLUTION,
-    BoRunRecord,
-    BoState,
-    CandidateSet,
-    SyntheticProblem,
-    bo_step,
-    run_bo,
-    run_random,
-    synthetic_problem,
-)
-from .clm3 import SweepState, ehvi_clm3
-from .core import (
-    EhviResult,
-    Front,
-    HyperBox,
-    Orientation,
-    ProblemFrame,
-    Vector,
-    as_vector,
-    dominates,
-    from_internal,
-    hypervolume_improvement,
-    nondominated_filter,
-    to_internal,
-    validate_front,
-)
-from .dispatch import ALGORITHMS, BACKENDS, compute_ehvi, compute_ehvi_batch, resolve_algorithm
+from .bench import generate_front, run_benchmark
+from .bo import run_bo, run_random, synthetic_problem
+from .clm3 import ehvi_clm3
+from .core import EhviResult, Front, Orientation, ProblemFrame, nondominated_filter, validate_front
+from .dispatch import compute_ehvi, compute_ehvi_batch
 from .errors import (
     CandidatesExhaustedError,
     DimensionError,
@@ -74,97 +37,50 @@ from .errors import (
     ReferenceBoundError,
     UnsupportedDimensionError,
 )
-from .gaussian import (
-    GaussianBelief,
-    box_integral,
-    full_region_integral,
-    psi,
-    psi_vec,
-    std_normal_cdf,
-    std_normal_pdf,
-)
-from .gp import DEFAULT_JITTER, GpSurrogate, fit_gp, gp_posterior, gp_posterior_batch
-from .grid import Decomposition, GridStructure, build_grid, ehvi_grid, grid_decompose
-from .oracle import McEstimate, ehvi_monte_carlo, ehvi_quadrature_2d
-from .sweep import ehvi_sweep
-from .wfg import dominated_volume, ehvi_wfg, exclusive_volume, hypervolume, limit
+from .gaussian import GaussianBelief, psi
+from .gp import fit_gp, gp_posterior_batch
+from .grid import ehvi_grid
+from .oracle import ehvi_monte_carlo, ehvi_quadrature_2d
+from .sweep import ehvi_sweep, hypervolume_improvement
+from .wfg import dominated_volume, ehvi_wfg, hypervolume
 
 __version__ = "0.1.0"
 
+# exactly the API that README.md documents; everything else is imported
+# from its submodule
 __all__ = [
-    "ALGORITHMS",
-    "BACKENDS",
-    "BenchmarkRecord",
-    "BoRunRecord",
-    "BoState",
-    "CandidateSet",
     "CandidatesExhaustedError",
-    "DEFAULT_JITTER",
-    "DEFAULT_MEAN",
-    "DEFAULT_NS",
-    "DEFAULT_RESOLUTION",
-    "DEFAULT_SIGMA",
-    "Decomposition",
     "DimensionError",
     "EhviError",
     "EhviResult",
     "Front",
-    "GEN_HIGH",
-    "GEN_LOW",
     "GaussianBelief",
     "GpFitError",
-    "GpSurrogate",
-    "GridStructure",
-    "HyperBox",
     "InvalidFrontError",
-    "McEstimate",
     "Orientation",
     "ParameterError",
     "ProblemFrame",
     "ReferenceBoundError",
-    "SCALING_MS",
-    "SweepState",
-    "SyntheticProblem",
     "UnsupportedDimensionError",
-    "Vector",
-    "as_vector",
-    "benchmark_belief",
-    "benchmark_frame",
-    "bo_step",
-    "box_integral",
-    "build_grid",
     "compute_ehvi",
     "compute_ehvi_batch",
     "dominated_volume",
-    "dominates",
     "ehvi_clm3",
     "ehvi_grid",
     "ehvi_monte_carlo",
     "ehvi_quadrature_2d",
     "ehvi_sweep",
     "ehvi_wfg",
-    "exclusive_volume",
     "fit_gp",
-    "from_internal",
-    "full_region_integral",
     "generate_front",
-    "gp_posterior",
     "gp_posterior_batch",
-    "grid_decompose",
     "hypervolume",
     "hypervolume_improvement",
-    "limit",
     "nondominated_filter",
     "psi",
-    "psi_vec",
-    "resolve_algorithm",
     "run_benchmark",
     "run_bo",
     "run_random",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "summarize",
     "synthetic_problem",
-    "to_internal",
     "validate_front",
 ]

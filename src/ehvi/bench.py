@@ -31,7 +31,6 @@ DEFAULT_MEAN = 10.0
 DEFAULT_SIGMA = 2.5
 
 DEFAULT_NS = (10, 50, 100, 150, 200, 250, 300)
-SCALING_MS = tuple(range(3, 9))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ from .errors import (
 Vector = tuple[float, ...]
 
 # Above this set size the nondominated pass switches to numpy comparisons,
-# made in blocks of at most _FILTER_BLOCK elements.
-_NUMPY_FILTER_MIN = 48
+# made in blocks of at most _FILTER_BLOCK elements. On mutually nondominated
+# sets the Python pass is faster at 8 points and numpy at 16, for m = 2 to 6.
+_NUMPY_FILTER_MIN = 12
 _FILTER_BLOCK = 1 << 22
 
 
@@ -245,37 +246,18 @@ def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Fr
             raise ReferenceBoundError(
                 f"point {p} is not strictly inside the reference bound {frame.reference}"
             )
-    if len(internal) > 1:
-        arr = np.asarray(internal, dtype=float)
-        le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-        eq = (arr[:, None, :] == arr[None, :, :]).all(axis=2)
-        dup = eq & ~np.eye(len(internal), dtype=bool)
-        if dup.any():
-            i, j = map(int, np.argwhere(dup)[0])
-            raise InvalidFrontError(f"duplicate points: {raw[i]} and {raw[j]}")
-        weak = le & ~eq
-        if weak.any():
-            i, j = map(int, np.argwhere(weak)[0])
-            raise InvalidFrontError(f"front is not mutually nondominated: {raw[i]} dominates {raw[j]}")
+    # lex order puts copies next to each other and every dominator first
+    order = sorted(range(len(internal)), key=internal.__getitem__)
+    pts = [internal[i] for i in order]
+    for k in range(1, len(pts)):
+        if pts[k - 1] == pts[k]:
+            raise InvalidFrontError(f"duplicate points: {raw[order[k - 1]]} and {raw[order[k]]}")
+    kept = nondominated_sorted(pts)
+    if len(kept) < len(pts):
+        # kept is a subsequence of pts, so the first mismatch is the first point dropped
+        k = next(k for k, p in enumerate(kept + [None]) if p is not pts[k])
+        d = next(d for d in range(k) if all(x <= y for x, y in zip(pts[d], pts[k])))
+        raise InvalidFrontError(
+            f"front is not mutually nondominated: {raw[order[d]]} dominates {raw[order[k]]}"
+        )
     return Front(frame=frame, points=tuple(internal))
-
-
-def hypervolume_improvement(y: Sequence[float], front: Front) -> float:
-    """Exact increase of the dominated hypervolume if y joined the front.
-
-    y is taken in the front's internal minimization convention. Returns 0
-    for points weakly dominated by the front (including members) and points
-    not strictly inside the reference bound.
-    """
-    vec = as_vector(y)
-    if len(vec) != front.m:
-        raise DimensionError(f"candidate has {len(vec)} coordinates, expected m={front.m}")
-    ref = front.reference
-    if not all(x < r for x, r in zip(vec, ref)):
-        return 0.0
-    for a in front.points:
-        if all(x <= c for x, c in zip(a, vec)):
-            return 0.0
-    from .wfg import exclusive_volume  # deferred: wfg imports this module
-
-    return exclusive_volume(vec, front.points, ref)

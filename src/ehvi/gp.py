@@ -102,8 +102,3 @@ def gp_posterior_batch(surrogate: GpSurrogate, candidates) -> tuple[np.ndarray, 
         var = np.where(negative, 0.0, var)
     return mean, np.sqrt(var)
 
-
-def gp_posterior(surrogate: GpSurrogate, candidate) -> tuple[float, float]:
-    """Posterior mean and stddev at a single candidate."""
-    mean, sd = gp_posterior_batch(surrogate, np.asarray(candidate, dtype=float)[None, :])
-    return float(mean[0]), float(sd[0])

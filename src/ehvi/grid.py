@@ -22,11 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EhviResult, Front, HyperBox
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, psi_vec
 
 # Largest cell block materialized at once by ehvi_grid (elements, not bytes).
 _CHUNK = 1 << 22
+# Most (n+1)^m cells a grid may have. The largest grid the tests and the
+# README's `ehvi bench` command run is m = 3, n = 300: 301^3 = 2.7e7 cells,
+# 0.14 s on a 2-core x86-64 host. This allows about ten times that, seconds
+# of work and an H-array of at most ~80 MB, and rejects sizes that would run
+# for hours or exhaust memory (m = 6, n = 300 would need a 19 TiB H-array).
+_MAX_CELLS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -57,9 +63,12 @@ def build_grid(front: Front) -> GridStructure:
 
     Points are applied in descending m-th coordinate; each point lowers H on
     the contiguous rank block it weakly precedes (rank 0, lower bound -inf,
-    is preceded by nothing and stays +inf).
+    is preceded by nothing and stays +inf). Raises ParameterError, before
+    allocating anything, when the grid has more than _MAX_CELLS cells.
     """
     m, n = front.m, front.n
+    if (n + 1) ** m > _MAX_CELLS:
+        raise ParameterError(f"grid needs {n + 1}^{m} cells, more than its budget of {_MAX_CELLS}")
     pts = np.asarray(front.points, dtype=float).reshape(n, m)
     axes = tuple(
         np.concatenate(([-np.inf], np.sort(pts[:, j]), [front.reference[j]])) for j in range(m)

@@ -3,8 +3,10 @@
 These deliberately avoid the closed-form fast paths. The Monte-Carlo
 estimator samples the candidate belief and averages per-draw hypervolume
 improvements, each the exact volume of the draw's box clipped against the
-nondominated boxes of sweep.sweep_boxes; the quadrature oracle integrates
-the product of normal cdfs numerically over the grid decomposition's boxes.
+nondominated boxes of sweep.sweep_boxes by sweep.clipped_volumes, the same
+clip that sweep.hypervolume_improvement applies to one point; the
+quadrature oracle integrates the product of normal cdfs numerically over
+the grid decomposition's boxes.
 So the only ingredient shared with the exact backends is the region shape,
 never the psi closed form. Verification ladders: sampling checks the closed
 form, the quadrature checks psi, and both decompositions' regions are
@@ -23,10 +25,9 @@ from .core import Front
 from .errors import DimensionError, ParameterError, UnsupportedDimensionError
 from .gaussian import GaussianBelief, std_normal_cdf
 from .grid import grid_decompose
-from .sweep import sweep_boxes
+from .sweep import clipped_volumes, sweep_boxes
 
 _MC_CHUNK = 100_000  # fixed so a seed reproduces bit-exactly for a given sample count
-_BOX_BLOCK = 1 << 22  # max elements in the draws x boxes x axes product
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,10 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
     (seed, samples) pair reproduces bit-exactly on a platform.
 
     Per draw y, the improvement is evaluated exactly as the volume of
-    box(y, r) inside the nondominated region: the sum, over the disjoint
-    boxes of sweep.sweep_boxes, of prod_j max(0, upper_j - max(lower_j, y_j)).
-    A draw weakly dominated by the front or outside the reference bound
-    overlaps no box on some axis, so it contributes exactly 0.0. This equals
-    core.hypervolume_improvement per draw but vectorizes over draws.
+    box(y, r) inside the nondominated region, by sweep.clipped_volumes over
+    the disjoint boxes of sweep.sweep_boxes, one chunk of draws at a time. A
+    draw weakly dominated by the front or outside the reference bound
+    contributes exactly 0.0. This is sweep.hypervolume_improvement per draw.
     """
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
@@ -60,9 +60,6 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
     m = front.m
     rng = np.random.default_rng(seed)
     boxes = sweep_boxes(front)
-    lowers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.lower.T)])
-    uppers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.upper.T)])
-    step = max(1, _BOX_BLOCK // lowers.size)
     mu = np.asarray(belief.mean)
     sd = np.asarray(belief.stddev)
 
@@ -71,12 +68,7 @@ def ehvi_monte_carlo(front: Front, belief: GaussianBelief, samples: int, seed: i
     while done < samples:
         k = min(_MC_CHUNK, samples - done)
         draws = mu + sd * rng.standard_normal((k, m))
-        out = values[done : done + k]
-        for s in range(0, k, step):
-            overlap = np.maximum(draws[s : s + step, None, :], lowers)
-            np.subtract(uppers, overlap, out=overlap)
-            np.maximum(overlap, 0.0, out=overlap)
-            out[s : s + step] = overlap.prod(axis=2).sum(axis=1)
+        values[done : done + k] = clipped_volumes(boxes, draws)
         done += k
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(samples))

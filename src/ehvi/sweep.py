@@ -29,12 +29,16 @@ rank of its first copy, so ties compare equal and no box has zero width.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .clm3 import BoxDecomposition, front_ranks, nondominated_boxes
-from .core import EhviResult, Front
+from .core import EhviResult, Front, as_vector
 from .errors import DimensionError
 from .gaussian import GaussianBelief, integrate_boxes
+
+_CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 
 
 def _staircase_boxes(front: Front) -> BoxDecomposition:
@@ -110,3 +114,37 @@ def ehvi_sweep(front: Front, belief: GaussianBelief) -> EhviResult:
     boxes = sweep_boxes(front)
     value = integrate_boxes(boxes.breaks, boxes.lower, boxes.upper, [belief.mean], [belief.stddev])
     return EhviResult(value=float(value[0]), boxes=len(boxes.lower))
+
+
+def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
+    """Volume of box(y, r) inside the boxes' union, for each row y of a (k, m) array.
+
+    Row y gets the sum, over the disjoint boxes, of prod_j max(0, upper_j -
+    max(lower_j, y_j)). Over the nondominated boxes of a front that is y's
+    hypervolume improvement: a y weakly dominated by the front or outside the
+    reference overlaps no box on some axis, so its value is exactly 0.0.
+    Rows are taken in blocks of at most _CLIP_BLOCK elements of the product.
+    """
+    lowers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.lower.T)])
+    uppers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.upper.T)])
+    step = max(1, _CLIP_BLOCK // lowers.size)
+    out = np.empty(len(ys))
+    for s in range(0, len(ys), step):
+        overlap = np.maximum(ys[s : s + step, None, :], lowers)
+        np.subtract(uppers, overlap, out=overlap)
+        np.maximum(overlap, 0.0, out=overlap)
+        out[s : s + step] = overlap.prod(axis=2).sum(axis=1)
+    return out
+
+
+def hypervolume_improvement(y: Sequence[float], front: Front) -> float:
+    """Exact increase of the dominated hypervolume if y joined the front.
+
+    y is taken in the front's internal minimization convention. Returns 0
+    for points weakly dominated by the front (including members) and points
+    not strictly inside the reference bound.
+    """
+    vec = as_vector(y)
+    if len(vec) != front.m:
+        raise DimensionError(f"candidate has {len(vec)} coordinates, expected m={front.m}")
+    return float(clipped_volumes(sweep_boxes(front), np.array([vec]))[0])

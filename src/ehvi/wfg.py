@@ -27,13 +27,6 @@ from .errors import DimensionError, ReferenceBoundError
 from .gaussian import GaussianBelief, full_region_integral, psi_vec
 
 
-def limit(s: Sequence[float], a: Sequence[float]) -> Vector:
-    """Componentwise maximum of two vectors."""
-    if len(s) != len(a):
-        raise DimensionError(f"cannot limit vectors of length {len(s)} and {len(a)}")
-    return tuple(max(x, y) for x, y in zip(s, a))
-
-
 def _check_bound(points: list[Vector], reference: Vector) -> None:
     for p in points:
         if len(p) != len(reference):
@@ -117,21 +110,6 @@ def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[floa
 def hypervolume(front: Front) -> float:
     """Exact dominated hypervolume of the front within its reference bound."""
     return dominated_volume(front.points, front.reference)
-
-
-def exclusive_volume(
-    y: Sequence[float], points: Sequence[Sequence[float]], reference: Sequence[float]
-) -> float:
-    """Volume of box(y, r) not already dominated by the given points."""
-    ref = as_vector(reference)
-    vec = as_vector(y)
-    _check_bound([vec], ref)
-    vol = 1.0
-    for x, r in zip(vec, ref):
-        vol *= r - x
-    if points:
-        vol -= dominated_volume([limit(a, vec) for a in points], ref)
-    return max(vol, 0.0)
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from ehvi import GaussianBelief, HyperBox, ProblemFrame, validate_front
+from ehvi import GaussianBelief, ProblemFrame, validate_front
 from ehvi.bench import benchmark_frame, generate_front
+from ehvi.core import HyperBox
 from ehvi.gaussian import box_integral
 
 

@@ -8,6 +8,7 @@ so agreement between the two is meaningful evidence rather than tautology.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,30 +29,30 @@ def brute_nondominated(points):
     return [p for p in pts if not any(brute_dominates(q, p) for q in pts)]
 
 
-def union_box_volume(lowers, reference, clip=None):
-    """Volume of union of boxes (l_i, r] by subset inclusion-exclusion.
+def union_box_volume(lowers, reference):
+    """Exact volume of the union of boxes (l_i, r] by subset inclusion-exclusion.
 
-    clip, when given, bounds every box below (used for decompositions whose
-    lower corners extend to -inf). Exponential in len(lowers); keep n small.
+    Every float is a fraction, so scaling all coordinates by their common
+    denominator makes them integers and the alternating sum exact. Returns a
+    Fraction. Exponential in len(lowers); keep n small.
     """
-    lowers = [tuple(float(x) for x in l) for l in lowers]
-    r = tuple(float(x) for x in reference)
+    rows = [[Fraction(float(x)) for x in row] for row in [*lowers, reference]]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    *lowers, r = [tuple(int(x * scale) for x in row) for row in rows]
     m = len(r)
-    total = 0.0
+    total = 0
     for k in range(1, len(lowers) + 1):
         for sub in itertools.combinations(lowers, k):
             lo = tuple(max(s[j] for s in sub) for j in range(m))
-            if clip is not None:
-                lo = tuple(max(a, b) for a, b in zip(lo, clip))
-            vol = 1.0
+            vol = 1
             for j in range(m):
                 w = r[j] - lo[j]
-                if w <= 0.0:
-                    vol = 0.0
+                if w <= 0:
+                    vol = 0
                     break
                 vol *= w
             total += vol if k % 2 == 1 else -vol
-    return total
+    return Fraction(total, scale**m)
 
 
 def union_box_integral(lowers, reference, mean, stddev):
@@ -76,15 +77,13 @@ def union_box_integral(lowers, reference, mean, stddev):
 
 def brute_hypervolume(points, reference):
     """Dominated hypervolume by inclusion-exclusion over the point boxes."""
-    if not points:
-        return 0.0
-    return union_box_volume(points, reference)
+    return float(union_box_volume(points, reference))
 
 
 def brute_hvi(y, points, reference):
-    """H(A + {y}) - H(A) computed with the inclusion-exclusion hypervolume."""
-    base = brute_hypervolume(points, reference)
-    return brute_hypervolume(list(points) + [tuple(y)], reference) - base
+    """H(A + {y}) - H(A) by exact inclusion-exclusion, rounded once."""
+    base = union_box_volume(points, reference)
+    return float(union_box_volume(list(points) + [tuple(y)], reference) - base)
 
 
 def staircase_hv_2d(points, reference):

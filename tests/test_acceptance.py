@@ -12,24 +12,22 @@ import pytest
 from ehvi import (
     GaussianBelief,
     ProblemFrame,
-    benchmark_belief,
-    benchmark_frame,
     dominated_volume,
     ehvi_clm3,
     ehvi_grid,
     ehvi_monte_carlo,
     ehvi_quadrature_2d,
     ehvi_wfg,
-    full_region_integral,
     generate_front,
     psi,
     run_benchmark,
     run_bo,
     run_random,
-    summarize,
     synthetic_problem,
     validate_front,
 )
+from ehvi.bench import benchmark_belief, benchmark_frame, summarize
+from ehvi.gaussian import full_region_integral
 from helpers import random_front
 from oracles import rasterized_hv, staircase_hv_2d
 

@@ -1,0 +1,24 @@
+"""The package namespace is exactly the API that README.md documents."""
+
+import re
+from pathlib import Path
+
+import ehvi
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_all_is_the_readme_api_list():
+    section = README.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    assert listed == set(ehvi.__all__)
+    assert len(ehvi.__all__) == len(set(ehvi.__all__))
+
+
+def test_readme_imports_resolve():
+    lines = re.findall(r"^from ehvi import (.+)$", README, re.M)
+    assert lines
+    for line in lines:
+        for name in (n.strip() for n in line.split(",")):
+            assert name in ehvi.__all__
+            assert getattr(ehvi, name) is not None

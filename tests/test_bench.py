@@ -9,13 +9,11 @@ from ehvi import (
     ParameterError,
     ProblemFrame,
     UnsupportedDimensionError,
-    benchmark_belief,
-    benchmark_frame,
     generate_front,
     run_benchmark,
-    summarize,
     validate_front,
 )
+from ehvi.bench import benchmark_belief, benchmark_frame, summarize
 
 
 def test_generate_front_deterministic():

@@ -7,7 +7,6 @@ from ehvi import (
     CandidatesExhaustedError,
     ParameterError,
     ProblemFrame,
-    bo_step,
     dominated_volume,
     nondominated_filter,
     run_bo,
@@ -15,7 +14,7 @@ from ehvi import (
     synthetic_problem,
     validate_front,
 )
-from ehvi.bo import BoState, CandidateSet, SyntheticProblem, _observe
+from ehvi.bo import BoState, CandidateSet, SyntheticProblem, _observe, bo_step
 
 
 def test_sphere2_grid_shape():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import ehvi
+import ehvi.grid
 from ehvi import generate_front, validate_front
 from ehvi.cli import load_request, main
 
@@ -130,6 +130,15 @@ def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_exit_code_2_grid_over_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ehvi.grid, "_MAX_CELLS", 4**2 - 1)  # BASIC needs 4^2 cells
+    path = write_request(tmp_path / "req.json", **dict(BASIC, algorithm="grid"))
+    assert main(["compute", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
 
 
 def test_exit_code_3_invalid_front(tmp_path, capsys):

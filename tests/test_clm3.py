@@ -10,20 +10,18 @@ from ehvi import (
     DimensionError,
     GaussianBelief,
     ReferenceBoundError,
-    SweepState,
     UnsupportedDimensionError,
-    box_integral,
     compute_ehvi_batch,
     ehvi_clm3,
     ehvi_grid,
     ehvi_wfg,
-    full_region_integral,
-    grid_decompose,
     psi,
     validate_front,
 )
+from ehvi.gaussian import box_integral, full_region_integral
+from ehvi.grid import grid_decompose
 from ehvi import ProblemFrame
-from ehvi.clm3 import nondominated_boxes
+from ehvi.clm3 import SweepState, nondominated_boxes
 from helpers import (
     decomposition_boxes,
     lattice_front,

@@ -1,5 +1,6 @@
 """Dominance, filtering, orientation, and front validation against brute-force oracles."""
 
+import ast
 import itertools
 import math
 
@@ -15,14 +16,13 @@ from ehvi import (
     ProblemFrame,
     ReferenceBoundError,
     UnsupportedDimensionError,
-    dominates,
-    from_internal,
     hypervolume_improvement,
     nondominated_filter,
-    to_internal,
     validate_front,
 )
-from helpers import min_front, random_front
+from ehvi.bench import generate_front
+from ehvi.core import dominates, from_internal, to_internal
+from helpers import lattice_front, min_front, random_front
 from oracles import brute_dominates, brute_hvi, brute_nondominated
 
 
@@ -68,14 +68,19 @@ def test_filter_examples():
 
 def test_filter_matches_brute_force(monkeypatch):
     budgets = (ehvi.core._FILTER_BLOCK, 1000)
+    # the 50-point sets take the Python pass with the threshold above them;
+    # the default threshold comes last and stays set for the rest
+    thresholds = (64, ehvi.core._NUMPY_FILTER_MIN)
     for m in (2, 3, 4):
-        for seed in range(5):
-            rng = np.random.default_rng([m, seed])
-            pts = [tuple(map(float, v)) for v in rng.integers(0, 6, size=(50, m))]
-            out = nondominated_filter(pts)
-            assert out == brute_nondominated(pts)
-            assert all(type(x) is float for p in out for x in p)
-        # above 48 distinct points the shared pass compares with numpy, in
+        for threshold in thresholds:
+            monkeypatch.setattr(ehvi.core, "_NUMPY_FILTER_MIN", threshold)
+            for seed in range(5):
+                rng = np.random.default_rng([m, seed])
+                pts = [tuple(map(float, v)) for v in rng.integers(0, 6, size=(50, m))]
+                out = nondominated_filter(pts)
+                assert out == brute_nondominated(pts)
+                assert all(type(x) is float for p in out for x in p)
+        # above _NUMPY_FILTER_MIN distinct points the shared pass compares with numpy, in
         # one block and then, with a small block budget, in several;
         # integer inputs with repeats bring duplicates and dominated points
         for block in budgets:
@@ -84,7 +89,7 @@ def test_filter_matches_brute_force(monkeypatch):
                 rng = np.random.default_rng([m, seed, 48])
                 pts = [tuple(v) for v in rng.integers(0, 12, size=(300, m)).tolist()]
                 pts += pts[:40]
-                assert len(set(pts)) > 48
+                assert len(set(pts)) > ehvi.core._NUMPY_FILTER_MIN
                 out = nondominated_filter(pts)
                 assert out == brute_nondominated(pts)
                 assert all(type(x) is float for p in out for x in p)
@@ -166,6 +171,47 @@ def test_validate_front_rejects_duplicates_and_boundary_points():
         min_front((4.0, 4.0), [(1, 2, 3)])
 
 
+def _named_pair(message):
+    """The two points a validation message names, in the order it names them."""
+    a, b = message.split(": ", 1)[1].replace(" dominates ", " and ").split(" and ")
+    return ast.literal_eval(a), ast.literal_eval(b)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_validate_front_numpy_branch(monkeypatch, orientation):
+    # above _NUMPY_FILTER_MIN points the dominance pass compares in numpy
+    # blocks; a small block budget gives many of them
+    monkeypatch.setattr(ehvi.core, "_FILTER_BLOCK", 500)
+    sign = 1.0 if orientation is Orientation.MAXIMIZE else -1.0
+    user = [tuple(sign * x for x in p) for p in generate_front(3, 120, 21)]
+    assert len(user) > ehvi.core._NUMPY_FILTER_MIN
+    frame = ProblemFrame(3, (0.0, 0.0, 0.0), orientation)
+    assert validate_front(frame, user).points == tuple(to_internal(frame, p) for p in user)
+
+    with pytest.raises(InvalidFrontError, match="duplicate") as exc:
+        validate_front(frame, user[:60] + [user[7]] + user[60:])
+    assert _named_pair(str(exc.value)) == (user[7], user[7])
+
+    rng = np.random.default_rng(22)
+    for trial in range(20):
+        pts = list(user)
+        k = int(rng.integers(len(pts)))
+        if trial % 2:
+            pts[k] = tuple(0.5 * x for x in pts[k])  # strictly worse than the point it replaces
+        else:
+            pts[k] = tuple(sign * x for x in rng.uniform(0.1, 10.0, 3))
+        internal = [to_internal(frame, p) for p in pts]
+        bad = any(brute_dominates(a, b) for a, b in itertools.permutations(internal, 2))
+        if not bad:
+            validate_front(frame, pts)
+            continue
+        with pytest.raises(InvalidFrontError, match="not mutually nondominated") as exc:
+            validate_front(frame, pts)
+        a, b = _named_pair(str(exc.value))
+        assert a in pts and b in pts
+        assert brute_dominates(to_internal(frame, a), to_internal(frame, b))
+
+
 def test_validate_front_maximize_negates():
     frame = ProblemFrame(2, (0.0, 0.0), Orientation.MAXIMIZE)
     front = validate_front(frame, [(1.0, 3.0), (3.0, 1.0)])
@@ -186,26 +232,40 @@ def test_hvi_dimension_mismatch():
         hypervolume_improvement((1.0, 2.0, 3.0), front)
 
 
+def _hvi_fronts():
+    # m >= 4 runs the splitting sweep; the lattice front ties coordinates on every axis
+    cases = [(2, 5, 0), (2, 8, 1), (3, 5, 2), (3, 7, 3), (4, 6, 4), (5, 6, 5)]
+    return [random_front(m, n, seed) for m, n, seed in cases] + [lattice_front(3, 1, 8)]
+
+
+def _hvi_candidates(front, rng, k, lo, hi):
+    """k uniform draws in [lo, hi)^m, plus k lattice draws that tie front coordinates."""
+    ys = [tuple(rng.uniform(lo, hi, front.m)) for _ in range(k)]
+    ys += [tuple(float(-v) for v in rng.integers(1, 10, front.m)) for _ in range(k)]
+    return ys
+
+
 def test_hvi_matches_inclusion_exclusion():
-    for m, n, seed in [(2, 5, 0), (2, 8, 1), (3, 5, 2), (3, 7, 3)]:
-        front = random_front(m, n, seed)
+    for seed, front in enumerate(_hvi_fronts()):
         rng = np.random.default_rng([9, seed])
-        for _ in range(25):
-            y = tuple(rng.uniform(-9.9, -0.2, m))
+        for y in _hvi_candidates(front, rng, 25, -9.9, -0.2):
             got = hypervolume_improvement(y, front)
             want = brute_hvi(y, front.points, front.reference)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_hvi_zero_iff_weakly_dominated_or_outside():
-    front = random_front(3, 6, 11)
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        y = tuple(rng.uniform(-11.0, 1.0, 3))
-        got = hypervolume_improvement(y, front)
-        outside = not all(x < r for x, r in zip(y, front.reference))
-        covered = any(all(a <= x for a, x in zip(p, y)) for p in front.points)
-        if outside or covered:
-            assert got == 0.0
-        else:
-            assert got > 0.0
+    fronts = [random_front(3, 6, 11)] + _hvi_fronts()[-3:]
+    for seed, front in enumerate(fronts):
+        rng = np.random.default_rng(12 + seed)
+        ys = _hvi_candidates(front, rng, 50, -11.0, 1.0)
+        # members and points one axis behind a member are weakly dominated
+        ys += front.points + tuple(p[:-1] + (p[-1] + 0.5,) for p in front.points)
+        for y in ys:
+            got = hypervolume_improvement(y, front)
+            outside = not all(x < r for x, r in zip(y, front.reference))
+            covered = any(all(a <= x for a, x in zip(p, y)) for p in front.points)
+            if outside or covered:
+                assert got == 0.0
+            else:
+                assert got > 0.0

@@ -10,8 +10,8 @@ from ehvi import (
     UnsupportedDimensionError,
     compute_ehvi,
     compute_ehvi_batch,
-    resolve_algorithm,
 )
+from ehvi.dispatch import resolve_algorithm
 from ehvi import dispatch
 from helpers import min_front, random_front
 

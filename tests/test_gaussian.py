@@ -5,19 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ehvi import (
-    DimensionError,
-    GaussianBelief,
-    HyperBox,
-    ParameterError,
-    ProblemFrame,
-    box_integral,
-    full_region_integral,
-    psi,
-    std_normal_cdf,
-    std_normal_pdf,
-)
-from ehvi.gaussian import psi_vec
+from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
+from ehvi.core import HyperBox
+from ehvi.gaussian import box_integral, full_region_integral, psi_vec, std_normal_cdf, std_normal_pdf
 from oracles import quad_box_integral, quad_psi
 
 

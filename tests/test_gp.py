@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ehvi import GpFitError, ParameterError, fit_gp, gp_posterior, gp_posterior_batch
+from ehvi import GpFitError, ParameterError, fit_gp, gp_posterior_batch
 from oracles import dense_gp_posterior
 
 X_SMALL = [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0], [0.2, 0.8]]
@@ -14,15 +14,15 @@ Y_SMALL = [1.0, 2.0, 0.5, 1.5]
 
 def test_interpolates_training_points_at_low_jitter():
     surrogate = fit_gp(X_SMALL, Y_SMALL, jitter=1e-14)
-    for x, y in zip(X_SMALL, Y_SMALL):
-        mean, std = gp_posterior(surrogate, x)
+    means, stds = gp_posterior_batch(surrogate, X_SMALL)
+    for mean, std, y in zip(means, stds, Y_SMALL):
         assert mean == pytest.approx(y, abs=1e-6)
         assert std <= 1e-6
 
 
 def test_reverts_to_prior_far_from_data():
     surrogate = fit_gp(X_SMALL, Y_SMALL)
-    mean, std = gp_posterior(surrogate, [100.0, 100.0])
+    (mean,), (std,) = gp_posterior_batch(surrogate, [[100.0, 100.0]])
     assert mean == pytest.approx(surrogate.prior_mean, abs=1e-8)
     assert std == pytest.approx(math.sqrt(surrogate.signal_var), abs=1e-8)
 
@@ -52,7 +52,7 @@ def test_batch_matches_scalar_queries():
     Xs = [[0.1, 0.9], [0.7, 0.7], [0.4, 0.2]]
     means, stds = gp_posterior_batch(surrogate, Xs)
     for i, x in enumerate(Xs):
-        mean, std = gp_posterior(surrogate, x)
+        (mean,), (std,) = gp_posterior_batch(surrogate, [x])
         assert mean == pytest.approx(means[i], rel=1e-12)
         assert std == pytest.approx(stds[i], rel=1e-12)
 

@@ -10,16 +10,17 @@ import ehvi.grid
 from ehvi import (
     DimensionError,
     GaussianBelief,
-    HyperBox,
+    ParameterError,
     ProblemFrame,
-    box_integral,
-    build_grid,
+    compute_ehvi_batch,
     ehvi_grid,
     ehvi_wfg,
-    grid_decompose,
     hypervolume,
     validate_front,
 )
+from ehvi.core import HyperBox
+from ehvi.gaussian import box_integral
+from ehvi.grid import build_grid, grid_decompose
 from helpers import min_front, random_belief, random_front
 from oracles import brute_hypervolume
 
@@ -168,3 +169,17 @@ def test_ehvi_grid_matches_wfg_quick():
         a = ehvi_grid(front, belief).value
         b = ehvi_wfg(front, belief).value
         assert a == pytest.approx(b, rel=1e-11)
+
+
+def test_grid_cell_budget(monkeypatch):
+    # the largest grid the README's `ehvi bench` command runs fits
+    assert 301**3 <= ehvi.grid._MAX_CELLS
+    front = random_front(3, 4, 0)  # 5^3 cells
+    belief = random_belief(3, 0)
+    monkeypatch.setattr(ehvi.grid, "_MAX_CELLS", 5**3)
+    ehvi_grid(front, belief)
+    monkeypatch.setattr(ehvi.grid, "_MAX_CELLS", 5**3 - 1)
+    with pytest.raises(ParameterError, match="budget"):
+        ehvi_grid(front, belief)
+    with pytest.raises(ParameterError, match="budget"):
+        compute_ehvi_batch(front, [belief.mean], [belief.stddev], "grid")

@@ -14,9 +14,9 @@ from ehvi import (
     ehvi_grid,
     ehvi_monte_carlo,
     ehvi_quadrature_2d,
-    full_region_integral,
     validate_front,
 )
+from ehvi.gaussian import full_region_integral
 from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import mc_hvi_mean
 

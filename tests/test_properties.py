@@ -9,21 +9,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehvi import (
-    GaussianBelief,
-    HyperBox,
-    Orientation,
-    ProblemFrame,
-    box_integral,
-    dominates,
-    from_internal,
-    nondominated_filter,
-    psi,
-    grid_decompose,
-    std_normal_cdf,
-    to_internal,
-)
+from ehvi import GaussianBelief, Orientation, ProblemFrame, nondominated_filter, psi
 from ehvi.clm3 import SweepState
+from ehvi.core import HyperBox, dominates, from_internal, to_internal
+from ehvi.gaussian import box_integral, std_normal_cdf
+from ehvi.grid import grid_decompose
 from helpers import min_front, open_strips, slab_integral
 
 CASES = settings(max_examples=1000, deadline=None)

@@ -1,4 +1,4 @@
-"""WFG recursion: hypervolume, exclusive volume, EHVI and its term count."""
+"""WFG recursion: hypervolume, EHVI and its term count."""
 
 import random
 
@@ -6,38 +6,23 @@ import numpy as np
 import pytest
 
 from ehvi import (
-    DimensionError,
     GaussianBelief,
     ProblemFrame,
     ReferenceBoundError,
     dominated_volume,
     ehvi_wfg,
-    exclusive_volume,
-    full_region_integral,
     hypervolume,
-    limit,
     nondominated_filter,
     validate_front,
 )
+from ehvi.gaussian import full_region_integral
 from helpers import min_front, random_belief, random_front
 from oracles import (
-    brute_hvi,
     brute_hypervolume,
     rasterized_hv,
     staircase_hv_2d,
     union_box_integral,
 )
-
-
-def test_limit_examples():
-    assert limit((1.0, 5.0), (3.0, 2.0)) == (3.0, 5.0)
-    assert limit((2.0, 2.0), (2.0, 2.0)) == (2.0, 2.0)
-    s, a = (1.0, 4.0, 2.0), (3.0, 0.0, 5.0)
-    out = limit(s, a)
-    assert all(x >= y for x, y in zip(out, s))
-    assert all(x >= y for x, y in zip(out, a))
-    with pytest.raises(DimensionError):
-        limit((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
 def test_hypervolume_worked_example():
@@ -139,16 +124,6 @@ def test_term_count_bound_and_reporting():
         front = random_front(m, n, seed)
         res = ehvi_wfg(front, random_belief(m, seed + 40))
         assert 1 <= res.boxes <= 2**n - 1
-
-
-def test_exclusive_volume_matches_inclusion_exclusion():
-    front = random_front(3, 6, 15)
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        y = tuple(rng.uniform(-9.9, -0.2, 3))
-        got = exclusive_volume(y, front.points, front.reference)
-        want = brute_hvi(y, front.points, front.reference)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_ehvi_wfg_nonnegative_and_bounded_by_full():
