@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .bench import DEFAULT_NS, generate_front, run_benchmark, summarize
 from .bo import DEFAULT_RESOLUTION, BoRunRecord, run_bo, run_random, synthetic_problem
-from .core import Front, Orientation, ProblemFrame, validate_front
+from .core import Front, Orientation, ProblemFrame, Vector, as_vector, validate_front
 from .dispatch import ALGORITHMS, BACKENDS, resolve_algorithm
 from .errors import (
     EhviError,
@@ -45,6 +45,16 @@ def _field(data: Any, key: str) -> Any:
     return data[key]
 
 
+def _numbers(value: Any, key: str) -> Vector:
+    """A JSON list of numbers as a tuple of floats; ParameterError naming the field otherwise."""
+    if isinstance(value, list):
+        try:
+            return as_vector(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterError(f"request field {key!r}: expected a list of numbers, got {value!r}")
+
+
 def load_request(data: Any, need_belief: bool = True) -> tuple[Front, GaussianBelief | None, str | None]:
     """Parse a request object into a validated Front, belief, and algorithm name.
 
@@ -59,14 +69,18 @@ def load_request(data: Any, need_belief: bool = True) -> tuple[Front, GaussianBe
     if type(maximize) is not bool:
         raise ParameterError(f"request field 'maximize' must be true or false, got {maximize!r}")
     orientation = Orientation.MAXIMIZE if maximize else Orientation.MINIMIZE
-    frame = ProblemFrame(m=m, reference=_field(data, "reference"), orientation=orientation)
-    front = validate_front(frame, _field(data, "front"))
+    reference = _numbers(_field(data, "reference"), "reference")
+    frame = ProblemFrame(m=m, reference=reference, orientation=orientation)
+    points = _field(data, "front")
+    if not isinstance(points, list):
+        raise ParameterError(f"request field 'front' must be a list of points, got {points!r}")
+    front = validate_front(frame, [_numbers(p, "front") for p in points])
     belief = None
     if need_belief:
-        mean = [float(x) for x in _field(data, "mean")]
+        mean = _numbers(_field(data, "mean"), "mean")
         if maximize:
-            mean = [-x for x in mean]
-        belief = GaussianBelief(mean=mean, stddev=_field(data, "stddev"))
+            mean = tuple(-x for x in mean)
+        belief = GaussianBelief(mean=mean, stddev=_numbers(_field(data, "stddev"), "stddev"))
     algorithm = data.get("algorithm")
     if algorithm is not None:
         algorithm = str(algorithm)

@@ -14,7 +14,9 @@ opens at most two new strips; the sweep ends by closing the open strips at
 r3. The emitted boxes are disjoint, their union is exactly the nondominated
 region, and there are at most 2n+1 of them (Yang, Emmerich, Deutz & Fonseca,
 EMO 2017). EHVI is the Gaussian integral over those boxes, taken directly
-rather than as the full region minus the dominated one.
+rather than as the full region minus the dominated one. The sweep runs on
+the breakpoint ranks of core.rank_form and returns a core.BoxDecomposition,
+the rank form and box type that sweep and wfg share.
 
 Each point is inserted once and removed at most once, so the staircase does
 at most 2n ordered-map operations across the sweep: with a logarithmic map
@@ -28,11 +30,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import chain
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import EhviResult, Front
+from .core import BoxDecomposition, EhviResult, Front, rank_form
 from .errors import DimensionError, ReferenceBoundError, UnsupportedDimensionError
 from .gaussian import GaussianBelief, integrate_boxes
 
@@ -121,44 +122,17 @@ class SweepState:
         self.births = [level] * len(births)
 
 
-class BoxDecomposition(NamedTuple):
-    """Disjoint half-open boxes as index arrays into per-axis breakpoints.
-
-    Box b spans (breaks[j][lower[b, j]], breaks[j][upper[b, j]]] on axis j.
-    """
-
-    breaks: tuple[np.ndarray, ...]
-    lower: np.ndarray  # (boxes, m) int
-    upper: np.ndarray  # (boxes, m) int
-    operations: int  # work that produced them; staircase inserts + removals at m=3 (see sweep_boxes)
-
-
-def front_ranks(front: Front) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Per-axis breakpoints [-inf, sorted coordinates, r_j] and the (n, m) point ranks.
-
-    A point's rank on axis j is the index of its coordinate in breaks[j],
-    taking the first copy of a tied coordinate, so ties compare equal.
-    """
-    n, m = front.n, front.m
-    pts = np.fromiter(chain.from_iterable(front.points), dtype=float, count=m * n).reshape(n, m)
-    coords = np.sort(pts, axis=0)
-    breaks = tuple(np.concatenate(([-np.inf], coords[:, j], [front.reference[j]])) for j in range(m))
-    ranks = np.empty((n, m), dtype=np.intp)
-    for j in range(m):
-        ranks[:, j] = np.searchsorted(coords[:, j], pts[:, j])
-    return breaks, ranks + 1
-
-
-def nondominated_boxes(front: Front) -> BoxDecomposition:
+def nondominated_boxes(front: Front) -> tuple[BoxDecomposition, int]:
     """Sweep an m=3 front into at most 2n+1 disjoint nondominated boxes.
 
-    The sweep runs on the breakpoint ranks of front_ranks, so ties compare
-    equal and no box of zero height is emitted.
+    The sweep runs on the breakpoint ranks of core.rank_form, so ties
+    compare equal and no box of zero height is emitted. Also returns the
+    staircase's ordered-map operations (inserts + removals), at most 2n.
     """
     if front.m != 3:
         raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
     n = front.n
-    breaks, ranks = front_ranks(front)
+    breaks, ranks = rank_form(front.points, front.reference)
     state = SweepState(reference=(n + 1, n + 1), bottom=0)
     insert = state.insert
     for x, y, z in zip(*ranks[np.argsort(ranks[:, 2], kind="stable")].T.tolist()):
@@ -168,7 +142,7 @@ def nondominated_boxes(front: Front) -> BoxDecomposition:
     boxes = flat.reshape(-1, 5)  # (lower_1, upper_1, upper_2, lower_3, upper_3)
     lower = boxes[:, [0, 0, 3]]
     lower[:, 1] = 0  # every box is open to -inf, breakpoint 0, on axis 2
-    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]], state.operations)
+    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]]), state.operations
 
 
 def ehvi_clm3(front: Front, belief: GaussianBelief) -> EhviResult:
@@ -181,6 +155,6 @@ def ehvi_clm3(front: Front, belief: GaussianBelief) -> EhviResult:
         raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
     if belief.m != 3:
         raise DimensionError(f"front has m=3 but belief has m={belief.m}")
-    boxes = nondominated_boxes(front)
-    value = integrate_boxes(boxes.breaks, boxes.lower, boxes.upper, [belief.mean], [belief.stddev])
-    return EhviResult(value=float(value[0]), boxes=boxes.operations)
+    boxes, operations = nondominated_boxes(front)
+    value = integrate_boxes(boxes, [belief.mean], [belief.stddev])
+    return EhviResult(value=float(value[0]), boxes=operations)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -216,6 +217,38 @@ def nondominated_filter(points: Iterable[Sequence[float]]) -> list[Vector]:
     if any(len(p) != m for p in pts):
         raise DimensionError("points have mixed dimensions")
     return nondominated_sorted(pts)
+
+
+def rank_form(points: Sequence[Sequence[float]], reference: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis breakpoints and the (n, m) breakpoint ranks of the points.
+
+    breaks is (m, n+2): row j is [-inf, sorted coordinates of axis j, r_j].
+    A point's rank on axis j is the index of its coordinate in breaks[j],
+    a tied coordinate taking the rank of its first copy, so ties compare
+    equal and ranks order exactly as the coordinates do.
+    """
+    m, n = len(reference), len(points)
+    pts = np.fromiter(chain.from_iterable(points), dtype=float, count=m * n).reshape(n, m)
+    coords = np.sort(pts, axis=0)
+    breaks = np.empty((m, n + 2))
+    breaks[:, 0] = -np.inf
+    breaks[:, 1:-1] = coords.T
+    breaks[:, -1] = reference
+    ranks = np.empty((n, m), dtype=np.intp)
+    for j in range(m):
+        ranks[:, j] = np.searchsorted(coords[:, j], pts[:, j])
+    return breaks, ranks + 1
+
+
+class BoxDecomposition(NamedTuple):
+    """Disjoint half-open boxes as index arrays into the breakpoints of rank_form.
+
+    Box b spans (breaks[j, lower[b, j]], breaks[j, upper[b, j]]] on axis j.
+    """
+
+    breaks: np.ndarray  # (m, n+2) float
+    lower: np.ndarray  # (boxes, m) int
+    upper: np.ndarray  # (boxes, m) int
 
 
 def to_internal(frame: ProblemFrame, v: Sequence[float]) -> Vector:

@@ -62,7 +62,6 @@ def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np
     if not ((stds > 0.0) & np.isfinite(stds)).all():
         raise ParameterError("belief stddevs must be positive and finite")
     if name in ("clm3", "sweep"):
-        boxes = sweep_boxes(front)  # clm3's boxes at m=3
-        return integrate_boxes(boxes.breaks, boxes.lower, boxes.upper, means, stds)
+        return integrate_boxes(sweep_boxes(front), means, stds)  # clm3's boxes at m=3
     backend = BACKENDS[name]
     return np.array([backend(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, roots_genlaguerre
 
-from .core import HyperBox, ProblemFrame, Vector, as_vector
+from .core import BoxDecomposition, HyperBox, ProblemFrame, Vector, as_vector
 from .errors import DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -121,34 +120,27 @@ def psi_vec(a: np.ndarray, mu, sigma) -> np.ndarray:
     return np.where(finite, np.maximum(out, 0.0), 0.0)
 
 
-def integrate_boxes(
-    breaks: Sequence[np.ndarray],
-    lower: np.ndarray,
-    upper: np.ndarray,
-    means: np.ndarray,
-    stds: np.ndarray,
-) -> np.ndarray:
-    """Integral over a set of disjoint boxes for each of q beliefs.
+def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """Integral over the disjoint boxes of a decomposition for each of q beliefs.
 
-    Box b spans (breaks[j][lower[b, j]], breaks[j][upper[b, j]]] on axis j;
-    each breaks[j] is ascending and may start at -inf. means and stds are
-    (q, m), one belief per row. psi is evaluated once per breakpoint and
-    belief; each box contributes the product of its per-axis psi
-    differences. Work is vectorized over (beliefs x boxes x axes), at most
-    _BLOCK elements at a time. Returns the q sums.
+    means and stds are (q, m), one belief per row. psi is evaluated once per
+    breakpoint and belief; each box contributes the product of its per-axis
+    psi differences. Work is vectorized over (beliefs x boxes x axes), at
+    most _BLOCK elements at a time. Returns the q sums.
     """
     means = np.asarray(means, dtype=float)
     stds = np.asarray(stds, dtype=float)
     out = np.zeros(len(means))
-    if len(lower) == 0:
+    if len(boxes.lower) == 0:
         return out
-    # all axes' breakpoints in one row, so psi runs once per belief block
-    sizes = [len(axis) for axis in breaks]
-    points = np.concatenate(breaks)
-    axis_of = np.repeat(np.arange(len(breaks)), sizes)
-    offsets = np.cumsum([0] + sizes[:-1])
-    lower = lower + offsets
-    upper = upper + offsets
+    # all axes' breakpoints in one flat row, so psi runs once per belief
+    # block and a box corner is one index into it
+    m, width = boxes.breaks.shape
+    points = boxes.breaks.ravel()
+    axis_of = np.repeat(np.arange(m), width)
+    offsets = np.arange(0, m * width, width)
+    lower = boxes.lower + offsets
+    upper = boxes.upper + offsets
     rows = max(1, _BLOCK // lower.size)
     for s in range(0, len(means), rows):
         block = slice(s, s + rows)

@@ -10,8 +10,12 @@ closed-form box integrals over all qualifying cells.
 
 The EHVI entry point enumerates every cell (that is the algorithm: Theta(n^m)
 cells, O(m) work each), vectorized and chunked so memory stays bounded;
-grid_decompose materializes the boxes for the disjoint-cover oracle and other
-verification work.
+grid_decompose materializes the boxes, a tuple of HyperBoxes, for the
+disjoint-cover oracle and other verification work.
+
+The grid sorts its own axes instead of using core.rank_form and a
+core.BoxDecomposition: it is the independent reference that the clm3, sweep
+and wfg backends, which share those, are checked against.
 """
 
 from __future__ import annotations
@@ -33,13 +37,6 @@ _CHUNK = 1 << 22
 # of work and an H-array of at most ~80 MB, and rejects sizes that would run
 # for hours or exhaust memory (m = 6, n = 300 would need a 19 TiB H-array).
 _MAX_CELLS = 1 << 28
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Disjoint half-open boxes covering the nondominated region."""
-
-    boxes: tuple[HyperBox, ...]
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def build_grid(front: Front) -> GridStructure:
     return GridStructure(axes=axes, h_array=h)
 
 
-def grid_decompose(front: Front) -> Decomposition:
+def grid_decompose(front: Front) -> tuple[HyperBox, ...]:
     """Materialize every nonempty nondominated grid cell as a HyperBox.
 
     The union of the emitted boxes is exactly the nondominated region bounded
@@ -101,7 +98,7 @@ def grid_decompose(front: Front) -> Decomposition:
         if any(lo == up for lo, up in zip(lower, upper)):
             continue  # zero width, zero measure
         boxes.append(HyperBox(lower, upper))
-    return Decomposition(boxes=tuple(boxes))
+    return tuple(boxes)
 
 
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:

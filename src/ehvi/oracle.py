@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import Front
 from .errors import DimensionError, ParameterError, UnsupportedDimensionError
@@ -89,9 +88,11 @@ def ehvi_quadrature_2d(front: Front, belief: GaussianBelief, tolerance: float) -
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
     if belief.m != 2:
         raise DimensionError(f"front has m=2 but belief has m={belief.m}")
+    from scipy.integrate import quad  # imported here only: it would slow every `ehvi` start
+
     eps = tolerance / 4.0
     total = 0.0
-    for box in grid_decompose(front).boxes:
+    for box in grid_decompose(front):
         term = 1.0
         for j in range(2):
             mu, sd = belief.mean[j], belief.stddev[j]

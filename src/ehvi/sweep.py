@@ -4,8 +4,9 @@ The nondominated region of a front (the part of the region below the
 reference that no front point weakly dominates) is cut into disjoint
 half-open boxes, and EHVI is the Gaussian integral over those boxes
 (Yang, Emmerich, Deutz & Bäck, J. Glob. Optim. 2019), never the full region
-minus the dominated one. Boxes are index arrays into per-axis breakpoints
-[-inf, sorted coordinates, r_j], as in clm3.BoxDecomposition.
+minus the dominated one. Every producer returns a core.BoxDecomposition:
+boxes as index arrays into the per-axis breakpoints [-inf, sorted
+coordinates, r_j] of core.rank_form.
 
 - m = 2: the staircase. With the points in ascending first coordinate x
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
@@ -23,8 +24,9 @@ minus the dominated one. Boxes are index arrays into per-axis breakpoints
   covers at least one nondominated grid cell, so there are at most
   (n+1)^m of them.
 
-Coordinates are replaced by breakpoint ranks, a tied coordinate taking the
-rank of its first copy, so ties compare equal and no box has zero width.
+Coordinates are replaced by rank_form's breakpoint ranks, a tied coordinate
+taking the rank of its first copy, so ties compare equal and no box has
+zero width.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .clm3 import BoxDecomposition, front_ranks, nondominated_boxes
-from .core import EhviResult, Front, as_vector
+from .clm3 import nondominated_boxes
+from .core import BoxDecomposition, EhviResult, Front, as_vector, rank_form
 from .errors import DimensionError
 from .gaussian import GaussianBelief, integrate_boxes
 
@@ -43,18 +45,18 @@ _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 
 def _staircase_boxes(front: Front) -> BoxDecomposition:
     n = front.n
-    breaks, _ = front_ranks(front)
+    breaks, _ = rank_form(front.points, front.reference)
     # no two points of an m = 2 front share a coordinate: in ascending first
     # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2
     i = np.arange(n + 1)
     lower = np.stack([i, np.zeros_like(i)], axis=1)
     upper = np.stack([i + 1, n + 1 - i], axis=1)
-    return BoxDecomposition(breaks, lower, upper, n)
+    return BoxDecomposition(breaks, lower, upper)
 
 
 def _sweep_boxes(front: Front) -> BoxDecomposition:
     m, n = front.m, front.n
-    breaks, ranks = front_ranks(front)
+    breaks, ranks = rank_form(front.points, front.reference)
     k = m - 1
     # An open box is one row [lower (k), upper (k), birth]. For a point q at
     # `level`, raised = max(row, [q, q, level]) raises every lower bound to q
@@ -67,7 +69,6 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     axes = np.arange(k)
     open_ = np.concatenate([np.zeros(k), np.full(k, n + 1), [0]]).astype(np.intp)[None]
     closed, levels = [], []
-    operations = 0
     ranks = ranks[np.argsort(ranks[:, k], kind="stable")]
     raise_to = np.concatenate([ranks[:, :k], ranks], axis=1)  # [q, q, level] per point
     for q, level, bounds in zip(ranks[:, :k], ranks[:, k].tolist(), raise_to):
@@ -77,7 +78,6 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
             continue  # q's projection is dominated by an earlier point's
         closed.append(cut)
         levels.append(level)
-        operations += len(cut)
         pieces = np.where(take_raised, np.maximum(cut, bounds), cut)
         pieces[axes, :, k + axes] = q[:, None]
         exists = q[:, None] > cut[:, :k].T  # (pieces, boxes)
@@ -90,20 +90,18 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     rows, top = rows[grown], top[grown]
     lower = np.column_stack([rows[:, :k], rows[:, 2 * k]])
     upper = np.column_stack([rows[:, k : 2 * k], top])
-    return BoxDecomposition(breaks, lower, upper, operations)
+    return BoxDecomposition(breaks, lower, upper)
 
 
 def sweep_boxes(front: Front) -> BoxDecomposition:
     """Cut the nondominated region of any front into disjoint boxes.
 
     n+1 boxes at m = 2, at most 2n+1 at m = 3 and at most (n+1)^m beyond.
-    `operations` counts the decomposition's work: strips at m = 2,
-    staircase updates at m = 3, and open boxes split at m >= 4.
     """
     if front.m == 2:
         return _staircase_boxes(front)
     if front.m == 3:
-        return nondominated_boxes(front)
+        return nondominated_boxes(front)[0]
     return _sweep_boxes(front)
 
 
@@ -112,7 +110,7 @@ def ehvi_sweep(front: Front, belief: GaussianBelief) -> EhviResult:
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
     boxes = sweep_boxes(front)
-    value = integrate_boxes(boxes.breaks, boxes.lower, boxes.upper, [belief.mean], [belief.stddev])
+    value = integrate_boxes(boxes, [belief.mean], [belief.stddev])
     return EhviResult(value=float(value[0]), boxes=len(boxes.lower))
 
 
@@ -125,8 +123,9 @@ def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
     reference overlaps no box on some axis, so its value is exactly 0.0.
     Rows are taken in blocks of at most _CLIP_BLOCK elements of the product.
     """
-    lowers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.lower.T)])
-    uppers = np.column_stack([axis[i] for axis, i in zip(boxes.breaks, boxes.upper.T)])
+    axes = np.arange(len(boxes.breaks))
+    lowers = boxes.breaks[axes, boxes.lower]
+    uppers = boxes.breaks[axes, boxes.upper]
     step = max(1, _CLIP_BLOCK // lowers.size)
     out = np.empty(len(ys))
     for s in range(0, len(ys), step):

@@ -11,9 +11,10 @@ Lebesgue volume gives the exact hypervolume, and the closed-form Gaussian
 box integral gives the dominated-region integral that ehvi_wfg subtracts
 from the full-region integral.
 
-The recursion runs on per-axis ranks: coordinates are replaced by their
-rank among the axis's distinct values, and box measures by products from
-precomputed per-axis factor tables.
+The recursion runs on the breakpoint ranks of core.rank_form, the rank form
+that the clm3 and sweep decompositions share: coordinates are replaced by
+ranks, and box measures by products of per-axis factors looked up by rank
+in tables built from the (m, n+2) breakpoints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted
+from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
 from .errors import DimensionError, ReferenceBoundError
 from .gaussian import GaussianBelief, full_region_integral, psi_vec
 
@@ -81,18 +82,14 @@ def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> 
     return total
 
 
-def _rank_form(points: Sequence[Vector]) -> tuple[list[tuple], list[list[float]]]:
-    """The nondominated rank tuples of the points and the sorted distinct values of every axis.
+def _rank_tuples(ranks: np.ndarray) -> list[tuple]:
+    """The distinct, mutually nondominated rows of a rank_form rank array, lex-sorted.
 
-    Rank i on axis j stands for the value uniqs[j][i]. Per-axis ranks are
-    order-isomorphic to values, and componentwise max never leaves the
-    per-axis value sets, so the whole recursion runs on small integers with
-    measure factors looked up in per-axis tables instead of recomputed.
+    Ranks are order-isomorphic to coordinates, and componentwise max never
+    leaves the per-axis breakpoints, so the whole recursion runs on small
+    integers with measure factors looked up in per-axis tables.
     """
-    uniqs = [sorted(set(col)) for col in zip(*points)]
-    rank_maps = [{v: i for i, v in enumerate(uniq)} for uniq in uniqs]
-    pts = sorted({tuple(rm[x] for rm, x in zip(rank_maps, p)) for p in points})
-    return nondominated_sorted(pts), uniqs
+    return nondominated_sorted(sorted(set(map(tuple, ranks.tolist()))))
 
 
 def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
@@ -102,9 +99,9 @@ def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[floa
     _check_bound(pts, ref)
     if not pts:
         return 0.0
-    rank_pts, uniqs = _rank_form(pts)
-    table = [[r - v for v in uniq] for r, uniq in zip(ref, uniqs)]
-    return _wfg_rec(rank_pts, table, [0])
+    breaks, ranks = rank_form(pts, ref)
+    table = (breaks[:, -1:] - breaks).tolist()
+    return _wfg_rec(_rank_tuples(ranks), table, [0])
 
 
 def hypervolume(front: Front) -> float:
@@ -119,27 +116,10 @@ def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     full = full_region_integral(front.frame, belief)
     if front.n == 0:
         return EhviResult(value=full, boxes=0)
-    rank_pts, uniqs = _rank_form(front.points)
-
-    # one vectorized psi evaluation covers every axis table plus its
-    # reference value, so per-axis numpy overhead does not dominate small n
-    flat: list[float] = []
-    mus: list[float] = []
-    sds: list[float] = []
-    for r, mu, sd, uniq in zip(front.reference, belief.mean, belief.stddev, uniqs):
-        flat.extend(uniq)
-        flat.append(r)
-        mus.extend([mu] * (len(uniq) + 1))
-        sds.extend([sd] * (len(uniq) + 1))
-    vals = psi_vec(np.asarray(flat), np.asarray(mus), np.asarray(sds))
-    table: list[list[float]] = []
-    off = 0
-    for uniq in uniqs:
-        k = len(uniq)
-        block = vals[off : off + k + 1]
-        table.append(np.maximum(block[k] - block[:k], 0.0).tolist())
-        off += k + 1
-
+    breaks, ranks = rank_form(front.points, front.reference)
+    # one psi evaluation over every axis's breakpoints, reference included
+    p = psi_vec(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])
+    table = np.maximum(p[:, -1:] - p, 0.0).tolist()
     counter = [0]
-    dominated = _wfg_rec(rank_pts, table, counter)
+    dominated = _wfg_rec(_rank_tuples(ranks), table, counter)
     return EhviResult(value=max(full - dominated, 0.0), boxes=counter[0])

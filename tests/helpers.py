@@ -67,7 +67,7 @@ def open_strips(state):
 
 
 def decomposition_boxes(boxes):
-    """The HyperBoxes of a clm3 BoxDecomposition."""
+    """The HyperBoxes of a core.BoxDecomposition, as clm3 and sweep produce it."""
     return [
         HyperBox(
             tuple(float(axis[i]) for axis, i in zip(boxes.breaks, lo)),

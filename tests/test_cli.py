@@ -98,7 +98,20 @@ def test_exit_code_2_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("maximize", "false"), ("maximize", 0), ("maximize", None), ("m", 2.9), ("m", "2"), ("m", True)],
+    [
+        ("maximize", "false"),
+        ("maximize", 0),
+        ("maximize", None),
+        ("m", 2.9),
+        ("m", "2"),
+        ("m", True),
+        ("mean", 5),
+        ("mean", ["a", 1]),
+        ("stddev", 1.0),
+        ("reference", 5),
+        ("front", [-1.0, -3.0]),
+        ("front", [[-1.0, None], [-2.0, -2.0]]),
+    ],
 )
 def test_exit_code_2_mistyped_request_fields(tmp_path, capsys, field, value):
     # bool("false") is True and int(2.9) is 2: both must be rejected, not coerced
@@ -296,6 +309,22 @@ def assert_compute_succeeds(proc):
     out = json.loads(proc.stdout)
     assert out["algorithm"] == "sweep" and out["ehvi"] > 0.0
     assert out["boxes"] == len(BASIC["front"]) + 1
+
+
+def test_compute_does_not_import_scipy_integrate(tmp_path):
+    # -X importtime lists every module the child imports, one per stderr line
+    package_root = str(Path(ehvi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    path = write_request(tmp_path / "req.json", **BASIC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ehvi", "compute", "--input", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert_compute_succeeds(proc)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "numpy" in imported
+    assert "scipy.integrate" not in imported
 
 
 def test_console_script_entry_point(tmp_path):

@@ -109,7 +109,7 @@ def test_open_strips_match_slab_recomputation():
             got = _integral(strips, belief)
             # the open strips are the nondominated cross-section ...
             staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-            want = _integral(grid_decompose(staircase).boxes, belief)
+            want = _integral(grid_decompose(staircase), belief)
             assert got == pytest.approx(want, rel=1e-12)
             # ... and with the slab recomputation of the dominated one they tile the quadrant
             dominated = slab_integral(state.keys, state.vals, state.reference, belief)
@@ -192,7 +192,7 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
     for seed in range(4):
         front = random_front(3, 12, seed)
         belief = random_belief(3, seed + 70)
-        boxes = decomposition_boxes(nondominated_boxes(front))
+        boxes = decomposition_boxes(nondominated_boxes(front)[0])
         assert len(boxes) <= 2 * front.n + 1
         assert all(lo < up for b in boxes for lo, up in zip(b.lower, b.upper))
         parts = [box_integral(b, belief) for b in boxes]
@@ -207,7 +207,7 @@ def test_boxes_disjoint_cover_nondominated_region():
     fronts = [random_front(3, 15, 5), lattice_front(3, 0), min_front((0.0, 0.0, 0.0), [])]
     rng = np.random.default_rng(23)
     for front in fronts:
-        boxes = decomposition_boxes(nondominated_boxes(front))
+        boxes = decomposition_boxes(nondominated_boxes(front)[0])
         ref = front.reference
         for y in rng.uniform(-11.0, 0.0, (500, 3)):
             hits = sum(
@@ -223,7 +223,7 @@ def test_operation_count_bound():
         front = random_front(3, n, seed)
         res = ehvi_clm3(front, random_belief(3, seed + 80))
         assert res.boxes <= 2 * n
-        assert len(nondominated_boxes(front).lower) <= 2 * n + 1
+        assert len(nondominated_boxes(front)[0].lower) <= 2 * n + 1
 
 
 def test_tied_levels_order_invariant():
@@ -264,7 +264,7 @@ def test_deep_tail_agreement_with_grid():
     for k, front in enumerate(fronts):
         if k >= 3:
             assert all(len({p[j] for p in front.points}) < front.n for j in range(3))
-        assert len(nondominated_boxes(front).lower) <= 2 * front.n + 1
+        assert len(nondominated_boxes(front)[0].lower) <= 2 * front.n + 1
         rng = np.random.default_rng([32, k])
         means = rng.uniform(-10.0, -0.2, (50, 3))
         stds = rng.uniform(0.1, 2.5, (50, 3))

@@ -21,7 +21,7 @@ from ehvi import (
     validate_front,
 )
 from ehvi.bench import generate_front
-from ehvi.core import dominates, from_internal, to_internal
+from ehvi.core import dominates, from_internal, rank_form, to_internal
 from helpers import lattice_front, min_front, random_front
 from oracles import brute_dominates, brute_hvi, brute_nondominated
 
@@ -110,6 +110,27 @@ def test_filter_idempotent():
     pts = [tuple(map(float, v)) for v in rng.integers(0, 5, size=(60, 3))]
     once = nondominated_filter(pts)
     assert nondominated_filter(once) == once
+
+
+def test_rank_form_worked_example():
+    # points and reference as plain lists; axis 3 has the tied coordinate 2
+    points = [[1, 3, 2], [2, 1, 2], [3, 2, 1]]
+    breaks, ranks = rank_form(points, [4, 5, 6])
+    assert breaks.tolist() == [
+        [-math.inf, 1.0, 2.0, 3.0, 4.0],
+        [-math.inf, 1.0, 2.0, 3.0, 5.0],
+        [-math.inf, 1.0, 2.0, 2.0, 6.0],
+    ]
+    assert ranks.tolist() == [[1, 3, 2], [2, 1, 2], [3, 2, 1]]
+    assert ranks[0, 2] == ranks[1, 2]  # the tie takes the rank of its first copy
+    assert breaks[np.arange(3), ranks].tolist() == points
+
+
+def test_rank_form_empty_front():
+    breaks, ranks = rank_form([], (4.0, 5.0, 6.0))
+    assert breaks.shape == (3, 2)
+    assert breaks.tolist() == [[-math.inf, 4.0], [-math.inf, 5.0], [-math.inf, 6.0]]
+    assert ranks.shape == (0, 3)
 
 
 def test_orientation_examples():

@@ -51,12 +51,12 @@ def test_build_grid_single_point():
 
 def test_decompose_empty_front():
     decomp = grid_decompose(min_front((4.0, 4.0), []))
-    assert decomp.boxes == (HyperBox((-math.inf, -math.inf), (4.0, 4.0)),)
+    assert decomp == (HyperBox((-math.inf, -math.inf), (4.0, 4.0)),)
 
 
 def test_decompose_worked_example():
     decomp = grid_decompose(min_front((4.0, 4.0), [(2, 2)]))
-    got = {(b.lower, b.upper) for b in decomp.boxes}
+    got = {(b.lower, b.upper) for b in decomp}
     assert got == {
         ((-math.inf, -math.inf), (2.0, 2.0)),
         ((-math.inf, 2.0), (2.0, 4.0)),
@@ -70,7 +70,7 @@ def test_decompose_union_volume_matches_hypervolume_complement():
         ref = front.reference
         clip = tuple(min(p[j] for p in front.points) - 1.0 for j in range(3))
         total = 0.0
-        for b in grid_decompose(front).boxes:
+        for b in grid_decompose(front):
             vol = 1.0
             for lo, up, c in zip(b.lower, b.upper, clip):
                 vol *= up - max(lo, c)
@@ -84,7 +84,7 @@ def test_decompose_disjoint_cover_by_sampling():
     for m, n, seed in [(2, 4, 0), (2, 6, 1), (3, 4, 2), (3, 6, 3)]:
         front = random_front(m, n, seed)
         g = build_grid(front)
-        emitted = {(b.lower, b.upper) for b in grid_decompose(front).boxes}
+        emitted = {(b.lower, b.upper) for b in grid_decompose(front)}
         for idx in itertools.product(range(n + 1), repeat=m):
             lower = tuple(float(g.axes[j][idx[j]]) for j in range(m))
             upper = tuple(float(g.axes[j][idx[j] + 1]) for j in range(m))
@@ -120,7 +120,7 @@ def test_ehvi_grid_equals_decomposition_sum():
         front = random_front(m, n, seed)
         belief = random_belief(m, seed)
         res = ehvi_grid(front, belief)
-        boxes = grid_decompose(front).boxes
+        boxes = grid_decompose(front)
         total = sum(box_integral(b, belief) for b in boxes)
         assert res.value == pytest.approx(total, rel=1e-12)
         assert res.boxes == len(boxes)

@@ -114,7 +114,7 @@ def test_staircase_strips_consistent(count, data):
         assert len(state.boxes) + len(state.births) <= 2 * (level + 1) + 1
         strips = math.fsum(box_integral(b, belief) for b in open_strips(state))
         staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-        nondominated = math.fsum(box_integral(b, belief) for b in grid_decompose(staircase).boxes)
+        nondominated = math.fsum(box_integral(b, belief) for b in grid_decompose(staircase))
         assert math.isclose(strips, nondominated, rel_tol=1e-12, abs_tol=1e-300)
         dominated = slab_integral(state.keys, state.vals, (0.0, 0.0), belief)
         assert math.isclose(strips + dominated, full, rel_tol=1e-12, abs_tol=1e-300)

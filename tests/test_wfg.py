@@ -16,7 +16,7 @@ from ehvi import (
     validate_front,
 )
 from ehvi.gaussian import full_region_integral
-from helpers import min_front, random_belief, random_front
+from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import (
     brute_hypervolume,
     rasterized_hv,
@@ -58,8 +58,9 @@ def test_hypervolume_matches_staircase_2d():
 
 
 def test_hypervolume_matches_inclusion_exclusion():
-    for m, n, seed in [(2, 7, 0), (3, 6, 1), (4, 5, 2)]:
-        front = random_front(m, n, seed)
+    fronts = [random_front(m, n, seed) for m, n, seed in [(2, 7, 0), (3, 6, 1), (4, 5, 2)]]
+    fronts += [lattice_front(m, seed, n=8) for m, seed in [(3, 3), (4, 4)]]  # tied coordinates
+    for front in fronts:
         assert hypervolume(front) == pytest.approx(
             brute_hypervolume(front.points, front.reference), rel=1e-12
         )
@@ -110,8 +111,10 @@ def test_ehvi_wfg_empty_front_is_full_region():
 
 
 def test_ehvi_decomposition_identity():
-    for m, n, seed in [(2, 8, 0), (3, 10, 1), (4, 8, 2)]:
-        front = random_front(m, n, seed)
+    fronts = [random_front(m, n, seed) for m, n, seed in [(2, 8, 0), (3, 10, 1), (4, 8, 2)]]
+    fronts += [lattice_front(m, seed, n=8) for m, seed in [(3, 3), (4, 4)]]  # tied coordinates
+    for seed, front in enumerate(fronts):
+        m = front.m
         belief = random_belief(m, seed + 20)
         full = full_region_integral(front.frame, belief)
         dominated = union_box_integral(front.points, front.reference, belief.mean, belief.stddev)
