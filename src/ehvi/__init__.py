@@ -1,21 +1,20 @@
 """Exact expected hypervolume improvement for multi-objective optimization.
 
-Four interchangeable exact backends compute EHVI as closed-form Gaussian
-box integrals (compute_ehvi for one belief, compute_ehvi_batch for many
-beliefs against one front). grid, clm3 and sweep integrate disjoint boxes of
-the nondominated region; wfg integrates the dominated region and subtracts
-it from the full region below the reference:
+Three interchangeable exact backends, one per algorithm of the paper,
+compute EHVI as closed-form Gaussian box integrals (compute_ehvi for one
+belief, compute_ehvi_batch for many beliefs against one front). grid and
+sweep integrate disjoint boxes of the nondominated region; wfg integrates the
+dominated region and subtracts it from the full region below the reference:
 
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
 - ehvi_wfg: the WFG recursion over the dominated region, at most 2^n - 1
   box-measure evaluations, any m >= 2; kept as a reference, and the same
   recursion gives the hypervolume.
-- ehvi_clm3: sweep over a 2-D staircase that cuts the nondominated region
-  into at most 2n+1 boxes, m = 3 only, O(n log n).
 - ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
-  staircase at m = 2, clm3's boxes at m = 3 and a box-splitting sweep over
-  the last axis at m >= 4. "auto" picks it for every m but 3.
+  staircase at m = 2, the CLM-based staircase sweep at m = 3 (at most 2n+1
+  boxes, O(n log n)) and a box-splitting sweep over the last axis at
+  m >= 4. "auto" picks it for every m.
 
 Around them: Monte-Carlo and 2-D quadrature verification oracles, a timing
 benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI
@@ -24,7 +23,6 @@ as its acquisition function over GP surrogates.
 
 from .bench import generate_front, run_benchmark
 from .bo import run_bo, run_random, synthetic_problem
-from .clm3 import ehvi_clm3
 from .core import EhviResult, Front, Orientation, ProblemFrame, nondominated_filter, validate_front
 from .dispatch import compute_ehvi, compute_ehvi_batch
 from .errors import (
@@ -65,7 +63,6 @@ __all__ = [
     "compute_ehvi",
     "compute_ehvi_batch",
     "dominated_volume",
-    "ehvi_clm3",
     "ehvi_grid",
     "ehvi_monte_carlo",
     "ehvi_quadrature_2d",

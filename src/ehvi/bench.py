@@ -4,7 +4,7 @@ Fronts are drawn uniformly in the maximization box [0.1, 10]^m against a
 reference at the origin, rejecting every draw that is comparable with an
 already-accepted point. The candidate belief is fixed (mean -10 on every
 negated axis, stddev 2.5) so runs are reproducible and comparable across
-algorithms. Every (m, n, seed) cell is computed by all applicable backends
+algorithms. Every (m, n, seed) cell is computed by all requested backends
 and the values are required to agree to 1e-10 relative before any timing is
 reported.
 """
@@ -92,10 +92,8 @@ def run_benchmark(
     algorithms: Sequence[str],
     sigma_as_variance: bool = False,
 ) -> list[BenchmarkRecord]:
-    """Time every applicable (algorithm, m, n, seed) cell reps times.
+    """Time every (algorithm, m, n, seed) cell reps times.
 
-    clm3 only handles m=3 and is silently skipped elsewhere; grid, wfg and
-    sweep run at every m.
     Each cell gets one untimed warm-up call per algorithm, then reps timed
     calls. All algorithms must agree on each cell's value to 1e-10 relative;
     disagreement aborts the run rather than reporting timings for wrong
@@ -112,14 +110,11 @@ def run_benchmark(
     for m in ms:
         frame = benchmark_frame(m)
         belief = benchmark_belief(m, sigma_as_variance)
-        applicable = [a for a in algorithms if a != "clm3" or m == 3]
-        if not applicable:
-            continue
         for n in ns:
             for seed in range(seeds):
                 front = validate_front(frame, generate_front(m, n, seed))
                 values: dict[str, float] = {}
-                for name in applicable:
+                for name in algorithms:
                     backend = BACKENDS[name]
                     backend(front, belief)  # warm-up, untimed
                     # pause the cyclic collector while timing (as timeit

@@ -58,7 +58,7 @@ class BoRunRecord:
 @dataclass
 class BoState:
     problem: SyntheticProblem
-    backend: str | None = None  # None means "auto": clm3 for m=3, sweep otherwise
+    backend: str = "auto"
     observed: list[int] = field(default_factory=list)
     records: list[BoRunRecord] = field(default_factory=list)
 
@@ -170,7 +170,7 @@ def bo_step(state: BoState) -> BoRunRecord:
 
     front = _current_front(state)
     start = time.perf_counter_ns()
-    scores = compute_ehvi_batch(front, means, stds, state.backend or "auto")
+    scores = compute_ehvi_batch(front, means, stds, state.backend)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed)
@@ -190,7 +190,7 @@ def run_bo(
     seed: int,
     n_init: int = 20,
     iterations: int = 100,
-    backend: str | None = None,
+    backend: str = "auto",
 ) -> list[BoRunRecord]:
     """Random initialization followed by EHVI-driven queries; returns all records."""
     state = BoState(problem=problem, backend=backend)

@@ -46,8 +46,11 @@ def _field(data: Any, key: str) -> Any:
 
 
 def _numbers(value: Any, key: str) -> Vector:
-    """A JSON list of numbers as a tuple of floats; ParameterError naming the field otherwise."""
-    if isinstance(value, list):
+    """A JSON list of numbers as a tuple of floats; ParameterError naming the field otherwise.
+
+    JSON true and false are rejected, not read as 1.0 and 0.0.
+    """
+    if isinstance(value, list) and not any(isinstance(x, bool) for x in value):
         try:
             return as_vector(value)
         except (TypeError, ValueError, OverflowError):
@@ -97,7 +100,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_compute(args: argparse.Namespace) -> int:
     front, belief, requested = load_request(_load_json(args.input))
     name = args.algorithm or requested or "auto"
-    resolved = resolve_algorithm(name, front.m)
+    resolved = resolve_algorithm(name)
     backend = BACKENDS[resolved]
     start = time.perf_counter_ns()
     result = backend(front, belief)
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated front sizes")
     p.add_argument("--seeds", type=int, default=10, help="fronts per (m, n) cell")
     p.add_argument("--reps", type=int, default=5, help="timed repetitions per front")
-    p.add_argument("--algorithms", default="grid,wfg,clm3,sweep", help="comma-separated backends")
+    p.add_argument("--algorithms", default="grid,wfg,sweep", help="comma-separated backends")
     p.add_argument("--sigma-as-variance", action="store_true",
                    help="read the default spread 2.5 as a variance instead of a stddev")
     p.add_argument("--out", required=True, help="records CSV path (summary goes next to it)")

@@ -13,10 +13,11 @@ current level, emitting the box strip x (birth level, current level], and
 opens at most two new strips; the sweep ends by closing the open strips at
 r3. The emitted boxes are disjoint, their union is exactly the nondominated
 region, and there are at most 2n+1 of them (Yang, Emmerich, Deutz & Fonseca,
-EMO 2017). EHVI is the Gaussian integral over those boxes, taken directly
-rather than as the full region minus the dominated one. The sweep runs on
-the breakpoint ranks of core.rank_form and returns a core.BoxDecomposition,
-the rank form and box type that sweep and wfg share.
+EMO 2017). This is the paper's CLM-based decomposition, and
+sweep.sweep_boxes uses it at m = 3: the sweep backend integrates the boxes
+directly rather than as the full region minus the dominated one. The sweep
+runs on the breakpoint ranks of core.rank_form and returns a
+core.BoxDecomposition, the rank form and box type that sweep and wfg share.
 
 Each point is inserted once and removed at most once, so the staircase does
 at most 2n ordered-map operations across the sweep: with a logarithmic map
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxDecomposition, EhviResult, Front, rank_form
+from .core import BoxDecomposition, Front, rank_form
 from .errors import DimensionError, ReferenceBoundError, UnsupportedDimensionError
-from .gaussian import GaussianBelief, integrate_boxes
 
 
 @dataclass
@@ -122,15 +122,14 @@ class SweepState:
         self.births = [level] * len(births)
 
 
-def nondominated_boxes(front: Front) -> tuple[BoxDecomposition, int]:
+def nondominated_boxes(front: Front) -> BoxDecomposition:
     """Sweep an m=3 front into at most 2n+1 disjoint nondominated boxes.
 
     The sweep runs on the breakpoint ranks of core.rank_form, so ties
-    compare equal and no box of zero height is emitted. Also returns the
-    staircase's ordered-map operations (inserts + removals), at most 2n.
+    compare equal and no box of zero height is emitted.
     """
     if front.m != 3:
-        raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
+        raise UnsupportedDimensionError(f"the CLM staircase sweep needs m=3, got m={front.m}")
     n = front.n
     breaks, ranks = rank_form(front.points, front.reference)
     state = SweepState(reference=(n + 1, n + 1), bottom=0)
@@ -142,19 +141,4 @@ def nondominated_boxes(front: Front) -> tuple[BoxDecomposition, int]:
     boxes = flat.reshape(-1, 5)  # (lower_1, upper_1, upper_2, lower_3, upper_3)
     lower = boxes[:, [0, 0, 3]]
     lower[:, 1] = 0  # every box is open to -inf, breakpoint 0, on axis 2
-    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]]), state.operations
-
-
-def ehvi_clm3(front: Front, belief: GaussianBelief) -> EhviResult:
-    """EHVI for m=3: the Gaussian integral over the sweep's nondominated boxes.
-
-    The reported box count is the number of ordered-map operations (inserts
-    + removals), at most 2n.
-    """
-    if front.m != 3:
-        raise UnsupportedDimensionError(f"the sweep backend needs m=3, got m={front.m}")
-    if belief.m != 3:
-        raise DimensionError(f"front has m=3 but belief has m={belief.m}")
-    boxes, operations = nondominated_boxes(front)
-    value = integrate_boxes(boxes, [belief.mean], [belief.stddev])
-    return EhviResult(value=float(value[0]), boxes=operations)
+    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]])

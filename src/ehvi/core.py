@@ -49,10 +49,9 @@ class Orientation(str, enum.Enum):
 class EhviResult(NamedTuple):
     """An exact EHVI value plus the backend's work counter.
 
-    `boxes` counts what the backend actually enumerated: grid cells for the
-    grid backend, box-measure evaluations for the recursive backend, ordered
-    map operations (inserts + removals) for clm3, and boxes integrated for
-    sweep.
+    `boxes` counts what the backend actually enumerated: grid cells for
+    grid, box-measure evaluations for wfg, and boxes integrated for sweep at
+    every m.
     """
 
     value: float
@@ -97,9 +96,6 @@ class Front:
 
     frame: ProblemFrame
     points: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(as_vector(p) for p in self.points))
 
     @property
     def m(self) -> int:
@@ -272,7 +268,10 @@ def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Fr
             raise DimensionError(f"point {p} has {len(p)} coordinates, expected m={frame.m}")
         if not all(math.isfinite(x) for x in p):
             raise InvalidFrontError(f"point {p} has non-finite coordinates")
-    internal = [to_internal(frame, p) for p in raw]
+    # raw holds floats already; to_internal would convert every coordinate again
+    internal = raw
+    if frame.orientation is Orientation.MAXIMIZE:
+        internal = [tuple(-x for x in p) for p in raw]
     ref = frame.internal_reference
     for p, q in zip(raw, internal):
         if not all(x < r for x, r in zip(q, ref)):

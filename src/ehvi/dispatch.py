@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clm3 import ehvi_clm3
 from .core import EhviResult, Front
-from .errors import DimensionError, ParameterError, UnsupportedDimensionError
+from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, integrate_boxes
 from .grid import ehvi_grid
 from .sweep import ehvi_sweep, sweep_boxes
@@ -15,42 +14,36 @@ from .wfg import ehvi_wfg
 BACKENDS = {
     "grid": ehvi_grid,
     "wfg": ehvi_wfg,
-    "clm3": ehvi_clm3,
     "sweep": ehvi_sweep,
 }
 
 ALGORITHMS = tuple(BACKENDS) + ("auto",)
 
 
-def resolve_algorithm(name: str, m: int) -> str:
-    """Resolve an algorithm selector against the objective count.
+def resolve_algorithm(name: str) -> str:
+    """Resolve an algorithm selector to a backend name.
 
-    "auto" picks clm3 for m=3 and sweep for every other m; it never picks
-    grid or wfg, which stay as references. Explicitly requesting clm3 away
-    from m=3 is an error.
+    "auto" picks sweep at every m; it never picks grid or wfg, which stay as
+    references.
     """
     if name not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
-    if name == "auto":
-        return "clm3" if m == 3 else "sweep"
-    if name == "clm3" and m != 3:
-        raise UnsupportedDimensionError(f"algorithm clm3 needs m=3, got m={m}")
-    return name
+    return "sweep" if name == "auto" else name
 
 
 def compute_ehvi(front: Front, belief: GaussianBelief, algorithm: str = "auto") -> EhviResult:
     """Compute EHVI with the named (or auto-resolved) backend."""
-    return BACKENDS[resolve_algorithm(algorithm, front.m)](front, belief)
+    return BACKENDS[resolve_algorithm(algorithm)](front, belief)
 
 
 def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np.ndarray:
     """EHVI of q beliefs against one front; row i of means and stds is belief i.
 
-    means and stds are (q, m) arrays. clm3 and sweep decompose the front
-    once and integrate every belief over the same boxes; grid and wfg run
-    their single-belief backend row by row. Returns the q values.
+    means and stds are (q, m) arrays. sweep decomposes the front once and
+    integrates every belief over the same boxes; grid and wfg run their
+    single-belief backend row by row. Returns the q values.
     """
-    name = resolve_algorithm(algorithm, front.m)
+    name = resolve_algorithm(algorithm)
     means = np.asarray(means, dtype=float)
     stds = np.asarray(stds, dtype=float)
     if means.ndim != 2 or means.shape[1] != front.m or stds.shape != means.shape:
@@ -61,7 +54,7 @@ def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np
         raise ParameterError("belief means must be finite")
     if not ((stds > 0.0) & np.isfinite(stds)).all():
         raise ParameterError("belief stddevs must be positive and finite")
-    if name in ("clm3", "sweep"):
-        return integrate_boxes(sweep_boxes(front), means, stds)  # clm3's boxes at m=3
+    if name == "sweep":
+        return integrate_boxes(sweep_boxes(front), means, stds)
     backend = BACKENDS[name]
     return np.array([backend(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)

@@ -14,8 +14,8 @@ grid_decompose materializes the boxes, a tuple of HyperBoxes, for the
 disjoint-cover oracle and other verification work.
 
 The grid sorts its own axes instead of using core.rank_form and a
-core.BoxDecomposition: it is the independent reference that the clm3, sweep
-and wfg backends, which share those, are checked against.
+core.BoxDecomposition: it is the independent reference that the sweep and
+wfg backends, which share those, are checked against.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ coordinates, r_j] of core.rank_form.
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
   (-inf, y[i-1]], with x[-1] = -inf, y[-1] = r2 and x[n] = r1: exactly n+1
   boxes, pure index arithmetic.
-- m = 3: clm3's staircase sweep, at most 2n+1 boxes.
+- m = 3: the staircase sweep of clm3 (the paper's CLM-based decomposition),
+  at most 2n+1 boxes from at most 2n staircase updates.
 - m >= 4: a sweep over the last axis. The cross-section of the region
   between two sweep levels is the (m-1)-D nondominated region of the points
   below, held as disjoint open boxes with the level each was born at. A
@@ -101,7 +102,7 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
     if front.m == 2:
         return _staircase_boxes(front)
     if front.m == 3:
-        return nondominated_boxes(front)[0]
+        return nondominated_boxes(front)
     return _sweep_boxes(front)
 
 

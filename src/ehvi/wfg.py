@@ -12,7 +12,7 @@ box integral gives the dominated-region integral that ehvi_wfg subtracts
 from the full-region integral.
 
 The recursion runs on the breakpoint ranks of core.rank_form, the rank form
-that the clm3 and sweep decompositions share: coordinates are replaced by
+that sweep_boxes (clm3's sweep at m = 3) shares: coordinates are replaced by
 ranks, and box measures by products of per-axis factors looked up by rank
 in tables built from the (m, n+2) breakpoints.
 """

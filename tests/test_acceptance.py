@@ -13,10 +13,10 @@ from ehvi import (
     GaussianBelief,
     ProblemFrame,
     dominated_volume,
-    ehvi_clm3,
     ehvi_grid,
     ehvi_monte_carlo,
     ehvi_quadrature_2d,
+    ehvi_sweep,
     ehvi_wfg,
     generate_front,
     psi,
@@ -33,7 +33,7 @@ from oracles import rasterized_hv, staircase_hv_2d
 
 import test_properties
 
-BACKENDS_3D = (("grid", ehvi_grid), ("wfg", ehvi_wfg), ("clm3", ehvi_clm3))
+BACKENDS_3D = (("grid", ehvi_grid), ("wfg", ehvi_wfg), ("sweep", ehvi_sweep))
 
 
 def _report(index, name, started):
@@ -102,8 +102,7 @@ def test_acceptance_4_closed_form_cases():
         empty = validate_front(frame, [])
         expected = (2.0 * math.pi) ** (-m / 2.0)
         assert math.isclose(full_region_integral(frame, std), expected, rel_tol=1e-12)
-        backends = [ehvi_grid, ehvi_wfg] + ([ehvi_clm3] if m == 3 else [])
-        for fn in backends:
+        for fn in (ehvi_grid, ehvi_wfg, ehvi_sweep):
             assert math.isclose(fn(empty, std).value, expected, rel_tol=1e-12), (m, fn)
 
     reference = (0.0, 0.0, 0.0)
@@ -145,12 +144,17 @@ def test_acceptance_5_hypervolume_oracles():
 
 def test_acceptance_6_decomposition_counts_and_scaling():
     started = time.perf_counter()
+    for n in (100, 150):
+        for seed in range(10):
+            # 2n+1 below is exact when every insertion opens two strips: distinct coordinates
+            points = generate_front(3, n, seed)
+            assert all(len({p[j] for p in points}) == n for j in range(3)), (n, seed)
     sweep_records = run_benchmark(
-        ms=[3], ns=[100, 150], seeds=10, reps=5, algorithms=("grid", "clm3")
+        ms=[3], ns=[100, 150], seeds=10, reps=5, algorithms=("grid", "sweep")
     )
     for r in sweep_records:
-        if r.algorithm == "clm3":
-            assert r.boxes <= 2 * r.n, (r.n, r.boxes)
+        if r.algorithm == "sweep":
+            assert r.boxes == 2 * r.n + 1, (r.n, r.boxes)
         else:
             assert r.boxes <= (r.n + 1) ** r.m
 
@@ -176,10 +180,10 @@ def test_acceptance_6_decomposition_counts_and_scaling():
     margins = []
     sweep_summary = summarize(sweep_records)
     for n in (100, 150):
-        fast = mean_time(sweep_summary, 3, n, "clm3")
+        fast = mean_time(sweep_summary, 3, n, "sweep")
         slow = mean_time(sweep_summary, 3, n, "grid")
         assert fast < slow, (n, fast, slow)
-        margins.append(f"clm3@n={n} {slow / fast:.1f}x")
+        margins.append(f"sweep@n={n} {slow / fast:.1f}x")
 
     high_summary = summarize(high_dim_records)
     for m in (4, 5, 6):

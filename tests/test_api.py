@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import ehvi
+from ehvi import dispatch
+from ehvi.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -22,3 +24,11 @@ def test_readme_imports_resolve():
         for name in (n.strip() for n in line.split(",")):
             assert name in ehvi.__all__
             assert getattr(ehvi, name) is not None
+
+
+def test_readme_cli_lists_every_backend():
+    compute = re.search(r"^ehvi compute .*--algorithm ([\w|]+)", README, re.M).group(1)
+    assert set(compute.split("|")) == set(dispatch.ALGORITHMS)
+    bench = re.search(r"--algorithms ([\w,]+)", README).group(1)
+    assert bench == build_parser().parse_args(["bench", "--out", "bench.csv"]).algorithms
+    assert set(bench.split(",")) == set(dispatch.BACKENDS)

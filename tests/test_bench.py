@@ -59,14 +59,11 @@ def test_run_benchmark_record_grid():
         ns=[4, 6],
         seeds=2,
         reps=2,
-        algorithms=("grid", "wfg", "clm3", "sweep"),
+        algorithms=("grid", "wfg", "sweep"),
     )
-    # clm3 applies only at m=3: 2*2*2*(3+4+3) = 80
-    assert len(records) == 80
-    assert sum(1 for r in records if r.m == 2) == 24
-    assert sum(1 for r in records if r.m == 3) == 32
-    assert sum(1 for r in records if r.m == 4) == 24
-    assert all(r.algorithm != "clm3" for r in records if r.m != 3)
+    # every backend runs at every m: 3 m * 2 n * 2 seeds * 3 algos * 2 reps = 72
+    assert len(records) == 72
+    assert all(sum(1 for r in records if r.m == m) == 24 for m in (2, 3, 4))
 
     keys = [(r.m, r.n, r.seed, r.algorithm, r.rep) for r in records]
     assert keys == sorted(keys)
@@ -84,8 +81,6 @@ def test_run_benchmark_record_grid():
                 assert r.boxes <= 2 * r.n + 1
             else:
                 assert r.boxes <= (r.n + 1) ** r.m
-        else:
-            assert r.boxes <= 2 * r.n
 
     by_cell: dict[tuple, set] = {}
     for r in records:
@@ -97,11 +92,11 @@ def test_run_benchmark_record_grid():
 
 def test_summarize_shapes():
     records = run_benchmark(
-        ms=[2, 3], ns=[4, 6], seeds=2, reps=2, algorithms=("grid", "wfg", "clm3")
+        ms=[2, 3], ns=[4, 6], seeds=2, reps=2, algorithms=("grid", "wfg", "sweep")
     )
     rows = summarize(records)
-    # (m=2: 2 algos + m=3: 3 algos) * 2 sizes
-    assert len(rows) == 10
+    # 2 m * 3 algos * 2 sizes
+    assert len(rows) == 12
     for row in rows:
         assert row["calls"] == 4
         assert row["mean_time_ns"] > 0 and row["std_time_ns"] >= 0.0

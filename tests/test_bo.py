@@ -107,7 +107,7 @@ def test_argmax_breaks_ties_toward_lowest_index():
     assert tuple(record.design_point) == (0.0,)
 
 
-@pytest.mark.parametrize("backend", [None, "grid", "wfg"])
+@pytest.mark.parametrize("backend", ["auto", "grid", "wfg"])
 def test_batched_argmax_breaks_ties_toward_lowest_index(backend):
     # m = 3: candidates 1 and 2 mirror each other about the one observation,
     # so their beliefs and EHVI scores coincide; candidate 0 scores lower
@@ -156,10 +156,10 @@ def test_query_sequence_invariant_across_backends():
 
     problem3 = synthetic_problem("sphere3", resolution=4)
     seq3 = {}
-    for backend in ("grid", "wfg", "clm3"):
+    for backend in ("grid", "wfg", "sweep"):
         records = run_bo(problem3, seed=0, n_init=6, iterations=3, backend=backend)
         seq3[backend] = [tuple(r.design_point) for r in records]
-    assert seq3["grid"] == seq3["wfg"] == seq3["clm3"]
+    assert seq3["grid"] == seq3["wfg"] == seq3["sweep"]
 
 
 def test_random_baseline_validations():

@@ -111,10 +111,15 @@ def test_exit_code_2_usage_errors(tmp_path, capsys):
         ("reference", 5),
         ("front", [-1.0, -3.0]),
         ("front", [[-1.0, None], [-2.0, -2.0]]),
+        ("mean", [True, -1]),
+        ("stddev", [1.0, False]),
+        ("stddev", [True, 1.0]),
+        ("reference", [0.0, True]),
+        ("front", [[-1.0, -3.0], [True, -2.0]]),
     ],
 )
 def test_exit_code_2_mistyped_request_fields(tmp_path, capsys, field, value):
-    # bool("false") is True and int(2.9) is 2: both must be rejected, not coerced
+    # bool("false") is True, int(2.9) is 2 and float(True) is 1.0: all must be rejected, not coerced
     path = write_request(tmp_path / "req.json", **dict(BASIC, **{field: value}))
     assert main(["compute", "--input", str(path)]) == 2
     captured = capsys.readouterr()
@@ -166,10 +171,18 @@ def test_exit_code_3_invalid_front(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_4_unsupported_dimension(tmp_path, capsys):
+def test_exit_code_2_unknown_algorithm(tmp_path, capsys):
     path = write_request(tmp_path / "req.json", **BASIC)
-    assert main(["compute", "--input", str(path), "--algorithm", "clm3"]) == 4
+    assert main(["compute", "--input", str(path), "--algorithm", "clm3"]) == 2
+    assert capsys.readouterr().out == ""
+    path = write_request(tmp_path / "req3.json", **dict(BASIC, algorithm="clm3"))
+    assert main(["compute", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "clm3" in captured.err
 
+
+def test_exit_code_4_unsupported_dimension(tmp_path, capsys):
     one_d = dict(m=1, reference=[0.0], front=[[-1.0]], mean=[-1.0], stddev=[1.0])
     path = write_request(tmp_path / "one.json", **one_d)
     assert main(["compute", "--input", str(path)]) == 4
@@ -205,7 +218,7 @@ def test_bench_writes_records_and_summary(tmp_path, capsys):
             "--n", "4,6",
             "--seeds", "2",
             "--reps", "2",
-            "--algorithms", "grid,wfg,clm3",
+            "--algorithms", "grid,wfg,sweep",
             "--out", str(out),
         ]
     )

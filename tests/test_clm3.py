@@ -1,4 +1,7 @@
-"""Sweep backend: staircase maintenance, box emission, and m=3 EHVI."""
+"""The m=3 staircase sweep of ehvi.clm3: staircase maintenance, box emission, EHVI.
+
+The sweep backend integrates these boxes at m=3, so EHVI is tested through ehvi_sweep.
+"""
 
 import copy
 import math
@@ -12,8 +15,8 @@ from ehvi import (
     ReferenceBoundError,
     UnsupportedDimensionError,
     compute_ehvi_batch,
-    ehvi_clm3,
     ehvi_grid,
+    ehvi_sweep,
     ehvi_wfg,
     psi,
     validate_front,
@@ -152,9 +155,9 @@ def test_sweep_state_validation():
 def test_ehvi_clm3_empty_front():
     frame = ProblemFrame(3, (0.0, 0.0, 0.0))
     belief = GaussianBelief((0.0,) * 3, (1.0,) * 3)
-    res = ehvi_clm3(validate_front(frame, []), belief)
+    res = ehvi_sweep(validate_front(frame, []), belief)
     assert res.value == full_region_integral(frame, belief)
-    assert res.boxes == 0
+    assert res.boxes == 1  # the whole region below the reference
 
 
 def test_ehvi_clm3_single_point_analytic():
@@ -166,9 +169,9 @@ def test_ehvi_clm3_single_point_analytic():
         psi(0.0, belief.mean[j], belief.stddev[j]) - psi(a[j], belief.mean[j], belief.stddev[j])
         for j in range(3)
     )
-    res = ehvi_clm3(front, belief)
+    res = ehvi_sweep(front, belief)
     assert res.value == pytest.approx(full - dominated, rel=1e-12)
-    assert res.boxes == 1
+    assert res.boxes == 3  # the region below the point's level, and two strips above it
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -176,14 +179,14 @@ def test_overflowing_box_factors_give_inf_not_nan():
     # psi differences round to 0 on some axes while the other factors overflow
     front = min_front((0.0, 0.0, 0.0), [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)])
     belief = GaussianBelief((-1e308,) * 3, (1e308,) * 3)
-    assert ehvi_clm3(front, belief).value == math.inf
+    assert ehvi_sweep(front, belief).value == math.inf
 
 
 def test_ehvi_clm3_wrong_dimensions():
     with pytest.raises(UnsupportedDimensionError):
-        ehvi_clm3(random_front(2, 4, 0), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
+        nondominated_boxes(random_front(2, 4, 0))
     with pytest.raises(DimensionError):
-        ehvi_clm3(random_front(3, 4, 0), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
+        ehvi_sweep(random_front(3, 4, 0), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(UnsupportedDimensionError):
         nondominated_boxes(random_front(4, 4, 0))
 
@@ -192,7 +195,7 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
     for seed in range(4):
         front = random_front(3, 12, seed)
         belief = random_belief(3, seed + 70)
-        boxes = decomposition_boxes(nondominated_boxes(front)[0])
+        boxes = decomposition_boxes(nondominated_boxes(front))
         assert len(boxes) <= 2 * front.n + 1
         assert all(lo < up for b in boxes for lo, up in zip(b.lower, b.upper))
         parts = [box_integral(b, belief) for b in boxes]
@@ -200,14 +203,14 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
         dominated = union_box_integral(front.points, front.reference, belief.mean, belief.stddev)
         full = full_region_integral(front.frame, belief)
         assert math.fsum(parts) == pytest.approx(full - dominated, rel=1e-12)
-        assert ehvi_clm3(front, belief).value == pytest.approx(math.fsum(parts), rel=1e-12)
+        assert ehvi_sweep(front, belief).value == pytest.approx(math.fsum(parts), rel=1e-12)
 
 
 def test_boxes_disjoint_cover_nondominated_region():
     fronts = [random_front(3, 15, 5), lattice_front(3, 0), min_front((0.0, 0.0, 0.0), [])]
     rng = np.random.default_rng(23)
     for front in fronts:
-        boxes = decomposition_boxes(nondominated_boxes(front)[0])
+        boxes = decomposition_boxes(nondominated_boxes(front))
         ref = front.reference
         for y in rng.uniform(-11.0, 0.0, (500, 3)):
             hits = sum(
@@ -221,9 +224,13 @@ def test_boxes_disjoint_cover_nondominated_region():
 def test_operation_count_bound():
     for n, seed in [(10, 0), (50, 1), (120, 2)]:
         front = random_front(3, n, seed)
-        res = ehvi_clm3(front, random_belief(3, seed + 80))
-        assert res.boxes <= 2 * n
-        assert len(nondominated_boxes(front)[0].lower) <= 2 * n + 1
+        state = SweepState(reference=front.reference[:2])
+        for x, y, z in sorted(front.points, key=lambda p: p[2]):
+            state.insert(x, y, z)
+        assert state.operations <= 2 * n
+        boxes = len(nondominated_boxes(front).lower)
+        assert boxes <= 2 * n + 1
+        assert ehvi_sweep(front, random_belief(3, seed + 80)).boxes == boxes
 
 
 def test_tied_levels_order_invariant():
@@ -234,7 +241,7 @@ def test_tied_levels_order_invariant():
     orders = [pts, pts[::-1], [pts[2], pts[0], pts[3], pts[1]]]
     for order in orders:
         front = validate_front(frame, order)
-        values.append(ehvi_clm3(front, belief).value)
+        values.append(ehvi_sweep(front, belief).value)
     assert values[0] == pytest.approx(values[1], rel=1e-12)
     assert values[0] == pytest.approx(values[2], rel=1e-12)
     reference = ehvi_grid(validate_front(frame, pts), belief).value
@@ -245,7 +252,7 @@ def test_cross_backend_agreement_small():
     for n, seed in [(1, 0), (10, 1), (25, 2)]:
         front = random_front(3, n, seed)
         belief = random_belief(3, seed + 90)
-        c = ehvi_clm3(front, belief).value
+        c = ehvi_sweep(front, belief).value
         g = ehvi_grid(front, belief).value
         w = ehvi_wfg(front, belief).value
         assert c == pytest.approx(g, rel=1e-11)
@@ -253,7 +260,7 @@ def test_cross_backend_agreement_small():
 
 
 def test_deep_tail_agreement_with_grid():
-    """Beliefs in or behind the front: clm3 and the batch path match grid at 1e-10.
+    """Beliefs in or behind the front: the m=3 sweep and the batch path match grid at 1e-10.
 
     Means are drawn from [-10, -0.2] and stddevs from [0.1, 2.5], so EHVI is
     tiny next to the full-region integral and computing it as full minus
@@ -264,7 +271,7 @@ def test_deep_tail_agreement_with_grid():
     for k, front in enumerate(fronts):
         if k >= 3:
             assert all(len({p[j] for p in front.points}) < front.n for j in range(3))
-        assert len(nondominated_boxes(front)[0].lower) <= 2 * front.n + 1
+        assert len(nondominated_boxes(front).lower) <= 2 * front.n + 1
         rng = np.random.default_rng([32, k])
         means = rng.uniform(-10.0, -0.2, (50, 3))
         stds = rng.uniform(0.1, 2.5, (50, 3))
@@ -273,5 +280,5 @@ def test_deep_tail_agreement_with_grid():
             belief = GaussianBelief(tuple(mu), tuple(sd))
             want = ehvi_grid(front, belief).value
             assert want > 0.0
-            assert ehvi_clm3(front, belief).value == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert ehvi_sweep(front, belief).value == pytest.approx(want, rel=1e-10, abs=0.0)
             assert b == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -238,6 +238,10 @@ def test_validate_front_maximize_negates():
     front = validate_front(frame, [(1.0, 3.0), (3.0, 1.0)])
     assert front.points == ((-1.0, -3.0), (-3.0, -1.0))
     assert front.reference == (0.0, 0.0)
+    # int and float32 input come out as exact floats, in either orientation
+    for f in (frame, ProblemFrame(2, (4.0, 4.0))):
+        mixed = validate_front(f, [(1, np.float32(3.5)), (np.float32(3.25), 2)]).points
+        assert [[type(x) for x in p] for p in mixed] == [[float, float]] * 2
 
 
 def test_hvi_worked_example():

@@ -7,19 +7,13 @@ from ehvi import (
     DimensionError,
     GaussianBelief,
     ParameterError,
-    UnsupportedDimensionError,
     compute_ehvi,
     compute_ehvi_batch,
 )
-from ehvi.dispatch import resolve_algorithm
+from ehvi.dispatch import ALGORITHMS, resolve_algorithm
 from ehvi import dispatch
-from helpers import min_front, random_front
-
-VALID = {
-    2: ("grid", "wfg", "sweep", "auto"),
-    3: ("grid", "wfg", "clm3", "sweep", "auto"),
-    4: ("grid", "wfg", "sweep", "auto"),
-}
+from ehvi.sweep import sweep_boxes
+from helpers import lattice_front, min_front, random_belief, random_front
 
 
 def _beliefs(m, q, seed):
@@ -32,7 +26,7 @@ def _beliefs(m, q, seed):
 def test_batch_rows_equal_single_belief_calls(m, n):
     front = random_front(m, n, m)
     means, stds = _beliefs(m, 12, n)
-    for algorithm in VALID[m]:
+    for algorithm in ALGORITHMS:
         batch = compute_ehvi_batch(front, means, stds, algorithm)
         assert batch.shape == (12,)
         for value, mu, sd in zip(batch, means, stds):
@@ -41,9 +35,23 @@ def test_batch_rows_equal_single_belief_calls(m, n):
 
 
 def test_auto_resolves_to_a_box_decomposition():
-    assert resolve_algorithm("auto", 3) == "clm3"
-    for m in (2, 4, 5, 6, 7, 8):
-        assert resolve_algorithm("auto", m) == "sweep"
+    assert ALGORITHMS == ("grid", "wfg", "sweep", "auto")
+    assert resolve_algorithm("auto") == "sweep"
+    for name in ("grid", "wfg", "sweep"):
+        assert resolve_algorithm(name) == name
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_boxes_counts_the_boxes_integrated(m):
+    belief = random_belief(m, m)
+    randoms = [random_front(m, n, seed) for n, seed in [(1, 0), (6, 1), (12, 2)]]
+    for front in randoms + [lattice_front(m, 0, n=12)]:
+        count = len(sweep_boxes(front).lower)
+        assert compute_ehvi(front, belief).boxes == compute_ehvi(front, belief, "sweep").boxes == count
+        if m == 3 and front in randoms:
+            # each insertion opens two strips, plus the first strip
+            assert all(len({p[j] for p in front.points}) == front.n for j in range(3))
+            assert count == 2 * front.n + 1
 
 
 def test_batch_decomposes_the_front_once(monkeypatch):
@@ -60,7 +68,7 @@ def test_batch_decomposes_the_front_once(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_batch_of_no_beliefs_is_empty(m):
     front = random_front(m, 5, 0)
-    for algorithm in VALID[m]:
+    for algorithm in ALGORITHMS:
         out = compute_ehvi_batch(front, np.empty((0, m)), np.empty((0, m)), algorithm)
         assert out.shape == (0,)
 
@@ -102,7 +110,6 @@ def test_batch_value_errors():
 
 
 def test_batch_algorithm_errors():
-    with pytest.raises(ParameterError):
-        compute_ehvi_batch(random_front(3, 5, 0), -np.ones((1, 3)), np.ones((1, 3)), "nope")
-    with pytest.raises(UnsupportedDimensionError):
-        compute_ehvi_batch(random_front(2, 5, 0), -np.ones((1, 2)), np.ones((1, 2)), "clm3")
+    for name in ("nope", "clm3"):
+        with pytest.raises(ParameterError):
+            compute_ehvi_batch(random_front(3, 5, 0), -np.ones((1, 3)), np.ones((1, 3)), name)
