@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from .bench import DEFAULT_NS, generate_front, run_benchmark, summarize
 from .bo import DEFAULT_RESOLUTION, BoRunRecord, run_bo, run_random, synthetic_problem
 from .core import Front, Orientation, ProblemFrame, Vector, as_vector, validate_front
-from .dispatch import ALGORITHMS, BACKENDS, resolve_algorithm
+from .dispatch import ALGORITHMS, compute_ehvi, resolve_algorithm
 from .errors import (
     EhviError,
     InvalidFrontError,
@@ -101,9 +101,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     front, belief, requested = load_request(_load_json(args.input))
     name = args.algorithm or requested or "auto"
     resolved = resolve_algorithm(name)
-    backend = BACKENDS[resolved]
     start = time.perf_counter_ns()
-    result = backend(front, belief)
+    result = compute_ehvi(front, belief, resolved)
     elapsed = time.perf_counter_ns() - start
     payload = {"ehvi": result.value, "algorithm": resolved, "boxes": result.boxes, "time_ns": elapsed}
     try:

@@ -2,8 +2,9 @@
 
 Everything downstream works in a single internal convention: minimization,
 with the reference point worse (larger) than every front point in every
-coordinate. Maximization problems are negated once at the boundary and never
-again, see to_internal / from_internal.
+coordinate. Maximization problems are negated once at the boundary
+(validate_front for points, ProblemFrame.internal_reference for the
+reference) and never again.
 
 Coordinate comparisons are exact. Coordinates are user data, not computed
 quantities, and epsilon comparisons would corrupt the disjointness of the
@@ -110,61 +111,6 @@ class Front:
         return self.frame.internal_reference
 
 
-@dataclass(frozen=True)
-class HyperBox:
-    """Half-open axis-aligned box prod_j (lower_j, upper_j].
-
-    Lower coordinates may be -inf (whole-region and grid boxes are open
-    below); upper coordinates are always finite.
-    """
-
-    lower: Vector
-    upper: Vector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", as_vector(self.lower))
-        object.__setattr__(self, "upper", as_vector(self.upper))
-        if len(self.lower) != len(self.upper):
-            raise DimensionError(
-                f"box bounds disagree: {len(self.lower)} vs {len(self.upper)} coordinates"
-            )
-        for lo, up in zip(self.lower, self.upper):
-            if not math.isfinite(up):
-                raise ParameterError(f"box upper bounds must be finite, got {self.upper}")
-            if math.isnan(lo) or lo == math.inf:
-                raise ParameterError(f"box lower bounds must be finite or -inf, got {self.lower}")
-            if lo > up:
-                raise ParameterError(f"box has lower > upper: {self.lower} vs {self.upper}")
-
-    @property
-    def m(self) -> int:
-        return len(self.lower)
-
-    def volume(self) -> float:
-        """Lebesgue volume; inf when a lower bound is -inf (and no width is zero)."""
-        out = 1.0
-        for lo, up in zip(self.lower, self.upper):
-            if up == lo:
-                return 0.0
-            out *= up - lo
-        return out
-
-
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Weak Pareto dominance in minimization convention: a <= b componentwise, a != b."""
-    if len(a) != len(b):
-        raise DimensionError(f"cannot compare vectors of length {len(a)} and {len(b)}")
-    worse_somewhere = False
-    strict_somewhere = False
-    for x, y in zip(a, b):
-        if x > y:
-            worse_somewhere = True
-            break
-        if x < y:
-            strict_somewhere = True
-    return not worse_somewhere and strict_somewhere
-
-
 def nondominated_sorted(pts: list[tuple]) -> list[tuple]:
     """The points of a lex-sorted, deduplicated list that no other point weakly dominates.
 
@@ -237,27 +183,15 @@ def rank_form(points: Sequence[Sequence[float]], reference: Sequence[float]) -> 
 
 
 class BoxDecomposition(NamedTuple):
-    """Disjoint half-open boxes as index arrays into the breakpoints of rank_form.
+    """Disjoint half-open boxes as index arrays into per-axis breakpoints.
 
-    Box b spans (breaks[j, lower[b, j]], breaks[j, upper[b, j]]] on axis j.
+    The breakpoints are rank_form's, or grid's own sorted axes. Box b spans
+    (breaks[j, lower[b, j]], breaks[j, upper[b, j]]] on axis j.
     """
 
     breaks: np.ndarray  # (m, n+2) float
     lower: np.ndarray  # (boxes, m) int
     upper: np.ndarray  # (boxes, m) int
-
-
-def to_internal(frame: ProblemFrame, v: Sequence[float]) -> Vector:
-    """Map a user-convention vector into internal minimization coordinates."""
-    vec = as_vector(v)
-    if frame.orientation is Orientation.MAXIMIZE:
-        return tuple(-x for x in vec)
-    return vec
-
-
-def from_internal(frame: ProblemFrame, v: Sequence[float]) -> Vector:
-    """Inverse of to_internal (negation is an involution, so it is the same map)."""
-    return to_internal(frame, v)
 
 
 def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Front:
@@ -268,7 +202,6 @@ def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Fr
             raise DimensionError(f"point {p} has {len(p)} coordinates, expected m={frame.m}")
         if not all(math.isfinite(x) for x in p):
             raise InvalidFrontError(f"point {p} has non-finite coordinates")
-    # raw holds floats already; to_internal would convert every coordinate again
     internal = raw
     if frame.orientation is Orientation.MAXIMIZE:
         internal = [tuple(-x for x in p) for p in raw]

@@ -7,8 +7,9 @@ The whole exact-EHVI machinery reduces to one primitive:
 
 The probability that a Gaussian candidate improves on every coordinate of a
 box corner factorizes over objectives, so the integral of that probability
-over a half-open box is a product of per-axis psi differences (box_integral
-for one box and belief, integrate_boxes for many of each at once).
+over a half-open box is a product of per-axis psi differences, and
+integrate_boxes sums it over the boxes of a decomposition for a batch of
+beliefs at once.
 psi(-inf) is exactly 0, which lets boxes open to -inf pass through with no
 special casing.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, roots_genlaguerre
 
-from .core import BoxDecomposition, HyperBox, ProblemFrame, Vector, as_vector
+from .core import BoxDecomposition, ProblemFrame, Vector, as_vector
 from .errors import DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -149,33 +150,16 @@ def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray
         # a product that overflows is meant to be inf (ehvi compute exits 2 on it)
         with np.errstate(invalid="ignore", over="ignore"):
             volume = f.prod(axis=2)
-        # as in box_integral, a zero factor zeroes the box even when another
-        # factor overflowed to inf (inf * 0 would be nan)
+        # a zero factor zeroes the box even when another factor overflowed
+        # to inf (inf * 0 would be nan)
         out[block] = np.where(f.all(axis=2), volume, 0.0).sum(axis=1)
-    return out
-
-
-def box_integral(box: HyperBox, belief: GaussianBelief) -> float:
-    """Closed-form integral of the dominance probability over a half-open box.
-
-    Equals the product over axes of psi(upper) - psi(lower); zero as soon as
-    any axis has zero width, and never exceeds the box's Lebesgue volume.
-    """
-    if box.m != belief.m:
-        raise DimensionError(f"box has m={box.m} but belief has m={belief.m}")
-    out = 1.0
-    for lo, up, mu, sd in zip(box.lower, box.upper, belief.mean, belief.stddev):
-        f = psi(up, mu, sd) - psi(lo, mu, sd)
-        if f <= 0.0:
-            return 0.0
-        out *= f
     return out
 
 
 def full_region_integral(frame: ProblemFrame, belief: GaussianBelief) -> float:
     """Integral over the whole region bounded by the reference point.
 
-    This is box_integral of box(-inf, r), i.e. the product of psi(r_j).
+    This is the integral over the one box (-inf, r], the product of psi(r_j).
     """
     if frame.m != belief.m:
         raise DimensionError(f"frame has m={frame.m} but belief has m={belief.m}")

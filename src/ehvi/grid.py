@@ -9,23 +9,25 @@ any front point weakly preceding that rank tuple. EHVI is then the sum of
 closed-form box integrals over all qualifying cells.
 
 The EHVI entry point enumerates every cell (that is the algorithm: Theta(n^m)
-cells, O(m) work each), vectorized and chunked so memory stays bounded;
-grid_decompose materializes the boxes, a tuple of HyperBoxes, for the
-disjoint-cover oracle and other verification work.
+cells, O(m) work each), vectorized and chunked so memory stays bounded, and
+integrates them itself; grid_decompose materializes the cells as a
+core.BoxDecomposition, the box type of the other backends, for the
+quadrature oracle and for checks against the shared integrator.
 
-The grid sorts its own axes instead of using core.rank_form and a
-core.BoxDecomposition: it is the independent reference that the sweep and
-wfg backends, which share those, are checked against.
+The grid sorts its own axes and builds its own H-array instead of using
+core.rank_form: it is the independent reference that the sweep and wfg
+backends, which share that rank form, are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EhviResult, Front, HyperBox
+from .core import BoxDecomposition, EhviResult, Front
 from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, psi_vec
 
@@ -45,14 +47,6 @@ class GridStructure:
 
     axes: tuple[np.ndarray, ...]
     h_array: np.ndarray  # shape (n+1,)*(m-1); +inf where no front point precedes
-
-    @property
-    def m(self) -> int:
-        return len(self.axes)
-
-    @property
-    def n(self) -> int:
-        return len(self.axes[0]) - 2
 
 
 def build_grid(front: Front) -> GridStructure:
@@ -80,25 +74,21 @@ def build_grid(front: Front) -> GridStructure:
     return GridStructure(axes=axes, h_array=h)
 
 
-def grid_decompose(front: Front) -> tuple[HyperBox, ...]:
-    """Materialize every nonempty nondominated grid cell as a HyperBox.
+def grid_decompose(front: Front) -> BoxDecomposition:
+    """Materialize every nonempty nondominated grid cell as a box.
 
-    The union of the emitted boxes is exactly the nondominated region bounded
-    by the reference point. Intended for verification and moderate n^m; the
-    EHVI entry point streams instead of materializing.
+    A cell is emitted when its lower corner is not weakly dominated and it
+    has positive width on every axis; cells come in lexicographic order of
+    their lower ranks. The union of the boxes is exactly the nondominated
+    region bounded by the reference point. Intended for verification and
+    moderate n^m; the EHVI entry point streams instead of materializing.
     """
     g = build_grid(front)
-    m, n = front.m, front.n
-    boxes = []
-    for idx in itertools.product(range(n + 1), repeat=m):
-        if not g.axes[m - 1][idx[m - 1]] < g.h_array[idx[:-1]]:
-            continue  # lower corner weakly dominated
-        lower = tuple(float(g.axes[j][idx[j]]) for j in range(m))
-        upper = tuple(float(g.axes[j][idx[j] + 1]) for j in range(m))
-        if any(lo == up for lo, up in zip(lower, upper)):
-            continue  # zero width, zero measure
-        boxes.append(HyperBox(lower, upper))
-    return tuple(boxes)
+    breaks = np.stack(g.axes)
+    wide = breaks[:, 1:] > breaks[:, :-1]
+    cells = (breaks[-1, :-1] < g.h_array[..., None]) & functools.reduce(np.logical_and.outer, wide)
+    lower = np.argwhere(cells)
+    return BoxDecomposition(breaks, lower, lower + 1)
 
 
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:

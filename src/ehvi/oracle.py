@@ -6,7 +6,7 @@ improvements, each the exact volume of the draw's box clipped against the
 nondominated boxes of sweep.sweep_boxes by sweep.clipped_volumes, the same
 clip that sweep.hypervolume_improvement applies to one point; the
 quadrature oracle integrates the product of normal cdfs numerically over
-the grid decomposition's boxes.
+the boxes of grid.grid_decompose.
 So the only ingredient shared with the exact backends is the region shape,
 never the psi closed form. Verification ladders: sampling checks the closed
 form, the quadrature checks psi, and both decompositions' regions are
@@ -91,15 +91,18 @@ def ehvi_quadrature_2d(front: Front, belief: GaussianBelief, tolerance: float) -
     from scipy.integrate import quad  # imported here only: it would slow every `ehvi` start
 
     eps = tolerance / 4.0
+    boxes = grid_decompose(front)
+    lowers = boxes.breaks[[0, 1], boxes.lower].tolist()
+    uppers = boxes.breaks[[0, 1], boxes.upper].tolist()
     total = 0.0
-    for box in grid_decompose(front):
+    for lower, upper in zip(lowers, uppers):
         term = 1.0
         for j in range(2):
             mu, sd = belief.mean[j], belief.stddev[j]
             val, _ = quad(
                 lambda t, mu=mu, sd=sd: std_normal_cdf((t - mu) / sd),
-                box.lower[j],
-                box.upper[j],
+                lower[j],
+                upper[j],
                 epsabs=eps,
                 epsrel=eps,
                 limit=200,

@@ -24,8 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
-from .errors import DimensionError, ReferenceBoundError
+from .errors import DimensionError, ParameterError, ReferenceBoundError
 from .gaussian import GaussianBelief, full_region_integral, psi_vec
+
+# Most point tuples the recursion may limit in one run. Time tracks this
+# count, at 4-6 us per tuple for m = 3 to 8 on a 2-core x86-64 host, where
+# the box-measure count does not (m = 3, n = 1000: 3 s for 20k boxes), so a
+# refused input stops after about 5 s. The largest run of the tests and of
+# the README's `ehvi bench` command (m = 3, n = 300) limits 52k tuples.
+_MAX_LIMITED = 1 << 20
 
 
 def _check_bound(points: list[Vector], reference: Vector) -> None:
@@ -41,11 +48,15 @@ def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> 
 
     table[j][rank] is the measure factor of axis j for a box whose lower
     bound sits at that rank (upper bound always the reference). counter[0]
-    accumulates box-measure evaluations.
+    accumulates box-measure evaluations and counter[1] the tuples limited;
+    ParameterError once those exceed _MAX_LIMITED.
     """
     total = 0.0
     npts = len(pts)
     counter[0] += npts
+    counter[1] += npts * (npts - 1) // 2  # point i limits the npts-1-i after it
+    if counter[1] > _MAX_LIMITED:
+        raise ParameterError(f"wfg needs to limit more than its budget of {_MAX_LIMITED} point tuples")
     last = npts - 1
     for i in range(npts):
         a = pts[i]
@@ -101,7 +112,7 @@ def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[floa
         return 0.0
     breaks, ranks = rank_form(pts, ref)
     table = (breaks[:, -1:] - breaks).tolist()
-    return _wfg_rec(_rank_tuples(ranks), table, [0])
+    return _wfg_rec(_rank_tuples(ranks), table, [0, 0])
 
 
 def hypervolume(front: Front) -> float:
@@ -120,6 +131,6 @@ def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     # one psi evaluation over every axis's breakpoints, reference included
     p = psi_vec(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])
     table = np.maximum(p[:, -1:] - p, 0.0).tolist()
-    counter = [0]
+    counter = [0, 0]
     dominated = _wfg_rec(_rank_tuples(ranks), table, counter)
     return EhviResult(value=max(full - dominated, 0.0), boxes=counter[0])

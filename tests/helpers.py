@@ -8,8 +8,8 @@ import numpy as np
 
 from ehvi import GaussianBelief, ProblemFrame, validate_front
 from ehvi.bench import benchmark_frame, generate_front
-from ehvi.core import HyperBox
-from ehvi.gaussian import box_integral
+from ehvi.core import BoxDecomposition
+from ehvi.gaussian import integrate_boxes
 
 
 def random_front(m, n, seed):
@@ -48,30 +48,46 @@ def random_belief(m, seed, mean_lo=-12.0, mean_hi=-2.0, sd_lo=0.5, sd_hi=4.0):
     )
 
 
-def slab_integral(keys, vals, reference, belief2):
-    """From-scratch staircase cross-section integral as disjoint vertical slabs."""
-    r1, r2 = reference
-    total = 0.0
-    for i, (k, v) in enumerate(zip(keys, vals)):
-        nxt = keys[i + 1] if i + 1 < len(keys) else r1
-        total += box_integral(HyperBox((k, v), (nxt, r2)), belief2)
-    return total
+def box_decomposition(bounds, m=2):
+    """A core.BoxDecomposition of the given (lower, upper) float bound pairs.
 
-
-def open_strips(state):
-    """The open strips of a SweepState as 2-D boxes, read off by closing a copy."""
-    probe = copy.deepcopy(state)
-    before = len(probe.boxes)
-    probe.close(math.inf)
-    return [HyperBox((lo1, probe.bottom), (up1, up2)) for lo1, up1, up2, _, _ in probe.boxes[before:]]
+    Each box gets breakpoints of its own: breaks[:, b] are its lower and
+    breaks[:, B + b] its upper bounds, for B boxes.
+    """
+    lowers = np.array([lo for lo, _ in bounds], dtype=float).reshape(-1, m)
+    uppers = np.array([up for _, up in bounds], dtype=float).reshape(-1, m)
+    count = len(lowers)
+    index = np.repeat(np.arange(count)[:, None], m, axis=1)
+    return BoxDecomposition(np.concatenate([lowers, uppers]).T, index, index + count)
 
 
 def decomposition_boxes(boxes):
-    """The HyperBoxes of a core.BoxDecomposition, as clm3 and sweep produce it."""
+    """The (lower, upper) float bound pairs of a core.BoxDecomposition's boxes, in order."""
+    axes = np.arange(len(boxes.breaks))
     return [
-        HyperBox(
-            tuple(float(axis[i]) for axis, i in zip(boxes.breaks, lo)),
-            tuple(float(axis[i]) for axis, i in zip(boxes.breaks, up)),
-        )
+        (tuple(boxes.breaks[axes, lo].tolist()), tuple(boxes.breaks[axes, up].tolist()))
         for lo, up in zip(boxes.lower, boxes.upper)
     ]
+
+
+def box_sum(boxes, belief):
+    """Gaussian integral of a belief over a decomposition's boxes, by integrate_boxes."""
+    return float(integrate_boxes(boxes, [belief.mean], [belief.stddev])[0])
+
+
+def slab_integral(keys, vals, reference, belief2):
+    """From-scratch staircase cross-section integral as disjoint vertical slabs."""
+    r1, r2 = reference
+    ends = list(keys[1:]) + [r1]
+    slabs = [((k, v), (nxt, r2)) for k, v, nxt in zip(keys, vals, ends)]
+    return box_sum(box_decomposition(slabs), belief2)
+
+
+def open_strips(state):
+    """The open strips of a SweepState as a 2-D decomposition, read off by closing a copy."""
+    probe = copy.deepcopy(state)
+    before = len(probe.boxes)
+    probe.close(math.inf)
+    return box_decomposition(
+        [((lo1, probe.bottom), (up1, up2)) for lo1, up1, up2, _, _ in probe.boxes[before:]]
+    )

@@ -218,7 +218,7 @@ def test_acceptance_7_bo_beats_random_on_sphere3():
 def test_acceptance_8_randomized_invariants():
     started = time.perf_counter()
     test_properties.test_psi_monotone_and_derivative()
-    test_properties.test_box_integral_additive_and_bounded()
+    test_properties.test_integrate_boxes_additive_and_bounded()
     test_properties.test_nondominated_filter_invariants()
     test_properties.test_staircase_strips_consistent()
     test_properties.test_orientation_involution_and_dominance()

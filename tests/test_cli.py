@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ehvi.grid
+import ehvi.wfg
 from ehvi import generate_front, validate_front
 from ehvi.cli import load_request, main
 
@@ -154,6 +155,19 @@ def test_exit_code_2_grid_over_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ehvi.grid, "_MAX_CELLS", 4**2 - 1)  # BASIC needs 4^2 cells
     path = write_request(tmp_path / "req.json", **dict(BASIC, algorithm="grid"))
     assert main(["compute", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
+def test_exit_code_2_wfg_over_budget(tmp_path, capsys, monkeypatch):
+    path = write_request(tmp_path / "req.json", **BASIC)
+    args = ["compute", "--input", str(path), "--algorithm", "wfg"]
+    monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", 3)  # BASIC's three points limit 3 tuples
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", 2)
+    assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in captured.err

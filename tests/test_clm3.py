@@ -21,11 +21,13 @@ from ehvi import (
     psi,
     validate_front,
 )
-from ehvi.gaussian import box_integral, full_region_integral
+from ehvi.gaussian import full_region_integral
 from ehvi.grid import grid_decompose
 from ehvi import ProblemFrame
 from ehvi.clm3 import SweepState, nondominated_boxes
+from ehvi.core import BoxDecomposition
 from helpers import (
+    box_sum,
     decomposition_boxes,
     lattice_front,
     min_front,
@@ -39,10 +41,6 @@ from oracles import union_box_integral
 
 def _state():
     return SweepState(reference=(0.0, 0.0))
-
-
-def _integral(boxes, belief):
-    return math.fsum(box_integral(b, belief) for b in boxes)
 
 
 def _snapshot(state):
@@ -62,14 +60,14 @@ def test_empty_staircase_insert_delta():
     assert state.births == [1.0, 1.0]
     assert state.keys == [a] and state.vals == [b]
     strips = open_strips(state)
-    assert [(s.lower, s.upper) for s in strips] == [
+    assert decomposition_boxes(strips) == [
         ((-math.inf, -math.inf), (a, r2)),
         ((a, -math.inf), (r1, b)),
     ]
     # the cross-section lost to the insert is the box (a, r1] x (b, r2]
     lost = (psi(r1, m1, s1) - psi(a, m1, s1)) * (psi(r2, m2, s2) - psi(b, m2, s2))
     full = psi(r1, m1, s1) * psi(r2, m2, s2)
-    assert _integral(strips, belief) + lost == pytest.approx(full, rel=1e-14)
+    assert box_sum(strips, belief) + lost == pytest.approx(full, rel=1e-14)
 
 
 def test_reinsert_and_dominated_insert_are_no_ops():
@@ -109,16 +107,16 @@ def test_open_strips_match_slab_recomputation():
             assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
             assert len(state.births) == len(state.keys) + 1
             strips = open_strips(state)
-            got = _integral(strips, belief)
+            got = box_sum(strips, belief)
             # the open strips are the nondominated cross-section ...
             staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-            want = _integral(grid_decompose(staircase), belief)
+            want = box_sum(grid_decompose(staircase), belief)
             assert got == pytest.approx(want, rel=1e-12)
             # ... and with the slab recomputation of the dominated one they tile the quadrant
             dominated = slab_integral(state.keys, state.vals, state.reference, belief)
             assert got + dominated == pytest.approx(full, rel=1e-12)
         assert state.operations <= 2 * inserted
-        assert len(state.boxes) + len(strips) <= 2 * inserted + 1
+        assert len(state.boxes) + len(strips.lower) <= 2 * inserted + 1
 
 
 def test_nondominated_cross_section_only_shrinks():
@@ -126,11 +124,12 @@ def test_nondominated_cross_section_only_shrinks():
     rng = np.random.default_rng(22)
     samples = rng.uniform(-9.0, 0.0, (400, 2))
 
-    def inside(boxes):
+    def inside(strips):
+        boxes = decomposition_boxes(strips)
         return {
             i
             for i, (x, y) in enumerate(samples)
-            if any(b.lower[0] < x <= b.upper[0] and y <= b.upper[1] for b in boxes)
+            if any(lo[0] < x <= up[0] and y <= up[1] for lo, up in boxes)
         }
 
     prev = inside(open_strips(state))
@@ -195,10 +194,13 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
     for seed in range(4):
         front = random_front(3, 12, seed)
         belief = random_belief(3, seed + 70)
-        boxes = decomposition_boxes(nondominated_boxes(front))
-        assert len(boxes) <= 2 * front.n + 1
-        assert all(lo < up for b in boxes for lo, up in zip(b.lower, b.upper))
-        parts = [box_integral(b, belief) for b in boxes]
+        boxes = nondominated_boxes(front)
+        assert len(boxes.lower) <= 2 * front.n + 1
+        assert all(lo < up for b in decomposition_boxes(boxes) for lo, up in zip(*b))
+        parts = [
+            box_sum(BoxDecomposition(boxes.breaks, boxes.lower[[b]], boxes.upper[[b]]), belief)
+            for b in range(len(boxes.lower))
+        ]
         assert all(v >= 0.0 for v in parts)
         dominated = union_box_integral(front.points, front.reference, belief.mean, belief.stddev)
         full = full_region_integral(front.frame, belief)
@@ -213,9 +215,7 @@ def test_boxes_disjoint_cover_nondominated_region():
         boxes = decomposition_boxes(nondominated_boxes(front))
         ref = front.reference
         for y in rng.uniform(-11.0, 0.0, (500, 3)):
-            hits = sum(
-                all(lo < v <= up for lo, v, up in zip(b.lower, y, b.upper)) for b in boxes
-            )
+            hits = sum(all(a < v <= b for a, v, b in zip(lo, y, up)) for lo, up in boxes)
             dominated = any(all(p <= v for p, v in zip(pt, y)) for pt in front.points)
             inside = all(v <= r for v, r in zip(y, ref))
             assert hits == (1 if inside and not dominated else 0)

@@ -1,4 +1,4 @@
-"""Normal kernels, the psi primitive, and the closed-form box integral."""
+"""Normal kernels, the psi primitive, and the closed-form box integral of integrate_boxes."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
-from ehvi.core import HyperBox
-from ehvi.gaussian import box_integral, full_region_integral, psi_vec, std_normal_cdf, std_normal_pdf
+from ehvi.gaussian import full_region_integral, psi_vec, std_normal_cdf, std_normal_pdf
+from helpers import box_decomposition, box_sum
 from oracles import quad_box_integral, quad_psi
 
 
@@ -79,34 +79,32 @@ def test_psi_vec_matches_scalar():
     assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
-def test_box_integral_worked_examples():
+def test_integrate_boxes_worked_examples():
     belief = GaussianBelief((0.0, 0.0), (1.0, 1.0))
-    box = HyperBox((0.0, 0.0), (1.0, 1.0))
-    val = box_integral(box, belief)
+    lower, upper = (0.0, 0.0), (1.0, 1.0)
+    val = box_sum(box_decomposition([(lower, upper)]), belief)
     assert val == (psi(1.0, 0.0, 1.0) - psi(0.0, 0.0, 1.0)) ** 2
     assert val == pytest.approx(0.46836666344571026, rel=1e-13)
-    assert val == pytest.approx(quad_box_integral(box.lower, box.upper, belief.mean, belief.stddev), rel=1e-9)
+    assert val == pytest.approx(quad_box_integral(lower, upper, belief.mean, belief.stddev), rel=1e-9)
 
     far = GaussianBelief((-100.0, -100.0), (1.0, 1.0))
-    assert box_integral(HyperBox((5.0, 5.0), (6.0, 7.0)), far) == pytest.approx(2.0, abs=1e-12)
+    assert box_sum(box_decomposition([((5.0, 5.0), (6.0, 7.0))]), far) == pytest.approx(2.0, abs=1e-12)
 
-    assert box_integral(HyperBox((1.0, 0.0), (1.0, 9.0)), belief) == 0.0
+    # a zero-width box integrates to exactly 0, alone or beside another box
+    flat = ((1.0, 0.0), (1.0, 9.0))
+    assert box_sum(box_decomposition([flat]), belief) == 0.0
+    assert box_sum(box_decomposition([flat, (lower, upper)]), belief) == val
 
 
-def test_box_integral_monotone_and_bounded():
+def test_integrate_boxes_monotone_and_bounded():
     belief = GaussianBelief((0.5, -0.5), (1.0, 2.0))
-    small = HyperBox((-1.0, -1.0), (1.0, 1.0))
-    grown = HyperBox((-2.0, -1.0), (1.0, 2.0))
-    v_small = box_integral(small, belief)
-    v_grown = box_integral(grown, belief)
-    assert 0.0 <= v_small <= small.volume()
-    assert 0.0 <= v_grown <= grown.volume()
+    small = ((-1.0, -1.0), (1.0, 1.0))
+    grown = ((-2.0, -1.0), (1.0, 2.0))
+    v_small = box_sum(box_decomposition([small]), belief)
+    v_grown = box_sum(box_decomposition([grown]), belief)
+    assert 0.0 <= v_small <= math.prod(up - lo for lo, up in zip(*small))
+    assert 0.0 <= v_grown <= math.prod(up - lo for lo, up in zip(*grown))
     assert v_grown >= v_small
-
-
-def test_box_integral_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        box_integral(HyperBox((0.0,) * 3, (1.0,) * 3), GaussianBelief((0.0, 0.0), (1.0, 1.0)))
 
 
 def test_full_region_values():

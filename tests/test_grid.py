@@ -18,16 +18,17 @@ from ehvi import (
     hypervolume,
     validate_front,
 )
-from ehvi.core import HyperBox
-from ehvi.gaussian import box_integral
+from ehvi.core import BoxDecomposition
+from ehvi.gaussian import integrate_boxes
 from ehvi.grid import build_grid, grid_decompose
-from helpers import min_front, random_belief, random_front
+from ehvi.sweep import clipped_volumes, sweep_boxes
+from helpers import box_sum, decomposition_boxes, lattice_front, min_front, random_belief, random_front
 from oracles import brute_hypervolume
 
 
 def test_build_grid_worked_example():
     g = build_grid(min_front((4.0, 4.0), [(1, 3), (2, 2), (3, 1)]))
-    assert g.m == 2 and g.n == 3
+    assert len(g.axes) == 2 and g.h_array.shape == (4,)
     assert list(g.axes[0]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
     assert list(g.axes[1]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
     # lower-bound ranks -inf, 1, 2, 3 of axis 1
@@ -51,12 +52,13 @@ def test_build_grid_single_point():
 
 def test_decompose_empty_front():
     decomp = grid_decompose(min_front((4.0, 4.0), []))
-    assert decomp == (HyperBox((-math.inf, -math.inf), (4.0, 4.0)),)
+    assert isinstance(decomp, BoxDecomposition)
+    assert decomposition_boxes(decomp) == [((-math.inf, -math.inf), (4.0, 4.0))]
 
 
 def test_decompose_worked_example():
     decomp = grid_decompose(min_front((4.0, 4.0), [(2, 2)]))
-    got = {(b.lower, b.upper) for b in decomp}
+    got = set(decomposition_boxes(decomp))
     assert got == {
         ((-math.inf, -math.inf), (2.0, 2.0)),
         ((-math.inf, 2.0), (2.0, 4.0)),
@@ -69,12 +71,8 @@ def test_decompose_union_volume_matches_hypervolume_complement():
         front = random_front(3, 5, seed)
         ref = front.reference
         clip = tuple(min(p[j] for p in front.points) - 1.0 for j in range(3))
-        total = 0.0
-        for b in grid_decompose(front):
-            vol = 1.0
-            for lo, up, c in zip(b.lower, b.upper, clip):
-                vol *= up - max(lo, c)
-            total += vol
+        # the union's volume inside box(clip, r)
+        total = clipped_volumes(grid_decompose(front), np.array([clip]))[0]
         box_vol = math.prod(r - c for r, c in zip(ref, clip))
         expected = box_vol - brute_hypervolume(front.points, ref)
         assert total == pytest.approx(expected, rel=1e-9)
@@ -84,7 +82,7 @@ def test_decompose_disjoint_cover_by_sampling():
     for m, n, seed in [(2, 4, 0), (2, 6, 1), (3, 4, 2), (3, 6, 3)]:
         front = random_front(m, n, seed)
         g = build_grid(front)
-        emitted = {(b.lower, b.upper) for b in grid_decompose(front)}
+        emitted = set(decomposition_boxes(grid_decompose(front)))
         for idx in itertools.product(range(n + 1), repeat=m):
             lower = tuple(float(g.axes[j][idx[j]]) for j in range(m))
             upper = tuple(float(g.axes[j][idx[j] + 1]) for j in range(m))
@@ -121,9 +119,45 @@ def test_ehvi_grid_equals_decomposition_sum():
         belief = random_belief(m, seed)
         res = ehvi_grid(front, belief)
         boxes = grid_decompose(front)
-        total = sum(box_integral(b, belief) for b in boxes)
+        total = box_sum(boxes, belief)
         assert res.value == pytest.approx(total, rel=1e-12)
-        assert res.boxes == len(boxes)
+        assert res.boxes == len(boxes.lower)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cells_through_the_shared_integrator(m):
+    """grid's cells, run through the integrator and the clip that sweep uses.
+
+    Integrated, they match ehvi_grid and the sweep batch: at 1e-12 for
+    random_belief beliefs, and at test_sweep's 1e-10 for deep-tail beliefs
+    (means in [-10, -0.2], stddevs in [0.1, 2.5]). Clipped, they give the same
+    volumes as sweep's boxes at points whose coordinates tie the front's.
+    """
+    n = {2: 12, 3: 10, 4: 6, 5: 4}[m]
+    fronts = [random_front(m, n, m), lattice_front(m, m, n), min_front((0.0,) * m, [])]
+    for k, front in enumerate(fronts):
+        cells = grid_decompose(front)
+        rng = np.random.default_rng([34, m, k])
+        typical = [random_belief(m, 10 * m + i) for i in range(4)]
+        families = [
+            (np.array([b.mean for b in typical]), np.array([b.stddev for b in typical]), 1e-12),
+            (rng.uniform(-10.0, -0.2, (8, m)), rng.uniform(0.1, 2.5, (8, m)), 1e-10),
+        ]
+        for means, stds, rel in families:
+            got = integrate_boxes(cells, means, stds)
+            swept = compute_ehvi_batch(front, means, stds, "sweep")
+            for value, other, mu, sd in zip(got, swept, means, stds):
+                want = ehvi_grid(front, GaussianBelief(tuple(mu), tuple(sd))).value
+                assert value == pytest.approx(want, rel=rel, abs=0.0)
+                assert value == pytest.approx(other, rel=rel, abs=0.0)
+
+        # per axis: every front coordinate, one below them all, and the reference
+        axes = [sorted({p[j] for p in front.points} | {-11.0, front.reference[j]}) for j in range(m)]
+        ys = np.column_stack([rng.choice(axis, 300) for axis in axes])
+        clipped = clipped_volumes(cells, ys)
+        want = clipped_volumes(sweep_boxes(front), ys)
+        np.testing.assert_array_equal(clipped == 0.0, want == 0.0)
+        np.testing.assert_allclose(clipped, want, rtol=1e-12, atol=0.0)
 
 
 def test_ehvi_grid_box_count_bound():

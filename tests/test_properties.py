@@ -5,16 +5,26 @@ must stay a zero-argument callable.
 """
 
 import math
+import operator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehvi import GaussianBelief, Orientation, ProblemFrame, nondominated_filter, psi
+from ehvi import (
+    GaussianBelief,
+    InvalidFrontError,
+    Orientation,
+    ProblemFrame,
+    nondominated_filter,
+    psi,
+    validate_front,
+)
 from ehvi.clm3 import SweepState
-from ehvi.core import HyperBox, dominates, from_internal, to_internal
-from ehvi.gaussian import box_integral, std_normal_cdf
+from ehvi.gaussian import std_normal_cdf
 from ehvi.grid import grid_decompose
-from helpers import min_front, open_strips, slab_integral
+from helpers import box_decomposition, box_sum, min_front, open_strips, slab_integral
+from oracles import brute_dominates
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -42,7 +52,7 @@ def test_psi_monotone_and_derivative(a, b, mu, sigma):
     m=st.integers(2, 3),
     data=st.data(),
 )
-def test_box_integral_additive_and_bounded(m, data):
+def test_integrate_boxes_additive_and_bounded(m, data):
     mean = tuple(data.draw(st.floats(-5.0, 5.0)) for _ in range(m))
     sd = tuple(data.draw(st.floats(0.5, 3.0)) for _ in range(m))
     lower = tuple(
@@ -51,9 +61,8 @@ def test_box_integral_additive_and_bounded(m, data):
     widths = tuple(data.draw(st.floats(0.1, 6.0)) for _ in range(m))
     upper = tuple(lower[j] + widths[j] for j in range(m))
     belief = GaussianBelief(mean, sd)
-    box = HyperBox(lower, upper)
 
-    whole = box_integral(box, belief)
+    whole = box_sum(box_decomposition([(lower, upper)], m), belief)
     assert 0.0 <= whole <= math.prod(widths) * (1.0 + 1e-12)
 
     axis = data.draw(st.integers(0, m - 1))
@@ -61,9 +70,7 @@ def test_box_integral_additive_and_bounded(m, data):
     mid = lower[axis] + t * widths[axis]
     left_upper = tuple(mid if j == axis else upper[j] for j in range(m))
     right_lower = tuple(mid if j == axis else lower[j] for j in range(m))
-    parts = box_integral(HyperBox(lower, left_upper), belief) + box_integral(
-        HyperBox(right_lower, upper), belief
-    )
+    parts = box_sum(box_decomposition([(lower, left_upper), (right_lower, upper)], m), belief)
     assert math.isclose(whole, parts, rel_tol=1e-12, abs_tol=1e-300)
 
 
@@ -87,10 +94,10 @@ def test_nondominated_filter_invariants(points):
         assert p in source
     for a in front:
         for b in front:
-            assert not dominates(a, b)
+            assert not brute_dominates(a, b)
     for p in pts:
         assert p in set(front) or any(
-            dominates(q, p) or q == p for q in front
+            brute_dominates(q, p) or q == p for q in front
         )
 
 
@@ -112,9 +119,9 @@ def test_staircase_strips_consistent(count, data):
         assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
         assert state.operations <= 2 * (level + 1)
         assert len(state.boxes) + len(state.births) <= 2 * (level + 1) + 1
-        strips = math.fsum(box_integral(b, belief) for b in open_strips(state))
+        strips = box_sum(open_strips(state), belief)
         staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-        nondominated = math.fsum(box_integral(b, belief) for b in grid_decompose(staircase))
+        nondominated = box_sum(grid_decompose(staircase), belief)
         assert math.isclose(strips, nondominated, rel_tol=1e-12, abs_tol=1e-300)
         dominated = slab_integral(state.keys, state.vals, (0.0, 0.0), belief)
         assert math.isclose(strips + dominated, full, rel_tol=1e-12, abs_tol=1e-300)
@@ -129,16 +136,21 @@ def test_orientation_involution_and_dominance(m, data):
     a = tuple(data.draw(st.floats(-100.0, 100.0)) for _ in range(m))
     b = tuple(data.draw(st.floats(-100.0, 100.0)) for _ in range(m))
     frames = {
-        orientation: ProblemFrame(m, (1000.0,) * m, orientation)
-        for orientation in (Orientation.MINIMIZE, Orientation.MAXIMIZE)
+        Orientation.MINIMIZE: ProblemFrame(m, (1000.0,) * m, Orientation.MINIMIZE),
+        Orientation.MAXIMIZE: ProblemFrame(m, (-1000.0,) * m, Orientation.MAXIMIZE),
     }
-
-    for frame in frames.values():
-        assert to_internal(frame, to_internal(frame, a)) == a
-        assert from_internal(frame, to_internal(frame, a)) == a
-
-    max_frame = frames[Orientation.MAXIMIZE]
-    max_dominates = all(x >= y for x, y in zip(a, b)) and a != b
-    internal = dominates(to_internal(max_frame, a), to_internal(max_frame, b))
-    assert internal == max_dominates
-    assert dominates(a, b) == (all(x <= y for x, y in zip(a, b)) and a != b)
+    for orientation, frame in frames.items():
+        maximize = orientation is Orientation.MAXIMIZE
+        sign = -1.0 if maximize else 1.0
+        # maximization negates the points, and negating again restores them
+        internal = validate_front(frame, [a]).points[0]
+        assert internal == tuple(sign * x for x in a)
+        assert tuple(sign * x for x in internal) == a
+        # a pair is rejected exactly when one point weakly dominates the
+        # other in the user's orientation
+        better = operator.ge if maximize else operator.le
+        if all(map(better, a, b)) or all(map(better, b, a)):
+            with pytest.raises(InvalidFrontError):
+                validate_front(frame, [a, b])
+        else:
+            validate_front(frame, [a, b])

@@ -5,16 +5,20 @@ import random
 import numpy as np
 import pytest
 
+import ehvi.wfg
 from ehvi import (
     GaussianBelief,
+    ParameterError,
     ProblemFrame,
     ReferenceBoundError,
+    compute_ehvi_batch,
     dominated_volume,
     ehvi_wfg,
     hypervolume,
     nondominated_filter,
     validate_front,
 )
+from ehvi.core import rank_form
 from ehvi.gaussian import full_region_integral
 from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import (
@@ -136,3 +140,26 @@ def test_ehvi_wfg_nonnegative_and_bounded_by_full():
         res = ehvi_wfg(front, belief)
         full = full_region_integral(front.frame, belief)
         assert 0.0 <= res.value <= full * (1.0 + 1e-12)
+
+
+def test_work_budget(monkeypatch):
+    front = random_front(4, 12, 0)
+    belief = random_belief(4, 0)
+    # the tuples the recursion limits depend on the points alone, not the measure
+    breaks, ranks = rank_form(front.points, front.reference)
+    counter = [0, 0]
+    ehvi.wfg._wfg_rec(ehvi.wfg._rank_tuples(ranks), (breaks[:, -1:] - breaks).tolist(), counter)
+    limited = counter[1]
+    assert front.n * (front.n - 1) // 2 < limited <= ehvi.wfg._MAX_LIMITED
+    whole = ehvi_wfg(front, belief)
+    volume = hypervolume(front)
+    monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", limited)
+    assert ehvi_wfg(front, belief) == whole
+    assert hypervolume(front) == volume
+    monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", limited - 1)
+    with pytest.raises(ParameterError, match="budget"):
+        ehvi_wfg(front, belief)
+    with pytest.raises(ParameterError, match="budget"):
+        hypervolume(front)
+    with pytest.raises(ParameterError, match="budget"):
+        compute_ehvi_batch(front, [belief.mean], [belief.stddev], "wfg")
