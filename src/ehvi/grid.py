@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import BoxDecomposition, EhviResult, Front
 from .errors import DimensionError, ParameterError
-from .gaussian import GaussianBelief, psi_vec
+from .gaussian import GaussianBelief, psi
 
 # Largest cell block materialized at once by ehvi_grid (elements, not bytes).
 _CHUNK = 1 << 22
@@ -109,7 +109,7 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
     diffs = []
     widths = []
     for j in range(m):
-        p = psi_vec(g.axes[j], belief.mean[j], belief.stddev[j])
+        p = psi(g.axes[j], belief.mean[j], belief.stddev[j])
         diffs.append(np.maximum(p[1:] - p[:-1], 0.0))
         widths.append(g.axes[j][1:] > g.axes[j][:-1])
     lower_m = g.axes[m - 1][:k]  # cell lower bounds along the last axis

@@ -19,13 +19,14 @@ in tables built from the (m, n+2) breakpoints.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
 from .errors import DimensionError, ParameterError, ReferenceBoundError
-from .gaussian import GaussianBelief, full_region_integral, psi_vec
+from .gaussian import GaussianBelief, psi
 
 # Most point tuples the recursion may limit in one run. Time tracks this
 # count, at 4-6 us per tuple for m = 3 to 8 on a 2-core x86-64 host, where
@@ -36,6 +37,8 @@ _MAX_LIMITED = 1 << 20
 
 
 def _check_bound(points: list[Vector], reference: Vector) -> None:
+    if not all(math.isfinite(x) for p in (reference, *points) for x in p):
+        raise ParameterError("reference and point coordinates must be finite")
     for p in points:
         if len(p) != len(reference):
             raise DimensionError(f"point {p} has {len(p)} coordinates, expected {len(reference)}")
@@ -104,7 +107,7 @@ def _rank_tuples(ranks: np.ndarray) -> list[tuple]:
 
 
 def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
-    """Lebesgue measure of the union of boxes [p, r); accepts any point list."""
+    """Lebesgue measure of the union of boxes [p, r); accepts any list of finite points."""
     ref = as_vector(reference)
     pts = [as_vector(p) for p in points]
     _check_bound(pts, ref)
@@ -124,12 +127,11 @@ def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     """EHVI as the full-region integral minus the recursive dominated-region integral."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    full = full_region_integral(front.frame, belief)
-    if front.n == 0:
-        return EhviResult(value=full, boxes=0)
     breaks, ranks = rank_form(front.points, front.reference)
-    # one psi evaluation over every axis's breakpoints, reference included
-    p = psi_vec(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])
+    # one psi evaluation over every axis's breakpoints; the last column is
+    # the reference, so its product is the full-region integral
+    p = psi(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])
+    full = math.prod(p[:, -1].tolist())
     table = np.maximum(p[:, -1:] - p, 0.0).tolist()
     counter = [0, 0]
     dominated = _wfg_rec(_rank_tuples(ranks), table, counter)

@@ -10,6 +10,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -136,6 +137,45 @@ def _psi(a, mu, sigma):
     """Closed-form running integral of the normal cdf, (a - mu) Phi(t) + sigma phi(t)."""
     t = (a - mu) / sigma
     return (a - mu) * _phi(t) + sigma * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def mp_psi(a, mu, sigma):
+    """psi from mpmath's normal cdf and pdf at 50 digits; a, mu, sigma are floats."""
+    if a == -math.inf:
+        return mpmath.mpf(0)
+    with mpmath.workdps(50):
+        d = mpmath.mpf(a) - mpmath.mpf(mu)
+        t = d / sigma
+        return +(d * mpmath.ncdf(t) + sigma * mpmath.npdf(t))
+
+
+def mp_ehvi(points, reference, mean, stddev):
+    """EHVI as a sum over the nondominated cells of the coordinate grid.
+
+    Each axis is cut at -inf, its sorted distinct coordinates and the
+    reference; a cell counts when no point weakly dominates its lower
+    corner. The per-axis psi differences, the only step that can cancel, are
+    taken at 50 digits and rounded once, so the float products and the
+    exact sum of the non-negative cell terms add only a few ulps. There are
+    (n+1)^m cells; keep them few.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, len(reference))
+    weights = np.ones(())
+    lowers = []
+    for j, r in enumerate(reference):
+        axis = [-math.inf, *sorted(set(pts[:, j].tolist())), float(r)]
+        with mpmath.workdps(50):
+            vals = [mp_psi(a, mean[j], stddev[j]) for a in axis]
+            diffs = [float(hi - lo) for lo, hi in zip(vals, vals[1:])]
+        weights = np.multiply.outer(weights, diffs)
+        lowers.append(np.array(axis[:-1]))
+    dominated = np.zeros(weights.shape, dtype=bool)
+    for p in pts:
+        cells = np.ones((), dtype=bool)
+        for j, lo in enumerate(lowers):
+            cells = np.logical_and.outer(cells, lo >= p[j])
+        dominated |= cells
+    return math.fsum(weights[~dominated].tolist())
 
 
 def quad_psi(a, mu, sigma):

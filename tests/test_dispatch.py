@@ -14,12 +14,33 @@ from ehvi.dispatch import ALGORITHMS, resolve_algorithm
 from ehvi import dispatch
 from ehvi.sweep import sweep_boxes
 from helpers import lattice_front, min_front, random_belief, random_front
+from oracles import mp_ehvi
 
 
 def _beliefs(m, q, seed):
     rng = np.random.default_rng([40, m, seed])
     means = np.concatenate([rng.uniform(-12.0, -2.0, (q // 2, m)), rng.uniform(-10.0, -0.2, (q - q // 2, m))])
     return means, rng.uniform(0.1, 4.0, (q, m))
+
+
+@pytest.mark.parametrize("m, n, seed", [(2, 20, 1), (3, 30, 7), (4, 10, 4)])
+def test_auto_matches_mpmath_in_the_tails(m, n, seed):
+    """auto batches match a 50-digit reference at rel 1e-12 far from the bulk.
+
+    The first beliefs sit t = 5, 8, 10 and 12 sds (sd 0.5) beyond the
+    reference, where every psi is a far-tail value; the rest are drawn in
+    or behind the front, so EHVI is tiny next to the full-region integral.
+    """
+    front = random_front(m, n, seed)
+    r = np.array(front.reference)
+    rng = np.random.default_rng([42, m])
+    means = np.concatenate([r + 0.5 * np.array([[5.0], [8.0], [10.0], [12.0]]), rng.uniform(-10.0, -0.2, (12, m))])
+    stds = np.concatenate([np.full((4, m), 0.5), rng.uniform(0.1, 2.5, (12, m))])
+    got = compute_ehvi_batch(front, means, stds, "auto")
+    for mu, sd, value in zip(means, stds, got):
+        want = mp_ehvi(front.points, r, mu, sd)
+        assert want > 0.0
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("m, n", [(2, 12), (3, 15), (4, 6)])

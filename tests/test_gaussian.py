@@ -1,4 +1,4 @@
-"""Normal kernels, the psi primitive, and the closed-form box integral of integrate_boxes."""
+"""The normal cdf, the psi kernel, and the closed-form box integral of integrate_boxes."""
 
 import math
 
@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
-from ehvi.gaussian import full_region_integral, psi_vec, std_normal_cdf, std_normal_pdf
-from helpers import box_decomposition, box_sum
-from oracles import quad_box_integral, quad_psi
-
-
-def test_pdf_values():
-    assert std_normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-16)
-    assert std_normal_pdf(40.0) == 0.0
-    assert std_normal_pdf(-40.0) == 0.0
-    for x in np.linspace(0.0, 6.0, 25):
-        assert std_normal_pdf(float(x)) == std_normal_pdf(float(-x))
+from ehvi.gaussian import full_region_integral, integrate_boxes, std_normal_cdf
+from ehvi.sweep import sweep_boxes
+from helpers import box_decomposition, box_sum, random_front
+from oracles import mp_psi, quad_box_integral, quad_psi
 
 
 def test_cdf_values():
@@ -72,11 +65,56 @@ def test_psi_rejects_bad_sigma():
             psi(1.0, 0.0, sd)
 
 
-def test_psi_vec_matches_scalar():
+def test_psi_elementwise_over_arrays():
     a = np.array([-math.inf, -3.0, 0.0, 1.0, 10.0])
-    got = psi_vec(a, 0.3, 1.7)
-    want = [psi(float(x), 0.3, 1.7) for x in a]
-    assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+    got = psi(a, 0.3, 1.7)
+    assert got.shape == a.shape
+    assert got.tolist() == [psi(float(x), 0.3, 1.7) for x in a]
+    mu = np.array([[0.3], [-2.0]])
+    sd = np.array([[1.7], [0.2]])
+    grid = psi(a, mu, sd)
+    assert grid.shape == (2, 5)
+    assert grid[1].tolist() == [psi(float(x), -2.0, 0.2) for x in a]
+    with pytest.raises(ParameterError):
+        psi(a, 0.0, np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
+
+
+def test_psi_arrays_match_mpmath():
+    """The array kernel matches 50-digit mpmath at rel 1e-12 for t in [-37, 38]."""
+    rng = np.random.default_rng(41)
+    t = np.concatenate([np.linspace(-37.0, 38.0, 1501), rng.uniform(-37.0, 38.0, 500)])
+    mu = rng.uniform(-5.0, 5.0, t.size)
+    sd = rng.uniform(0.1, 3.0, t.size)
+    a = mu + sd * t
+    got = psi(a, mu, sd)
+    want = [float(mp_psi(x, m, s)) for x, m, s in zip(a, mu, sd)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_psi_arrays_exactly_zero_at_minus_inf():
+    got = psi(np.full(3, -math.inf), np.array([0.0, 1e6, -1e6]), np.array([1.0, 1e-6, 1e3]))
+    assert got.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_psi_arrays_strictly_increasing_in_tail():
+    vals = psi(np.linspace(-4.0, -3.0, 2001), 0.0, 0.25)
+    assert (np.diff(vals) > 0.0).all()
+    # the direct formula gave the lower of these two neighbours the larger value
+    low, high = psi(np.array([0.0, 1.9611545981554065e-13]), 7.494873326917716, 0.5)
+    assert 0.0 < low < high
+
+
+def test_integrate_boxes_checks_belief_width():
+    boxes = sweep_boxes(random_front(3, 6, 0))
+    for width in (2, 4):
+        with pytest.raises(DimensionError):
+            integrate_boxes(boxes, np.full((1, width), -1.0), np.ones((1, width)))
+    with pytest.raises(DimensionError):
+        integrate_boxes(boxes, np.full((1, 3), -1.0), np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        integrate_boxes(boxes, np.full(3, -1.0), np.ones(3))
+    with pytest.raises(ParameterError):
+        integrate_boxes(boxes, np.full((1, 3), -1.0), np.array([[1.0, 0.0, 1.0]]))
 
 
 def test_integrate_boxes_worked_examples():

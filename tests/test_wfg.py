@@ -45,6 +45,19 @@ def test_hypervolume_out_of_bound_point_rejected():
         dominated_volume([(5.0, 1.0)], (4.0, 4.0))
 
 
+def test_hypervolume_non_finite_input_rejected():
+    inf, nan = float("inf"), float("nan")
+    points = [(0.0, 0.5), (0.5, 0.0)]
+    for reference in [(inf, 1.0), (1.0, -inf), (nan, 1.0)]:
+        with pytest.raises(ParameterError):
+            dominated_volume(points, reference)
+        with pytest.raises(ParameterError):
+            dominated_volume([], reference)
+    for bad in [(-inf, 0.5), (0.0, nan)]:
+        with pytest.raises(ParameterError):
+            dominated_volume([*points, bad], (1.0, 1.0))
+
+
 def test_hypervolume_matches_rasterization():
     for m, n, seed in [(2, 5, 0), (2, 8, 1), (3, 5, 2), (3, 8, 3)]:
         front = random_front(m, n, seed)
