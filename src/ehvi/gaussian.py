@@ -11,18 +11,16 @@ over a half-open box is a product of per-axis psi differences, and
 integrate_boxes sums it over the boxes of a decomposition for a batch of
 beliefs at once.
 
-Far below the mean the two terms of the direct formula nearly cancel and
-lose up to t**4 ulps. psi instead uses the reflection identity
+Far below the mean the two terms of the direct formula nearly cancel. psi
+instead uses the reflection identity
 
-    psi = max(d, 0) + sigma * g(|t|),   d = a - mu,
-    g(x) = phi(x) - x * (1 - Phi(x))
-         = exp(-x**2 / 2) * (1/sqrt(2 pi) - (x/2) * erfcx(x/sqrt(2))),
+    psi = max(d, 0) + sigma * phi(x) * h(x),   d = a - mu,   x = |t|,
+    h(x) = 1 - x * (1 - Phi(x)) / phi(x),
 
-with erfcx(z) = exp(z**2) * erfc(z). The bracket still cancels like 1/x**2,
-so the error grows like x**2 ulps: against mpmath it stays below 5e-13
-relative for t in [-37, 38], where the direct formula reaches 3e-10. x is
-clamped to 40, where g underflows to 0, so psi(-inf) is exactly 0 and boxes
-open to -inf need no special casing.
+with h, which falls from 1 to about 1/x**2, one rational function with
+positive coefficients fitted by tools/fit_psi_rational.py (after Cody, Math.
+Comp. 1969), so nothing cancels: psi is within 3e-13 of mpmath for t in
+[-37, 38]. x is clamped to 40, where phi underflows, so psi(-inf) is 0.
 """
 
 from __future__ import annotations
@@ -31,17 +29,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
-from .core import BoxDecomposition, ProblemFrame, Vector, as_vector
+from .core import BoxDecomposition, Vector, as_vector
 from .errors import DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
-_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
-# |t| beyond which exp(-t**2 / 2) underflows to 0; clamping there keeps
-# x * erfcx(x / sqrt(2)) from becoming inf * 0 at x = inf.
+# |t| beyond which exp(-t**2 / 2) underflows: clamped there, g(inf) is exactly 0
 _X_MAX = 40.0
+# h = P / R on [0, _X_MAX], lowest degree first, from tools/fit_psi_rational.py
+_H_NUM = (1.0, 1.2890640760678707, 0.8443212378454432, 0.3586378651208238, 0.1074908225529906,
+          0.023432130664177972, 0.003710052035821059, 0.0004126075641151957, 2.948506147899126e-05,
+          1.0496986952292329e-06)
+_H_DEN = (1.0, 2.5423782133833814, 3.030719795081328, 2.241360685818707, 1.145766007071475,
+          0.42650302517374467, 0.1184440539045065, 0.024663655644703634, 0.0037985072086227116,
+          0.00041575666039234046, 2.94850614770901e-05, 1.0496986952377794e-06)
+# complex(p_k, r_k), highest degree first: for real x a complex Horner step
+# is the two real steps of P and R, rounded alike, in half the numpy calls
+_H_HORNER = tuple(map(complex, _H_NUM + (0.0, 0.0), _H_DEN))[::-1]
 # Largest (beliefs x boxes x axes) block integrate_boxes materializes at once.
 _BLOCK = 1 << 20
 
@@ -57,23 +61,25 @@ class GaussianBelief:
         object.__setattr__(self, "mean", as_vector(self.mean))
         object.__setattr__(self, "stddev", as_vector(self.stddev))
         if len(self.mean) != len(self.stddev):
-            raise DimensionError(
-                f"belief has {len(self.mean)} means but {len(self.stddev)} stddevs"
-            )
+            raise DimensionError(f"belief has {len(self.mean)} means but {len(self.stddev)} stddevs")
         if not all(math.isfinite(x) for x in self.mean):
             raise ParameterError(f"belief means must be finite, got {self.mean}")
-        for s in self.stddev:
-            if not (s > 0.0) or not math.isfinite(s):
-                raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
+        if not all(0.0 < s < math.inf for s in self.stddev):
+            raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
 
     @property
     def m(self) -> int:
         return len(self.mean)
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal cdf Phi(x), computed from erfc for tail accuracy."""
-    return 0.5 * math.erfc(-x * _INV_SQRT_2)
+def rational_h(x: np.ndarray) -> np.ndarray:
+    """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX]."""
+    xc = x.astype(complex)
+    z = np.full(x.shape, _H_HORNER[0])
+    for c in _H_HORNER[1:]:
+        z *= xc
+        z += c
+    return z.real / z.imag
 
 
 def psi(a, mu, sigma):
@@ -86,19 +92,16 @@ def psi(a, mu, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0.0) & np.isfinite(sigma)).all():
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    # sigma * g(x) = sigma * phi(0) * exp(-x**2/2) * (1 - sqrt(pi/2) * x * erfcx(x/sqrt(2))),
-    # computed in place in three buffers: on belief batches fresh temporaries
-    # cost about as much as the arithmetic.
+    # d and x are reused in place: on belief batches fresh temporaries cost
+    # about as much as the arithmetic
     shape = np.broadcast(a, mu, sigma).shape
     d = np.subtract(a, mu, out=np.empty(shape))
     x = np.abs(d, out=np.empty(shape))
-    x /= sigma
+    # a subnormal sigma overflows the ratio to inf, which the clamp mends
+    with np.errstate(over="ignore"):
+        x /= sigma
     np.minimum(x, _X_MAX, out=x)
-    g = np.multiply(x, _INV_SQRT_2, out=np.empty(shape))
-    erfcx(g, out=g)
-    g *= x
-    g *= -_SQRT_HALF_PI
-    g += 1.0
+    g = rational_h(x)
     np.square(x, out=x)
     x *= -0.5
     g *= np.exp(x, out=x)
@@ -146,13 +149,3 @@ def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray
         # to inf (inf * 0 would be nan)
         out[block] = np.where(f.all(axis=1), volume, 0.0).sum(axis=0)
     return out
-
-
-def full_region_integral(frame: ProblemFrame, belief: GaussianBelief) -> float:
-    """Integral over the whole region bounded by the reference point.
-
-    This is the integral over the one box (-inf, r], the product of psi(r_j).
-    """
-    if frame.m != belief.m:
-        raise DimensionError(f"frame has m={frame.m} but belief has m={belief.m}")
-    return math.prod(psi(frame.internal_reference, belief.mean, belief.stddev).tolist())

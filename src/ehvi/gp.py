@@ -4,7 +4,8 @@ One GP per objective, squared-exponential kernel with per-dimension
 lengthscales. Hyperparameters come from closed heuristics rather than
 marginal-likelihood optimization (lengthscale: median nonzero pairwise
 distance per dimension; signal variance: target variance; prior mean:
-target mean), which keeps every BO run exactly reproducible.
+target mean), which keeps every BO run exactly reproducible. Posteriors are
+products with the inverse Cholesky factor, computed once per fit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import GpFitError, ParameterError
 
@@ -22,7 +22,7 @@ _SIGNAL_VAR_FLOOR = 1e-12
 
 @dataclass
 class GpSurrogate:
-    """Fitted GP: training data, kernel hyperparameters, cached Cholesky factor."""
+    """Fitted GP: training data, kernel hyperparameters, cached inverse Cholesky factor."""
 
     inputs: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,)
@@ -30,7 +30,7 @@ class GpSurrogate:
     signal_var: float
     noise_var: float
     prior_mean: float
-    chol_lower: np.ndarray  # (n, n)
+    chol_inv: np.ndarray  # (n, n) L^-1, with K + jitter I = L L^T
     alpha: np.ndarray  # (K + jitter I)^-1 (targets - prior_mean)
     clamp_count: int = 0  # posterior variances clamped up to 0
 
@@ -69,10 +69,10 @@ def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
     prior_mean = float(np.mean(y))
     cov = _kernel(x, x, lengthscale, signal_var) + jitter * np.eye(len(x))
     try:
-        chol_lower = np.linalg.cholesky(cov)
+        chol_inv = np.linalg.inv(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError as exc:
         raise GpFitError(f"training covariance not positive definite (jitter={jitter})") from exc
-    alpha = cho_solve((chol_lower, True), y - prior_mean)
+    alpha = chol_inv.T @ (chol_inv @ (y - prior_mean))
     return GpSurrogate(
         inputs=x,
         targets=y,
@@ -80,7 +80,7 @@ def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
         signal_var=signal_var,
         noise_var=jitter,
         prior_mean=prior_mean,
-        chol_lower=chol_lower,
+        chol_inv=chol_inv,
         alpha=alpha,
     )
 
@@ -94,7 +94,7 @@ def gp_posterior_batch(surrogate: GpSurrogate, candidates) -> tuple[np.ndarray, 
     xs = np.atleast_2d(np.asarray(candidates, dtype=float))
     cross = _kernel(xs, surrogate.inputs, surrogate.lengthscale, surrogate.signal_var)
     mean = surrogate.prior_mean + cross @ surrogate.alpha
-    v = solve_triangular(surrogate.chol_lower, cross.T, lower=True)
+    v = surrogate.chol_inv @ cross.T
     var = surrogate.signal_var - np.einsum("ij,ij->j", v, v)
     negative = var < 0.0
     if negative.any():

@@ -91,6 +91,7 @@ def grid_decompose(front: Front) -> BoxDecomposition:
     return BoxDecomposition(breaks, lower, lower + 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow (inf or nan): ehvi compute exits 2
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
     """EHVI as the sum of box integrals over all nondominated grid cells.
 

@@ -22,11 +22,17 @@ import numpy as np
 
 from .core import Front
 from .errors import DimensionError, ParameterError, UnsupportedDimensionError
-from .gaussian import GaussianBelief, std_normal_cdf
+from .gaussian import GaussianBelief
 from .grid import grid_decompose
 from .sweep import clipped_volumes, sweep_boxes
 
 _MC_CHUNK = 100_000  # fixed so a seed reproduces bit-exactly for a given sample count
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+
+
+def std_normal_cdf(x: float) -> float:
+    """Standard normal cdf Phi(x), computed from erfc for tail accuracy."""
+    return 0.5 * math.erfc(-x * _INV_SQRT_2)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Everything in this module is deliberately brute force and dependency-light:
 plain loops over tuples, subset inclusion-exclusion, rasterization, and
 adaptive quadrature. None of it shares code with the package's fast paths,
 so agreement between the two is meaningful evidence rather than tautology.
+The one exception is full_region_integral, a product of the package's own
+psi, which tests compare bit for bit with the backends' empty-front values.
 """
 
 import itertools
@@ -13,6 +15,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+
+from ehvi import DimensionError, psi
 
 SQRT2 = math.sqrt(2.0)
 
@@ -74,6 +78,16 @@ def union_box_integral(lowers, reference, mean, stddev):
             )
             terms.append(term if k % 2 == 1 else -term)
     return math.fsum(terms)
+
+
+def full_region_integral(frame, belief):
+    """Integral over the whole region bounded by the reference point.
+
+    This is the integral over the one box (-inf, r], the product of psi(r_j).
+    """
+    if frame.m != belief.m:
+        raise DimensionError(f"frame has m={frame.m} but belief has m={belief.m}")
+    return math.prod(psi(frame.internal_reference, belief.mean, belief.stddev).tolist())
 
 
 def brute_hypervolume(points, reference):
@@ -147,6 +161,14 @@ def mp_psi(a, mu, sigma):
         d = mpmath.mpf(a) - mpmath.mpf(mu)
         t = d / sigma
         return +(d * mpmath.ncdf(t) + sigma * mpmath.npdf(t))
+
+
+def mp_h(x):
+    """h(x) = 1 - x Q(x) / phi(x) at 50 digits, Q = 1 - Phi; x is a float >= 0."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        tail = mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(x / mpmath.sqrt(2)) * mpmath.exp(x * x / 2)
+        return +(1 - x * tail)
 
 
 def mp_ehvi(points, reference, mean, stddev):

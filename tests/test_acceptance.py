@@ -27,9 +27,8 @@ from ehvi import (
     validate_front,
 )
 from ehvi.bench import benchmark_belief, benchmark_frame, summarize
-from ehvi.gaussian import full_region_integral
 from helpers import random_front
-from oracles import rasterized_hv, staircase_hv_2d
+from oracles import full_region_integral, rasterized_hv, staircase_hv_2d
 
 import test_properties
 

@@ -151,6 +151,30 @@ def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "request_kwargs",
+    [
+        dict(BASIC, stddev=[1e308, 1e308]),
+        dict(
+            m=3,
+            reference=[0.0, 0.0, 0.0],
+            front=[[-1.0, -2.0, -3.0], [-3.0, -1.0, -2.0]],
+            mean=[-2.0, -2.0, -2.0],
+            stddev=[1e308, 1e308, 1e308],
+        ),
+    ],
+    ids=["m2", "m3"],
+)
+def test_exit_code_2_grid_overflow(tmp_path, capsys, request_kwargs):
+    # grid's cell products overflow to inf, and to nan where they meet a zero
+    # factor; no RuntimeWarning either way, and the CLI refuses the result
+    path = write_request(tmp_path / "req.json", **request_kwargs)
+    assert main(["compute", "--input", str(path), "--algorithm", "grid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_exit_code_2_grid_over_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ehvi.grid, "_MAX_CELLS", 4**2 - 1)  # BASIC needs 4^2 cells
     path = write_request(tmp_path / "req.json", **dict(BASIC, algorithm="grid"))
@@ -338,20 +362,58 @@ def assert_compute_succeeds(proc):
     assert out["boxes"] == len(BASIC["front"]) + 1
 
 
-def test_compute_does_not_import_scipy_integrate(tmp_path):
-    # -X importtime lists every module the child imports, one per stderr line
+def run_python(*args):
+    """A fresh `python args` process that imports the same ehvi package as these tests."""
     package_root = str(Path(ehvi.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def imported_modules(proc):
+    # -X importtime lists every module the child imports, one per stderr line
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def test_compute_imports_no_scipy(tmp_path):
     path = write_request(tmp_path / "req.json", **BASIC)
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ehvi", "compute", "--input", str(path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_python("-X", "importtime", "-m", "ehvi", "compute", "--input", str(path))
     assert_compute_succeeds(proc)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    imported = imported_modules(proc)
     assert "numpy" in imported
-    assert "scipy.integrate" not in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_import_ehvi_imports_no_scipy():
+    proc = run_python("-X", "importtime", "-c", "import ehvi")
+    assert proc.returncode == 0
+    imported = imported_modules(proc)
+    assert "ehvi" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("algorithm", ["grid", "wfg", "sweep"])
+def test_compute_subnormal_stddev(tmp_path, capsys, algorithm):
+    # the stddev ratio overflows to inf inside psi; clamped, it gives the
+    # hypervolume improvement of the mean, exactly
+    req = dict(BASIC, stddev=[1e-310, 1e-310])
+    code, out = run_compute(tmp_path, capsys, req, ["--algorithm", algorithm])
+    assert code == 0 and out["ehvi"] == 1.25
+
+
+def test_compute_subnormal_stddev_prints_nothing_to_stderr(tmp_path):
+    path = write_request(tmp_path / "req.json", **dict(BASIC, stddev=[1e-310, 1e-310]))
+    proc = run_python("-m", "ehvi", "compute", "--input", str(path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["ehvi"] == 1.25
+
+
+def test_compute_grid_overflow_exits_2_without_a_warning(tmp_path):
+    path = write_request(tmp_path / "req.json", **dict(BASIC, stddev=[1e308, 1e308]))
+    proc = run_python("-m", "ehvi", "compute", "--input", str(path), "--algorithm", "grid")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "finite" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):
@@ -359,15 +421,8 @@ def test_console_script_entry_point(tmp_path):
     # against the same `ehvi` package this test imported.
     module, attr = declared_entry_point().split(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    package_root = str(Path(ehvi.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     path = write_request(tmp_path / "req.json", **BASIC)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "compute", "--input", str(path)],
-        capture_output=True, text=True, env=env,
-    )
-    assert_compute_succeeds(proc)
+    assert_compute_succeeds(run_python("-c", code, "compute", "--input", str(path)))
 
 
 @pytest.mark.skipif(shutil.which("ehvi") is None, reason="ehvi console script is not installed")

@@ -21,7 +21,6 @@ from ehvi import (
     psi,
     validate_front,
 )
-from ehvi.gaussian import full_region_integral
 from ehvi.grid import grid_decompose
 from ehvi import ProblemFrame
 from ehvi.clm3 import SweepState, nondominated_boxes
@@ -36,7 +35,7 @@ from helpers import (
     random_front,
     slab_integral,
 )
-from oracles import union_box_integral
+from oracles import full_region_integral, union_box_integral
 
 
 def _state():

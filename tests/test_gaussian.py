@@ -1,4 +1,4 @@
-"""The normal cdf, the psi kernel, and the closed-form box integral of integrate_boxes."""
+"""The quadrature oracle's normal cdf, the psi kernel, and the box integral of integrate_boxes."""
 
 import math
 
@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
-from ehvi.gaussian import full_region_integral, integrate_boxes, std_normal_cdf
+from ehvi.gaussian import integrate_boxes, rational_h
+from ehvi.oracle import std_normal_cdf
 from ehvi.sweep import sweep_boxes
 from helpers import box_decomposition, box_sum, random_front
-from oracles import mp_psi, quad_box_integral, quad_psi
+from oracles import full_region_integral, mp_h, mp_psi, quad_box_integral, quad_psi
 
 
 def test_cdf_values():
@@ -89,6 +90,19 @@ def test_psi_arrays_match_mpmath():
     got = psi(a, mu, sd)
     want = [float(mp_psi(x, m, s)) for x, m, s in zip(a, mu, sd)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_rational_h_matches_mpmath_on_its_whole_range():
+    """P / R against 50-digit h on [0, 40], where psi clamps x: at most 1.3e-15 relative.
+
+    That is the float evaluation's bound; the fit itself is 8e-17 in exact
+    arithmetic (tools/fit_psi_rational.py).
+    """
+    rng = np.random.default_rng(43)
+    x = np.concatenate([np.linspace(0.0, 40.0, 16001), rng.uniform(0.0, 40.0, 4000)])
+    want = [float(mp_h(v)) for v in x]
+    np.testing.assert_allclose(rational_h(x), want, rtol=1.5e-15, atol=0.0)
+    assert rational_h(np.zeros(1)).tolist() == [1.0]
 
 
 def test_psi_arrays_exactly_zero_at_minus_inf():

@@ -16,9 +16,8 @@ from ehvi import (
     ehvi_quadrature_2d,
     validate_front,
 )
-from ehvi.gaussian import full_region_integral
 from helpers import lattice_front, min_front, random_belief, random_front
-from oracles import mc_hvi_mean
+from oracles import full_region_integral, mc_hvi_mean
 
 
 def test_mc_dominated_mean_tiny_sigma_is_exactly_zero():

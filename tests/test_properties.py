@@ -21,8 +21,8 @@ from ehvi import (
     validate_front,
 )
 from ehvi.clm3 import SweepState
-from ehvi.gaussian import std_normal_cdf
 from ehvi.grid import grid_decompose
+from ehvi.oracle import std_normal_cdf
 from helpers import box_decomposition, box_sum, min_front, open_strips, slab_integral
 from oracles import brute_dominates
 

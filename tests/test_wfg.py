@@ -19,10 +19,10 @@ from ehvi import (
     validate_front,
 )
 from ehvi.core import rank_form
-from ehvi.gaussian import full_region_integral
 from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import (
     brute_hypervolume,
+    full_region_integral,
     rasterized_hv,
     staircase_hv_2d,
     union_box_integral,
