@@ -61,11 +61,14 @@ class GaussianBelief:
         object.__setattr__(self, "mean", as_vector(self.mean))
         object.__setattr__(self, "stddev", as_vector(self.stddev))
         if len(self.mean) != len(self.stddev):
-            raise DimensionError(f"belief has {len(self.mean)} means but {len(self.stddev)} stddevs")
+            raise DimensionError(
+                f"belief has {len(self.mean)} means but {len(self.stddev)} stddevs"
+            )
         if not all(math.isfinite(x) for x in self.mean):
             raise ParameterError(f"belief means must be finite, got {self.mean}")
-        if not all(0.0 < s < math.inf for s in self.stddev):
-            raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
+        for s in self.stddev:
+            if not (s > 0.0) or not math.isfinite(s):
+                raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
 
     @property
     def m(self) -> int:

@@ -91,7 +91,6 @@ def grid_decompose(front: Front) -> BoxDecomposition:
     return BoxDecomposition(breaks, lower, lower + 1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow (inf or nan): ehvi compute exits 2
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
     """EHVI as the sum of box integrals over all nondominated grid cells.
 
@@ -121,10 +120,12 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         block //= k
         lead += 1
     # Outer products over the trailing axes are shared by every leading prefix.
+    # a huge stddev overflows them to inf (nan where inf meets a zero factor)
     value_tail = diffs[m - 1]
     width_tail = widths[m - 1]
     for j in range(m - 2, lead - 1, -1):
-        value_tail = np.multiply.outer(diffs[j], value_tail)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value_tail = np.multiply.outer(diffs[j], value_tail)
         width_tail = np.logical_and.outer(widths[j], width_tail)
 
     total = 0.0
@@ -138,7 +139,8 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         hs = np.asarray(g.h_array[prefix])
         mask = lower_m < hs[..., None]
         if scale > 0.0:
-            total += scale * float((value_tail * mask).sum())
+            with np.errstate(over="ignore"):
+                total += scale * float(np.where(mask, value_tail, 0.0).sum())
         if prefix_wide:
             count += int((mask & width_tail).sum())
     return EhviResult(value=total, boxes=count)

@@ -370,26 +370,28 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def imported_modules(proc):
+def scipy_modules(proc, expected):
+    """The scipy modules a `python -X importtime` child imported.
+
+    `expected` must be among its imports, so an empty listing cannot pass.
+    """
     # -X importtime lists every module the child imports, one per stderr line
-    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert expected in imported
+    return [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_compute_imports_no_scipy(tmp_path):
     path = write_request(tmp_path / "req.json", **BASIC)
     proc = run_python("-X", "importtime", "-m", "ehvi", "compute", "--input", str(path))
     assert_compute_succeeds(proc)
-    imported = imported_modules(proc)
-    assert "numpy" in imported
-    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    assert scipy_modules(proc, "numpy") == []
 
 
 def test_import_ehvi_imports_no_scipy():
     proc = run_python("-X", "importtime", "-c", "import ehvi")
     assert proc.returncode == 0
-    imported = imported_modules(proc)
-    assert "ehvi" in imported
-    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    assert scipy_modules(proc, "ehvi") == []
 
 
 @pytest.mark.parametrize("algorithm", ["grid", "wfg", "sweep"])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fit the rational function behind ehvi.gaussian.psi.
 
-    python3 tools/fit_psi_rational.py [--degree 9]
+    python3 tools/fit_psi_rational.py
 
 psi needs g(x) = phi(x) - x * Q(x) for x >= 0, with Q = 1 - Phi. Written as
 
@@ -9,14 +9,14 @@ psi needs g(x) = phi(x) - x * Q(x) for x >= 0, with Q = 1 - Phi. Written as
 
 h falls smoothly from h(0) = 1 to about 1/x**2 and is free of the
 cancellation of the difference. This script fits h on [0, X_MAX] by one
-rational P(x) / R(x), numerator degree --degree, denominator degree two
+rational P(x) / R(x), numerator degree DEGREE, denominator degree two
 more (so the fit decays like 1/x**2 as h does), with P(0) = R(0) = 1.
 
 The fit minimizes the largest relative error on Chebyshev points: Lawson's
 iteratively reweighted least squares on the linearized error
 (P - h R) / (h R_prev), with R_prev the previous iterate's denominator
 (Sanathanan-Koerner), all in mpmath at 100 digits.
-It is deterministic: the same arguments print the same coefficients.
+It is deterministic: every run prints the same coefficients.
 
 It prints the coefficients as the two tuples gaussian.py holds (lowest
 degree first) and the largest relative error of h: on the fit points in
@@ -28,12 +28,11 @@ coefficients and x >= 0 no term of P or R cancels.
 
 from __future__ import annotations
 
-import argparse
-
 import mpmath as mp
 import numpy as np
 
 X_MAX = 40.0  # gaussian._X_MAX
+DEGREE = 9  # numerator degree of gaussian._H_NUM (denominator: DEGREE + 2)
 POINTS = 400  # Chebyshev fit points
 ITERATIONS = 30  # Lawson steps; the best iterate is kept
 CHECK_POINTS = 20001  # even grid of the float64 check
@@ -52,9 +51,9 @@ def horner(coeffs, x):
     return acc
 
 
-def fit(degree: int):
+def fit():
     """Lawson-weighted minimax fit of h; returns (num, den, max relative error)."""
-    nq = degree + 2
+    nq = DEGREE + 2
     # Chebyshev points of [0, X_MAX] in u = x / X_MAX, where the monomials are
     # bounded by 1; coefficients are rescaled to x at the end
     us = [(1 - mp.cos(mp.pi * (i + mp.mpf(0.5)) / POINTS)) / 2 for i in range(POINTS)]
@@ -64,13 +63,13 @@ def fit(degree: int):
     best = None
     for _ in range(ITERATIONS):
         # normal equations of sum_i w_i ((P - h R) / (h R_prev))^2 with
-        # unknowns p_1..p_degree, r_1..r_nq (p_0 = r_0 = 1)
-        size = degree + nq
+        # unknowns p_1..p_DEGREE, r_1..r_nq (p_0 = r_0 = 1)
+        size = DEGREE + nq
         ata = [[mp.mpf(0)] * size for _ in range(size)]
         atb = [mp.mpf(0)] * size
         for u, h, rp, w in zip(us, hs, r_prev, weights):
             powers = [u**k for k in range(1, nq + 1)]
-            row = [pk / (h * rp) for pk in powers[:degree]] + [-pk / rp for pk in powers]
+            row = [pk / (h * rp) for pk in powers[:DEGREE]] + [-pk / rp for pk in powers]
             b = (h - 1) / (h * rp)
             for i in range(size):
                 wi = w * row[i]
@@ -82,8 +81,8 @@ def fit(degree: int):
             for j in range(i):
                 ata[i][j] = ata[j][i]
         c = mp.lu_solve(mp.matrix(ata), mp.matrix(atb))
-        num = [mp.mpf(1)] + [c[k] for k in range(degree)]
-        den = [mp.mpf(1)] + [c[degree + k] for k in range(nq)]
+        num = [mp.mpf(1)] + [c[k] for k in range(DEGREE)]
+        den = [mp.mpf(1)] + [c[DEGREE + k] for k in range(nq)]
         errs = [horner(num, u) / (horner(den, u) * h) - 1 for u, h in zip(us, hs)]
         worst = max(abs(e) for e in errs)
         if best is None or worst < best[2]:
@@ -105,11 +104,8 @@ def float_error(num, den, xs):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--degree", type=int, default=9, help="numerator degree (denominator: +2)")
-    args = parser.parse_args()
     mp.mp.dps = 100
-    num, den, worst = fit(args.degree)
+    num, den, worst = fit()
     if min(num + den) <= 0:
         raise SystemExit(f"a coefficient is not positive: {num} {den}")
     mp.mp.dps = 60
