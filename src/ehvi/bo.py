@@ -4,7 +4,8 @@ Structure: deterministic synthetic problems on [0,1]^d, independent GP
 surrogates per objective, exhaustive EHVI argmax over the unexplored
 candidates, dominated hypervolume as the progress metric, plus a
 random-search baseline sharing the same initialization stream so the two
-arms are directly comparable.
+arms are directly comparable. Each observation adds its exact hypervolume
+improvement over the current front's boxes, then joins the front.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import Front, Orientation, ProblemFrame, Vector, nondominated_filter,
 from .dispatch import compute_ehvi_batch
 from .errors import CandidatesExhaustedError, ParameterError
 from .gp import fit_gp, gp_posterior_batch
+from .sweep import hypervolume_improvement
 from .wfg import dominated_volume
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
@@ -57,10 +59,20 @@ class BoRunRecord:
 
 @dataclass
 class BoState:
+    """Queries so far; front (lex-sorted) and hypervolume are kept incrementally from observed."""
+
     problem: SyntheticProblem
     backend: str = "auto"
     observed: list[int] = field(default_factory=list)
     records: list[BoRunRecord] = field(default_factory=list)
+    front: Front = field(init=False)
+    hypervolume: float = field(init=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        prior, self.observed = self.observed, []
+        self.front = validate_front(self.problem.frame, [])
+        for index in prior:
+            _add_observation(self, index)
 
 
 def _sphere2(x: np.ndarray) -> np.ndarray:
@@ -115,29 +127,24 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
     )
 
 
-def _observe(state: BoState, index: int, acquisition_time_ns: int) -> BoRunRecord:
+def _add_observation(state: BoState, index: int) -> None:
+    y = tuple(float(v) for v in state.problem.candidates.objectives[index])
     state.observed.append(index)
-    seen = state.problem.candidates.objectives[state.observed]
-    front_pts = nondominated_filter(tuple(row) for row in seen)
-    hv = dominated_volume(front_pts, state.problem.frame.internal_reference)
-    if state.records:
-        # the dominated region only grows; recomputing it from scratch can
-        # round one ulp below the previous value, so clamp to the running max
-        hv = max(hv, state.records[-1].hypervolume)
+    state.hypervolume += hypervolume_improvement(y, state.front)
+    state.front = validate_front(state.problem.frame, nondominated_filter(state.front.points + (y,)))
+
+
+def _observe(state: BoState, index: int, acquisition_time_ns: int) -> BoRunRecord:
+    _add_observation(state, index)
     record = BoRunRecord(
         iteration=len(state.observed) - 1,
         design_point=tuple(float(v) for v in state.problem.candidates.design_points[index]),
         objectives=tuple(float(v) for v in state.problem.candidates.objectives[index]),
-        hypervolume=hv,
+        hypervolume=state.hypervolume,
         acquisition_time_ns=acquisition_time_ns,
     )
     state.records.append(record)
     return record
-
-
-def _current_front(state: BoState) -> Front:
-    seen = state.problem.candidates.objectives[state.observed]
-    return validate_front(state.problem.frame, nondominated_filter(tuple(row) for row in seen))
 
 
 def bo_step(state: BoState) -> BoRunRecord:
@@ -150,10 +157,7 @@ def bo_step(state: BoState) -> BoRunRecord:
     if not state.observed:
         raise ParameterError("bo_step needs at least one prior observation")
     problem = state.problem
-    total = len(problem.candidates.design_points)
-    mask = np.ones(total, dtype=bool)
-    mask[state.observed] = False
-    unexplored = np.flatnonzero(mask)
+    unexplored = np.setdiff1d(np.arange(len(problem.candidates.design_points)), state.observed)
     if unexplored.size == 0:
         raise CandidatesExhaustedError("every candidate has been queried")
 
@@ -168,9 +172,8 @@ def bo_step(state: BoState) -> BoRunRecord:
         means[:, j], stds[:, j] = gp_posterior_batch(surrogate, design[unexplored])
     stds = np.maximum(stds, _STDDEV_FLOOR)
 
-    front = _current_front(state)
     start = time.perf_counter_ns()
-    scores = compute_ehvi_batch(front, means, stds, state.backend)
+    scores = compute_ehvi_batch(state.front, means, stds, state.backend)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed)
@@ -214,10 +217,7 @@ def run_random(
     _initialize(state, seed, head)
     remaining = evaluations - head
     if remaining > 0:
-        total = len(problem.candidates.design_points)
-        mask = np.ones(total, dtype=bool)
-        mask[state.observed] = False
-        pool = np.flatnonzero(mask)
+        pool = np.setdiff1d(np.arange(len(problem.candidates.design_points)), state.observed)
         if remaining > pool.size:
             raise ParameterError(f"cannot draw {remaining} more from {pool.size} candidates")
         rng = np.random.default_rng([seed, 1])

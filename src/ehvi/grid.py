@@ -120,13 +120,17 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         block //= k
         lead += 1
     # Outer products over the trailing axes are shared by every leading prefix.
-    # a huge stddev overflows them to inf (nan where inf meets a zero factor)
+    # A huge stddev overflows them to inf, which times a zero factor is nan.
+    # The factors are finite, so every nan cell has a zero factor and is
+    # zeroed, as integrate_boxes zeroes such boxes.
     value_tail = diffs[m - 1]
     width_tail = widths[m - 1]
     for j in range(m - 2, lead - 1, -1):
         with np.errstate(over="ignore", invalid="ignore"):
             value_tail = np.multiply.outer(diffs[j], value_tail)
         width_tail = np.logical_and.outer(widths[j], width_tail)
+    value_tail[np.isnan(value_tail)] = 0.0
+    lead_diffs = [d.tolist() for d in diffs[:lead]]  # Python floats overflow to inf silently
 
     total = 0.0
     count = 0
@@ -134,13 +138,15 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         scale = 1.0
         prefix_wide = True
         for j, i in enumerate(prefix):
-            scale *= diffs[j][i]
+            scale *= lead_diffs[j][i]
             prefix_wide = prefix_wide and bool(widths[j][i])
         hs = np.asarray(g.h_array[prefix])
         mask = lower_m < hs[..., None]
         if scale > 0.0:
             with np.errstate(over="ignore"):
-                total += scale * float(np.where(mask, value_tail, 0.0).sum())
+                cells = float(np.where(mask, value_tail, 0.0).sum())
+            if cells > 0.0:  # an overflowed scale times zero cells would be nan
+                total += scale * cells
         if prefix_wide:
             count += int((mask & width_tail).sum())
     return EhviResult(value=total, boxes=count)

@@ -23,7 +23,8 @@ coordinates, r_j] of core.rank_form.
   the axes before j to q, and caps axis j at q_j; it exists only where
   q_j > lower_j. The sweep closes what is still open at r_m. Each box
   covers at least one nondominated grid cell, so there are at most
-  (n+1)^m of them.
+  (n+1)^m of them; the sweep refuses a front once it has made more than
+  _MAX_BOXES open plus closed boxes.
 
 Coordinates are replaced by rank_form's breakpoint ranks, a tied coordinate
 taking the rank of its first copy, so ties compare equal and no box has
@@ -38,10 +39,17 @@ import numpy as np
 
 from .clm3 import nondominated_boxes
 from .core import BoxDecomposition, EhviResult, Front, as_vector, rank_form
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, integrate_boxes
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
+# Most open plus closed boxes the m >= 4 sweep may make. Producing and
+# integrating one box for one belief takes about 2.8 us and 0.8 KB at peak
+# at m = 10 on a 2-core x86-64 host (m = 10, n = 26: 400k boxes, 1.1 s,
+# 300 MiB), so the largest admitted front needs about 1.5 s and 0.4 GiB, and
+# `ehvi compute` refuses m = 10, n = 100 after 1.2 s. The tests and the
+# benchmark pass with a budget of 2^15; m = 10, n = 40 would make 1.7M boxes.
+_MAX_BOXES = 1 << 19
 
 
 def _staircase_boxes(front: Front) -> BoxDecomposition:
@@ -59,30 +67,33 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     m, n = front.m, front.n
     breaks, ranks = rank_form(front.points, front.reference)
     k = m - 1
-    # An open box is one row [lower (k), upper (k), birth]. For a point q at
-    # `level`, raised = max(row, [q, q, level]) raises every lower bound to q
-    # and the birth to the level, and leaves the upper bounds alone (q <
-    # upper on a box q cuts). Piece j takes the lower bounds before j and
-    # the birth from raised, the rest from the row, and then caps upper j.
-    take_raised = np.zeros((k, 1, 2 * k + 1), dtype=bool)
-    take_raised[:, 0, :k] = np.tri(k, k, -1, dtype=bool)
-    take_raised[:, 0, 2 * k] = True
-    axes = np.arange(k)
-    open_ = np.concatenate([np.zeros(k), np.full(k, n + 1), [0]]).astype(np.intp)[None]
+    # An open box is one row [lower (k), -upper (k), birth]. For a point q at
+    # `level`, piece j of a box q cuts raises the lower bounds before j to q,
+    # caps upper j at q (q < upper) and takes the level as its birth: all
+    # maxima against [q, -q, level] on the axes of raise_where[j].
+    raise_where = np.zeros((k, 2 * k + 1), dtype=bool)
+    raise_where[:, :k] = np.tri(k, k, -1, dtype=bool)
+    raise_where[:, k : 2 * k] = np.eye(k, dtype=bool)
+    raise_where[:, 2 * k] = True
+    open_ = np.concatenate([np.zeros(k), np.full(k, -(n + 1)), [0]]).astype(np.intp)[None]
+    made = 1  # open plus closed boxes
     closed, levels = [], []
     ranks = ranks[np.argsort(ranks[:, k], kind="stable")]
-    raise_to = np.concatenate([ranks[:, :k], ranks], axis=1)  # [q, q, level] per point
+    raise_to = np.concatenate([ranks[:, :k], -ranks[:, :k], ranks[:, k:]], axis=1)
     for q, level, bounds in zip(ranks[:, :k], ranks[:, k].tolist(), raise_to):
-        hit = np.logical_and.reduce(q < open_[:, k : 2 * k], axis=1)
+        hit = np.logical_and.reduce(open_[:, k : 2 * k] < bounds[k : 2 * k], axis=1)  # q < upper
         cut = open_[hit]
         if not len(cut):
             continue  # q's projection is dominated by an earlier point's
         closed.append(cut)
         levels.append(level)
-        pieces = np.where(take_raised, np.maximum(cut, bounds), cut)
-        pieces[axes, :, k + axes] = q[:, None]
-        exists = q[:, None] > cut[:, :k].T  # (pieces, boxes)
-        open_ = np.concatenate([open_[~hit], pieces[exists]])
+        axis, box = np.nonzero(q[:, None] > cut[:, :k].T)  # the pieces that exist
+        made += len(axis)
+        if made > _MAX_BOXES:
+            raise ParameterError(f"sweep needs more than its budget of {_MAX_BOXES} boxes")
+        pieces = cut[box]
+        np.maximum(pieces, bounds, out=pieces, where=raise_where[axis])
+        open_ = np.concatenate([open_[~hit], pieces])
     closed.append(open_)
     levels.append(n + 1)
     rows = np.concatenate(closed)
@@ -90,7 +101,7 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     grown = rows[:, 2 * k] < top  # a box born and cut at one level has no height
     rows, top = rows[grown], top[grown]
     lower = np.column_stack([rows[:, :k], rows[:, 2 * k]])
-    upper = np.column_stack([rows[:, k : 2 * k], top])
+    upper = np.column_stack([-rows[:, k : 2 * k], top])
     return BoxDecomposition(breaks, lower, upper)
 
 
@@ -98,6 +109,8 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
     """Cut the nondominated region of any front into disjoint boxes.
 
     n+1 boxes at m = 2, at most 2n+1 at m = 3 and at most (n+1)^m beyond.
+    Raises ParameterError at m >= 4 once the sweep makes more than
+    _MAX_BOXES boxes.
     """
     if front.m == 2:
         return _staircase_boxes(front)

@@ -128,14 +128,38 @@ def test_batched_argmax_breaks_ties_toward_lowest_index(backend):
 
 
 def test_hypervolume_trajectories_nondecreasing():
-    problem = synthetic_problem("sphere2", resolution=8)
-    for records in (
-        run_bo(problem, seed=3, n_init=5, iterations=10),
-        run_random(problem, seed=3, evaluations=15, n_init=5),
-    ):
-        hvs = [r.hypervolume for r in records]
-        assert all(b >= a for a, b in zip(hvs, hvs[1:]))
-        assert hvs[-1] <= problem.reference_hypervolume + 1e-12
+    for name, resolution in [("sphere2", 8), ("sphere3", 5)]:
+        problem = synthetic_problem(name, resolution=resolution)
+        for records in (
+            run_bo(problem, seed=3, n_init=5, iterations=10),
+            run_random(problem, seed=3, evaluations=15, n_init=5),
+        ):
+            hvs = [r.hypervolume for r in records]
+            assert all(b >= a for a, b in zip(hvs, hvs[1:]))
+            assert hvs[-1] <= problem.reference_hypervolume + 1e-12
+            # the kept hypervolume matches a from-scratch one of every prefix
+            for k, record in enumerate(records):
+                seen = [r.objectives for r in records[: k + 1]]
+                exact = dominated_volume(seen, problem.frame.reference)
+                assert record.hypervolume == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_prefilled_state_matches_observed_one():
+    problem = synthetic_problem("sphere3", resolution=6)
+    obs = [int(i) for i in np.random.default_rng(11).choice(216, size=9, replace=False)]
+    prefilled = BoState(problem=problem, observed=list(obs))
+    fed = BoState(problem=problem)
+    for index in obs:
+        _observe(fed, index, 0)
+    assert prefilled.observed == fed.observed == obs
+    assert prefilled.records == []
+    assert prefilled.front.points == fed.front.points
+    assert prefilled.front.points == tuple(nondominated_filter(problem.candidates.objectives[obs]))
+    assert prefilled.hypervolume == fed.hypervolume == fed.records[-1].hypervolume
+    assert prefilled.hypervolume == pytest.approx(
+        dominated_volume(problem.candidates.objectives[obs], problem.frame.reference), rel=1e-12
+    )
+    assert bo_step(prefilled).design_point == bo_step(fed).design_point
 
 
 def test_acquisition_time_recorded_only_for_bo_steps():

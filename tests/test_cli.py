@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ehvi.grid
+import ehvi.sweep
 import ehvi.wfg
 from ehvi import generate_front, validate_front
 from ehvi.cli import load_request, main
@@ -166,8 +167,8 @@ def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):
     ids=["m2", "m3"],
 )
 def test_exit_code_2_grid_overflow(tmp_path, capsys, request_kwargs):
-    # grid's cell products overflow to inf, and to nan where they meet a zero
-    # factor; no RuntimeWarning either way, and the CLI refuses the result
+    # grid's cell products overflow to inf with no RuntimeWarning, and the
+    # CLI refuses the result
     path = write_request(tmp_path / "req.json", **request_kwargs)
     assert main(["compute", "--input", str(path), "--algorithm", "grid"]) == 2
     captured = capsys.readouterr()
@@ -195,6 +196,26 @@ def test_exit_code_2_wfg_over_budget(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget" in captured.err
+
+
+def test_exit_code_2_sweep_over_budget(tmp_path, capsys, monkeypatch):
+    request = dict(
+        m=4,
+        reference=[0.0] * 4,
+        front=[[-1.0, -2.0, -3.0, -4.0], [-4.0, -3.0, -1.0, -2.0], [-2.0, -4.0, -1.0, -3.0]],
+        mean=[-2.0] * 4,
+        stddev=[1.0] * 4,
+    )
+    path = write_request(tmp_path / "req.json", **request)
+    args = ["compute", "--input", str(path)]
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", 12)  # the m = 4 sweep makes 12 boxes here
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["boxes"] == 12
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", 11)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep needs more than its budget of 11 boxes\n"
 
 
 def test_exit_code_3_invalid_front(tmp_path, capsys):

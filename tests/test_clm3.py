@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import ehvi.grid
 from ehvi import (
     DimensionError,
     GaussianBelief,
@@ -172,12 +173,24 @@ def test_ehvi_clm3_single_point_analytic():
     assert res.boxes == 3  # the region below the point's level, and two strips above it
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_overflowing_box_factors_give_inf_not_nan():
+@pytest.mark.filterwarnings("error")
+def test_overflowing_box_factors_give_inf_not_nan(monkeypatch):
     # psi differences round to 0 on some axes while the other factors overflow
-    front = min_front((0.0, 0.0, 0.0), [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)])
-    belief = GaussianBelief((-1e308,) * 3, (1e308,) * 3)
-    assert ehvi_sweep(front, belief).value == math.inf
+    fronts = [
+        [(-1.0, -2.0), (-2.0, -1.0)],
+        [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)],
+        [(-1.0, -2.0, -3.0, -4.0), (-4.0, -3.0, -1.0, -2.0), (-2.0, -4.0, -1.0, -3.0)],
+    ]
+    for points in fronts:
+        m = len(points[0])
+        front = min_front((0.0,) * m, points)
+        belief = GaussianBelief((-1e308,) * m, (1e308,) * m)
+        for backend in (ehvi_sweep, ehvi_wfg, ehvi_grid):
+            assert backend(front, belief).value == math.inf, (backend.__name__, m)
+        # grid in blocks: the leading axes' factors multiply as scalars
+        with monkeypatch.context() as patch:
+            patch.setattr(ehvi.grid, "_CHUNK", 8)
+            assert ehvi_grid(front, belief).value == math.inf, m
 
 
 def test_ehvi_clm3_wrong_dimensions():
