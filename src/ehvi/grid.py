@@ -130,7 +130,6 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
             value_tail = np.multiply.outer(diffs[j], value_tail)
         width_tail = np.logical_and.outer(widths[j], width_tail)
     value_tail[np.isnan(value_tail)] = 0.0
-    lead_diffs = [d.tolist() for d in diffs[:lead]]  # Python floats overflow to inf silently
 
     total = 0.0
     count = 0
@@ -138,7 +137,7 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         scale = 1.0
         prefix_wide = True
         for j, i in enumerate(prefix):
-            scale *= lead_diffs[j][i]
+            scale *= float(diffs[j][i])  # a Python float overflows to inf silently
             prefix_wide = prefix_wide and bool(widths[j][i])
         hs = np.asarray(g.h_array[prefix])
         mask = lower_m < hs[..., None]
