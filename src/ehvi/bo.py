@@ -1,7 +1,7 @@
 """Multi-objective Bayesian optimization over a finite candidate grid.
 
-Structure: deterministic synthetic problems on [0,1]^d, independent GP
-surrogates per objective, exhaustive EHVI argmax over the unexplored
+Structure: deterministic synthetic problems on [0,1]^d, one GP fit over
+all objectives, exhaustive EHVI argmax over the unexplored
 candidates, dominated hypervolume as the progress metric, plus a
 random-search baseline sharing the same initialization stream so the two
 arms are directly comparable. Each observation adds its exact hypervolume
@@ -55,6 +55,7 @@ class BoRunRecord:
     objectives: Vector
     hypervolume: float
     acquisition_time_ns: int  # EHVI scoring + argmax scan; 0 for random queries
+    gp_time_ns: int  # GP fit + posterior; 0 for random queries
 
 
 @dataclass
@@ -128,13 +129,14 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
 
 
 def _add_observation(state: BoState, index: int) -> None:
-    y = tuple(float(v) for v in state.problem.candidates.objectives[index])
+    # the front's points are internal already, so only y goes through validate_front
+    (y,) = validate_front(state.problem.frame, [state.problem.candidates.objectives[index]]).points
     state.observed.append(index)
     state.hypervolume += hypervolume_improvement(y, state.front)
-    state.front = validate_front(state.problem.frame, nondominated_filter(state.front.points + (y,)))
+    state.front = Front(state.problem.frame, tuple(nondominated_filter(state.front.points + (y,))))
 
 
-def _observe(state: BoState, index: int, acquisition_time_ns: int) -> BoRunRecord:
+def _observe(state: BoState, index: int, acquisition_time_ns: int = 0, gp_time_ns: int = 0) -> BoRunRecord:
     _add_observation(state, index)
     record = BoRunRecord(
         iteration=len(state.observed) - 1,
@@ -142,41 +144,40 @@ def _observe(state: BoState, index: int, acquisition_time_ns: int) -> BoRunRecor
         objectives=tuple(float(v) for v in state.problem.candidates.objectives[index]),
         hypervolume=state.hypervolume,
         acquisition_time_ns=acquisition_time_ns,
+        gp_time_ns=gp_time_ns,
     )
     state.records.append(record)
     return record
 
 
 def bo_step(state: BoState) -> BoRunRecord:
-    """Fit per-objective GPs, score EHVI on every unexplored candidate, query the argmax.
+    """Fit one GP over all objectives, score EHVI on every unexplored candidate, query the argmax.
 
-    Ties (and the all-zero case) go to the lowest candidate index. The
-    acquisition timer covers EHVI scoring and the argmax scan, not GP
-    fitting.
+    The GP sees the objectives in the front's internal convention, so its
+    means are internal too. Ties (and the all-zero case) go to the lowest
+    candidate index. The GP timer covers fit and posterior, the acquisition
+    timer EHVI scoring and the argmax scan.
     """
     if not state.observed:
         raise ParameterError("bo_step needs at least one prior observation")
     problem = state.problem
-    unexplored = np.setdiff1d(np.arange(len(problem.candidates.design_points)), state.observed)
+    unexplored = np.delete(np.arange(len(problem.candidates.design_points)), state.observed)
     if unexplored.size == 0:
         raise CandidatesExhaustedError("every candidate has been queried")
 
     design = problem.candidates.design_points
-    seen_x = design[state.observed]
-    seen_f = problem.candidates.objectives[state.observed]
-    m = problem.frame.m
-    means = np.empty((unexplored.size, m))
-    stds = np.empty((unexplored.size, m))
-    for j in range(m):
-        surrogate = fit_gp(seen_x, seen_f[:, j])
-        means[:, j], stds[:, j] = gp_posterior_batch(surrogate, design[unexplored])
+    sign = -1.0 if problem.frame.orientation is Orientation.MAXIMIZE else 1.0
+    seen_f = sign * problem.candidates.objectives[state.observed]
+    start = time.perf_counter_ns()
+    means, stds = gp_posterior_batch(fit_gp(design[state.observed], seen_f), design[unexplored])
+    gp_elapsed = time.perf_counter_ns() - start
     stds = np.maximum(stds, _STDDEV_FLOOR)
 
     start = time.perf_counter_ns()
     scores = compute_ehvi_batch(state.front, means, stds, state.backend)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
-    return _observe(state, int(unexplored[best_pos]), elapsed)
+    return _observe(state, int(unexplored[best_pos]), elapsed, gp_elapsed)
 
 
 def _initialize(state: BoState, seed: int, n_init: int) -> None:
@@ -185,7 +186,7 @@ def _initialize(state: BoState, seed: int, n_init: int) -> None:
         raise ParameterError(f"n_init must be in [1, {total}], got {n_init}")
     rng = np.random.default_rng([seed, 0])
     for index in rng.choice(total, size=n_init, replace=False):
-        _observe(state, int(index), 0)
+        _observe(state, int(index))
 
 
 def run_bo(
@@ -217,10 +218,10 @@ def run_random(
     _initialize(state, seed, head)
     remaining = evaluations - head
     if remaining > 0:
-        pool = np.setdiff1d(np.arange(len(problem.candidates.design_points)), state.observed)
+        pool = np.delete(np.arange(len(problem.candidates.design_points)), state.observed)
         if remaining > pool.size:
             raise ParameterError(f"cannot draw {remaining} more from {pool.size} candidates")
         rng = np.random.default_rng([seed, 1])
         for index in rng.permutation(pool)[:remaining]:
-            _observe(state, int(index), 0)
+            _observe(state, int(index))
     return state.records

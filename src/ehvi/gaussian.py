@@ -43,9 +43,6 @@ _H_NUM = (1.0, 1.2890640760678707, 0.8443212378454432, 0.3586378651208238, 0.107
 _H_DEN = (1.0, 2.5423782133833814, 3.030719795081328, 2.241360685818707, 1.145766007071475,
           0.42650302517374467, 0.1184440539045065, 0.024663655644703634, 0.0037985072086227116,
           0.00041575666039234046, 2.94850614770901e-05, 1.0496986952377794e-06)
-# complex(p_k, r_k), highest degree first: for real x a complex Horner step
-# is the two real steps of P and R, rounded alike, in half the numpy calls
-_H_HORNER = tuple(map(complex, _H_NUM + (0.0, 0.0), _H_DEN))[::-1]
 # Largest (beliefs x boxes x axes) block integrate_boxes materializes at once.
 _BLOCK = 1 << 20
 
@@ -76,13 +73,13 @@ class GaussianBelief:
 
 
 def rational_h(x: np.ndarray) -> np.ndarray:
-    """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX]."""
-    xc = x.astype(complex)
-    z = np.full(x.shape, _H_HORNER[0])
-    for c in _H_HORNER[1:]:
-        z *= xc
-        z += c
-    return z.real / z.imag
+    """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX], P and R by Horner's rule."""
+    p, r = np.full(x.shape, _H_NUM[-1]), np.full(x.shape, _H_DEN[-1])
+    for acc, coeffs in ((p, _H_NUM), (r, _H_DEN)):
+        for c in coeffs[-2::-1]:
+            acc *= x
+            acc += c
+    return np.divide(p, r, out=p)
 
 
 def psi(a, mu, sigma):

@@ -1,11 +1,12 @@
-"""Independent Gaussian-process surrogates with deterministic heuristics.
+"""Gaussian-process surrogates with deterministic heuristics.
 
-One GP per objective, squared-exponential kernel with per-dimension
-lengthscales. Hyperparameters come from closed heuristics rather than
-marginal-likelihood optimization (lengthscale: median nonzero pairwise
-distance per dimension; signal variance: target variance; prior mean:
-target mean), which keeps every BO run exactly reproducible. Posteriors are
-products with the inverse Cholesky factor, computed once per fit.
+One fit covers every target column, with a squared-exponential kernel whose
+per-dimension lengthscales (median nonzero pairwise distance) depend on the
+inputs alone, so each unit kernel is computed once for all columns. Each
+column's signal variance and prior mean are its variance and mean: closed
+heuristics rather than marginal-likelihood optimization keep every BO run
+exactly reproducible. Posteriors are products with each column's inverse
+Cholesky factor, computed once per fit.
 """
 
 from __future__ import annotations
@@ -22,60 +23,57 @@ _SIGNAL_VAR_FLOOR = 1e-12
 
 @dataclass
 class GpSurrogate:
-    """Fitted GP: training data, kernel hyperparameters, cached inverse Cholesky factor."""
+    """Fitted GP per target column: training data, hyperparameters, cached inverse Cholesky factors."""
 
     inputs: np.ndarray  # (n, d)
-    targets: np.ndarray  # (n,)
+    targets: np.ndarray  # (n,) or (n, k)
     lengthscale: np.ndarray  # (d,)
-    signal_var: float
+    signal_var: float | np.ndarray  # or (k,)
     noise_var: float
-    prior_mean: float
-    chol_inv: np.ndarray  # (n, n) L^-1, with K + jitter I = L L^T
-    alpha: np.ndarray  # (K + jitter I)^-1 (targets - prior_mean)
+    prior_mean: float | np.ndarray  # or (k,)
+    chol_inv: np.ndarray  # (n, n) or (k, n, n): L^-1, with K + jitter I = L L^T
+    alpha: np.ndarray  # (n,) or (k, n): (K + jitter I)^-1 (targets - prior_mean)
     clamp_count: int = 0  # posterior variances clamped up to 0
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, lengthscale: np.ndarray, signal_var: float) -> np.ndarray:
-    scaled = (a[:, None, :] - b[None, :, :]) / lengthscale
-    return signal_var * np.exp(-0.5 * np.einsum("ijk,ijk->ij", scaled, scaled))
+def _unit_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    sq = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b) - 2.0 * (a @ b.T)
+    return np.exp(-0.5 * np.maximum(sq, 0.0))
 
 
 def _median_lengthscales(inputs: np.ndarray) -> np.ndarray:
-    n, d = inputs.shape
-    scales = np.ones(d)
-    if n < 2:
-        return scales
-    iu = np.triu_indices(n, k=1)
-    for j in range(d):
-        gaps = np.abs(inputs[iu[0], j] - inputs[iu[1], j])
-        gaps = gaps[gaps > 0.0]
-        if gaps.size:
-            scales[j] = float(np.median(gaps))
-    return scales
+    """Per dimension, the median nonzero gap between two inputs; 1 where there is none."""
+    i, j = np.triu_indices(len(inputs), k=1)
+    gaps = [g[g > 0.0] for g in np.abs(inputs[i] - inputs[j]).T]
+    return np.array([float(np.median(g)) if g.size else 1.0 for g in gaps])
 
 
 def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
-    """Fit a surrogate on (n, d) inputs and n scalar targets; n >= 1."""
+    """Fit a surrogate per column of (n,) or (n, k) targets on (n, d) inputs; n >= 1."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.asarray(targets, dtype=float).ravel()
-    if x.shape[0] != y.shape[0]:
-        raise ParameterError(f"{x.shape[0]} inputs but {y.shape[0]} targets")
+    y = np.asarray(targets, dtype=float)
+    columns = y.T if y.ndim == 2 else y.reshape(1, -1)  # (k, n)
+    if x.shape[0] != columns.shape[1]:
+        raise ParameterError(f"{x.shape[0]} inputs but {columns.shape[1]} targets")
     if x.shape[0] < 1:
         raise ParameterError("need at least one training point")
     if not (jitter > 0.0):
         raise ParameterError(f"jitter must be positive, got {jitter}")
     lengthscale = _median_lengthscales(x)
-    signal_var = max(float(np.var(y)), _SIGNAL_VAR_FLOOR)
-    prior_mean = float(np.mean(y))
-    cov = _kernel(x, x, lengthscale, signal_var) + jitter * np.eye(len(x))
+    # per column, so each sums in the order a 1-D fit of it does
+    signal_var = np.array([max(float(np.var(c)), _SIGNAL_VAR_FLOOR) for c in columns])
+    prior_mean = np.array([float(np.mean(c)) for c in columns])
+    cov = signal_var[:, None, None] * _unit_kernel(x / lengthscale, x / lengthscale) + jitter * np.eye(len(x))
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError as exc:
         raise GpFitError(f"training covariance not positive definite (jitter={jitter})") from exc
-    alpha = chol_inv.T @ (chol_inv @ (y - prior_mean))
+    alpha = np.array([c.T @ (c @ r) for c, r in zip(chol_inv, columns - prior_mean[:, None])])
+    if y.ndim != 2:
+        signal_var, prior_mean, chol_inv, alpha = float(signal_var[0]), float(prior_mean[0]), chol_inv[0], alpha[0]
     return GpSurrogate(
         inputs=x,
-        targets=y,
+        targets=y if y.ndim == 2 else columns[0],
         lengthscale=lengthscale,
         signal_var=signal_var,
         noise_var=jitter,
@@ -86,19 +84,23 @@ def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
 
 
 def gp_posterior_batch(surrogate: GpSurrogate, candidates) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and stddevs at a (q, d) batch of candidates.
+    """Posterior means and stddevs at a (q, d) batch of candidates: (q,) or (q, k), as the targets were.
 
     Negative predictive variances (possible only through rounding) are
     clamped to 0 and counted on the surrogate.
     """
     xs = np.atleast_2d(np.asarray(candidates, dtype=float))
-    cross = _kernel(xs, surrogate.inputs, surrogate.lengthscale, surrogate.signal_var)
-    mean = surrogate.prior_mean + cross @ surrogate.alpha
-    v = surrogate.chol_inv @ cross.T
-    var = surrogate.signal_var - np.einsum("ij,ij->j", v, v)
+    n = len(surrogate.inputs)
+    signal_var = np.atleast_1d(surrogate.signal_var)
+    unit = _unit_kernel(xs / surrogate.lengthscale, surrogate.inputs / surrogate.lengthscale)
+    cross = signal_var[:, None, None] * unit  # (k, q, n)
+    mean = (cross @ surrogate.alpha.reshape(-1, n, 1))[:, :, 0].T + surrogate.prior_mean
+    v = surrogate.chol_inv.reshape(-1, n, n) @ cross.transpose(0, 2, 1)
+    var = signal_var - np.einsum("kiq,kiq->qk", v, v)
     negative = var < 0.0
     if negative.any():
         surrogate.clamp_count += int(negative.sum())
         var = np.where(negative, 0.0, var)
+    if np.ndim(surrogate.signal_var) == 0:
+        return mean[:, 0], np.sqrt(var[:, 0])
     return mean, np.sqrt(var)
-

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ehvi import DimensionError, psi
+from ehvi.gaussian import _H_DEN, _H_NUM
 
 SQRT2 = math.sqrt(2.0)
 
@@ -169,6 +170,21 @@ def mp_h(x):
         x = mpmath.mpf(x)
         tail = mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(x / mpmath.sqrt(2)) * mpmath.exp(x * x / 2)
         return +(1 - x * tail)
+
+
+def complex_horner_h(x):
+    """P / R from one complex Horner loop over z_k = p_k + i r_k, highest degree first.
+
+    For real x a complex step z * x + c rounds exactly as the real steps of
+    P and R do, so rational_h must equal this bit for bit.
+    """
+    coeffs = tuple(map(complex, _H_NUM + (0.0,) * (len(_H_DEN) - len(_H_NUM)), _H_DEN))[::-1]
+    xc = np.asarray(x, dtype=float).astype(complex)
+    z = np.full(xc.shape, coeffs[0])
+    for c in coeffs[1:]:
+        z *= xc
+        z += c
+    return z.real / z.imag
 
 
 def mp_ehvi(points, reference, mean, stddev):

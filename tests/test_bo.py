@@ -5,6 +5,7 @@ import pytest
 
 from ehvi import (
     CandidatesExhaustedError,
+    Orientation,
     ParameterError,
     ProblemFrame,
     dominated_volume,
@@ -14,7 +15,38 @@ from ehvi import (
     synthetic_problem,
     validate_front,
 )
-from ehvi.bo import BoState, CandidateSet, SyntheticProblem, _observe, bo_step
+from ehvi.bo import DEFAULT_RESOLUTION, BoState, CandidateSet, SyntheticProblem, _observe, bo_step
+
+# Candidate indices queried by run_bo(n_init=10, iterations=15) after its
+# seeded initialization, for seeds 0-7 at the default resolutions. A rewrite
+# of the GP or psi kernels that moves any query fails here.
+PINNED_QUERIES = {
+    "sphere2": [
+        [1008, 721, 0, 1003, 31, 433, 591, 1015, 815, 335, 495, 4, 656, 447, 26],
+        [1015, 530, 13, 301, 722, 1023, 1008, 399, 623, 20, 816, 8, 207, 463, 31],
+        [1004, 0, 992, 12, 686, 1009, 415, 559, 6, 21, 1016, 399, 998, 783, 24],
+        [1023, 994, 518, 15, 1011, 31, 400, 1003, 688, 998, 496, 335, 12, 511, 1007],
+        [1007, 31, 4, 270, 784, 14, 367, 9, 687, 1002, 560, 176, 26, 879, 528],
+        [14, 1023, 303, 0, 992, 31, 655, 430, 1008, 8, 207, 1016, 18, 719, 591],
+        [145, 2, 720, 1005, 22, 305, 13, 7, 1023, 1017, 624, 848, 399, 206, 1000],
+        [997, 576, 14, 0, 31, 1003, 431, 18, 719, 206, 528, 6, 367, 655, 783],
+    ],
+    "sphere3": [
+        [945, 92, 990, 994, 999, 492, 44, 9, 900, 90, 905, 909, 4, 95, 996],
+        [964, 992, 6, 490, 997, 95, 595, 905, 98, 504, 56, 9, 994, 93, 493],
+        [491, 32, 906, 909, 999, 606, 52, 4, 994, 955, 595, 94, 996, 903, 6],
+        [929, 900, 507, 495, 0, 400, 993, 4, 943, 990, 53, 906, 925, 995, 2],
+        [30, 901, 99, 49, 699, 590, 402, 95, 65, 5, 930, 405, 905, 44, 494],
+        [900, 190, 990, 0, 99, 9, 59, 40, 4, 590, 94, 944, 984, 906, 965],
+        [185, 92, 903, 900, 3, 6, 994, 45, 990, 596, 954, 0, 9, 90, 99],
+        [906, 92, 50, 96, 9, 609, 914, 5, 99, 405, 995, 964, 494, 58, 934],
+    ],
+}
+
+
+def _query_indices(problem, records):
+    index = {tuple(row): i for i, row in enumerate(problem.candidates.design_points.tolist())}
+    return [index[r.design_point] for r in records]
 
 
 def test_sphere2_grid_shape():
@@ -166,8 +198,54 @@ def test_acquisition_time_recorded_only_for_bo_steps():
     problem = synthetic_problem("sphere2", resolution=6)
     records = run_bo(problem, seed=2, n_init=4, iterations=3)
     assert [r.acquisition_time_ns for r in records[:4]] == [0, 0, 0, 0]
+    assert [r.gp_time_ns for r in records[:4]] == [0, 0, 0, 0]
     assert all(r.acquisition_time_ns > 0 for r in records[4:])
+    assert all(r.gp_time_ns > 0 for r in records[4:])
     assert [r.iteration for r in records] == list(range(7))
+    rnd = run_random(problem, seed=2, evaluations=7, n_init=4)
+    assert [(r.acquisition_time_ns, r.gp_time_ns) for r in rnd] == [(0, 0)] * 7
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3"])
+def test_bo_queries_pinned(name):
+    problem = synthetic_problem(name, DEFAULT_RESOLUTION[name])
+    for seed, want in enumerate(PINNED_QUERIES[name]):
+        records = run_bo(problem, seed=seed, n_init=10, iterations=15)
+        assert _query_indices(problem, records[10:]) == want, seed
+
+
+def test_maximize_problem_matches_its_negated_minimize_one():
+    problem = synthetic_problem("sphere2", DEFAULT_RESOLUTION["sphere2"])
+    objectives = -problem.candidates.objectives
+    frame = ProblemFrame(2, tuple(-r for r in problem.frame.reference), Orientation.MAXIMIZE)
+    negated = SyntheticProblem(
+        name="sphere2-max",
+        candidates=CandidateSet(problem.candidates.design_points, objectives),
+        frame=frame,
+        true_front=tuple(tuple(-x for x in p) for p in problem.true_front),
+        reference_hypervolume=problem.reference_hypervolume,
+    )
+    for seed in range(2):
+        want = run_bo(problem, seed=seed, n_init=10, iterations=15)
+        got = run_bo(negated, seed=seed, n_init=10, iterations=15)
+        assert _query_indices(negated, got) == _query_indices(problem, want)
+        assert [r.hypervolume for r in got] == [r.hypervolume for r in want]
+        assert [r.objectives for r in got] == [tuple(-x for x in r.objectives) for r in want]
+
+
+def test_maximize_state_keeps_internal_front():
+    objectives = np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]])
+    frame = ProblemFrame(2, (0.0, 0.0), Orientation.MAXIMIZE)
+    problem = SyntheticProblem(
+        name="max",
+        candidates=CandidateSet(np.array([[0.0], [1.0], [2.0]]), objectives),
+        frame=frame,
+        true_front=tuple(map(tuple, objectives)),
+        reference_hypervolume=dominated_volume([tuple(-r) for r in objectives], (0.0, 0.0)),
+    )
+    state = BoState(problem=problem, observed=[0, 1, 2])
+    assert state.front.points == ((-2.0, -1.0), (-1.5, -1.5), (-1.0, -2.0))
+    assert state.hypervolume == pytest.approx(problem.reference_hypervolume, rel=1e-12)
 
 
 def test_query_sequence_invariant_across_backends():

@@ -10,7 +10,7 @@ from ehvi.gaussian import integrate_boxes, rational_h
 from ehvi.oracle import std_normal_cdf
 from ehvi.sweep import sweep_boxes
 from helpers import box_decomposition, box_sum, random_front
-from oracles import full_region_integral, mp_h, mp_psi, quad_box_integral, quad_psi
+from oracles import complex_horner_h, full_region_integral, mp_h, mp_psi, quad_box_integral, quad_psi
 
 
 def test_cdf_values():
@@ -103,6 +103,13 @@ def test_rational_h_matches_mpmath_on_its_whole_range():
     want = [float(mp_h(v)) for v in x]
     np.testing.assert_allclose(rational_h(x), want, rtol=1.5e-15, atol=0.0)
     assert rational_h(np.zeros(1)).tolist() == [1.0]
+
+
+def test_rational_h_equals_complex_horner_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for x in (np.linspace(0.0, 40.0, 200001), rng.uniform(0.0, 40.0, 50000), rng.uniform(0.0, 1.0, 7)):
+        assert np.array_equal(rational_h(x), complex_horner_h(x))
+    assert np.array_equal(rational_h(np.zeros(())), complex_horner_h(np.zeros(())))
 
 
 def test_psi_arrays_exactly_zero_at_minus_inf():

@@ -80,3 +80,46 @@ def test_variance_clamped_on_ill_conditioned_fit():
     assert np.all(stds >= 0.0)
     assert not np.any(np.isnan(means)) and not np.any(np.isnan(stds))
     assert isinstance(surrogate.clamp_count, int) and surrogate.clamp_count >= 0
+
+
+def test_two_dimensional_targets_fit_each_column_as_a_one_dimensional_fit():
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 1.0, size=(20, 3))
+    Y = np.column_stack([np.sin(X.sum(axis=1)), X[:, 0] ** 2, np.full(20, 3.0)])
+    Xs = rng.uniform(0.0, 1.0, size=(15, 3))
+    surrogate = fit_gp(X, Y)
+    means, stds = gp_posterior_batch(surrogate, Xs)
+    assert means.shape == stds.shape == (15, 3)
+    for j in range(3):
+        single = fit_gp(X, Y[:, j])
+        single_means, single_stds = gp_posterior_batch(single, Xs)
+        assert np.array_equal(means[:, j], single_means)
+        assert np.array_equal(stds[:, j], single_stds)
+        assert surrogate.signal_var[j] == single.signal_var
+        assert surrogate.prior_mean[j] == single.prior_mean
+        ref_means, ref_stds = dense_gp_posterior(
+            X, Y[:, j], surrogate.lengthscale, surrogate.signal_var[j],
+            surrogate.noise_var, surrogate.prior_mean[j], Xs,
+        )
+        np.testing.assert_allclose(means[:, j], ref_means, atol=1e-8)
+        np.testing.assert_allclose(stds[:, j], ref_stds, atol=1e-8)
+
+
+def test_two_dimensional_fit_counts_clamps_over_all_columns():
+    # at jitter 1e-14 the posterior variance at the training points rounds
+    # below 0 in every column
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 1.0, size=(8, 2))
+    Y = rng.normal(size=(8, 3)) * [1e3, 2e3, 3e3]
+    singles = [fit_gp(X, Y[:, j], jitter=1e-14) for j in range(3)]
+    for single in singles:
+        gp_posterior_batch(single, X)
+    assert all(s.clamp_count > 0 for s in singles)
+    surrogate = fit_gp(X, Y, jitter=1e-14)
+    gp_posterior_batch(surrogate, X)
+    assert surrogate.clamp_count == sum(s.clamp_count for s in singles)
+
+
+def test_two_dimensional_fit_validation():
+    with pytest.raises(ParameterError):
+        fit_gp(X_SMALL, np.ones((3, 2)))
