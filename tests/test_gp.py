@@ -69,6 +69,8 @@ def test_fit_validation():
         fit_gp(X_SMALL, Y_SMALL, jitter=0.0)
     with pytest.raises(ParameterError):
         fit_gp([], [])
+    with pytest.raises(ParameterError):
+        fit_gp(X_SMALL, np.ones((3, 2)))
 
 
 def test_variance_clamped_on_ill_conditioned_fit():
@@ -118,8 +120,3 @@ def test_two_dimensional_fit_counts_clamps_over_all_columns():
     surrogate = fit_gp(X, Y, jitter=1e-14)
     gp_posterior_batch(surrogate, X)
     assert surrogate.clamp_count == sum(s.clamp_count for s in singles)
-
-
-def test_two_dimensional_fit_validation():
-    with pytest.raises(ParameterError):
-        fit_gp(X_SMALL, np.ones((3, 2)))

@@ -21,9 +21,9 @@ It is deterministic: every run prints the same coefficients.
 It prints the coefficients as the two tuples gaussian.py holds (lowest
 degree first) and the largest relative error of h: on the fit points in
 exact arithmetic, and on an even grid with the coefficients rounded to
-float64 and P and R evaluated by Horner's rule (gaussian.rational_h rounds
-exactly so). It fails unless every coefficient is positive: with positive
-coefficients and x >= 0 no term of P or R cancels.
+float64 and P and R each evaluated by Horner's rule in one real loop, as
+gaussian.rational_h evaluates them. It fails unless every coefficient is
+positive: with positive coefficients and x >= 0 no term of P or R cancels.
 """
 
 from __future__ import annotations
