@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Orientation, ProblemFrame, Vector, validate_front
+from .core import _FILTER_BLOCK, Orientation, ProblemFrame, Vector, validate_front
 from .dispatch import BACKENDS
 from .errors import ParameterError, UnsupportedDimensionError
 from .gaussian import GaussianBelief
@@ -31,6 +31,7 @@ DEFAULT_MEAN = 10.0
 DEFAULT_SIGMA = 2.5
 
 DEFAULT_NS = (10, 50, 100, 150, 200, 250, 300)
+_DRAW_BLOCK = 256  # generate_front's draws per numpy rejection pass
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,41 @@ def generate_front(m: int, n: int, seed: int) -> list[Vector]:
     Rejection sampling: a draw is kept iff it neither weakly dominates nor is
     weakly dominated by any accepted point (in the maximize sense), which
     also rules out duplicates. Deterministic in (m, n, seed).
+
+    Draws come in blocks of _DRAW_BLOCK, the same stream as one draw at a
+    time. A block first drops, in numpy, the draws comparable with a point
+    accepted before it; the rest are then taken in order against the points
+    accepted within the block, so the front is the one-at-a-time sampler's.
     """
     if m < 2:
         raise UnsupportedDimensionError(f"need at least 2 objectives, got m={m}")
     if n < 1:
         raise ParameterError(f"front size must be positive, got n={n}")
     rng = np.random.default_rng(seed)
-    accepted = np.empty((0, m))
-    while len(accepted) < n:
-        v = rng.uniform(GEN_LOW, GEN_HIGH, m)
-        if (v >= accepted).all(axis=1).any() or (v <= accepted).all(axis=1).any():
-            continue
-        accepted = np.vstack([accepted, v])
+    accepted = np.empty((n, m))
+    count = 0
+    step = _FILTER_BLOCK // _DRAW_BLOCK  # accepted points per comparison
+    while count < n:
+        draws = rng.uniform(GEN_LOW, GEN_HIGH, (_DRAW_BLOCK, m))
+        keep = np.ones(_DRAW_BLOCK, dtype=bool)
+        prior = accepted[:count]
+        for s in range(0, count, step):
+            earlier = prior[s:s + step]
+            geq = draws[:, 0, None] >= earlier[:, 0]
+            leq = draws[:, 0, None] <= earlier[:, 0]
+            for j in range(1, m):
+                geq &= draws[:, j, None] >= earlier[:, j]
+                leq &= draws[:, j, None] <= earlier[:, j]
+            keep &= ~(geq | leq).any(axis=1)
+        start = count
+        for v in draws[keep]:
+            within = accepted[start:count]
+            if (v >= within).all(axis=1).any() or (v <= within).all(axis=1).any():
+                continue
+            accepted[count] = v
+            count += 1
+            if count == n:
+                break
     return [tuple(row) for row in accepted]
 
 

@@ -304,6 +304,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EhviError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ coordinates, r_j] of core.rank_form.
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
   (-inf, y[i-1]], with x[-1] = -inf, y[-1] = r2 and x[n] = r1: exactly n+1
   boxes, pure index arithmetic.
-- m = 3: the staircase sweep of clm3 (the paper's CLM-based decomposition),
-  at most 2n+1 boxes from at most 2n staircase updates.
+- m = 3: clm3.nondominated_boxes, the paper's CLM-based staircase sweep
+  on breakpoint ranks: at most 2n+1 boxes, exactly 2n+1 when no two points
+  share a coordinate, from at most 2n staircase updates.
 - m >= 4: a sweep over the last axis. The cross-section of the region
   between two sweep levels is the (m-1)-D nondominated region of the points
   below, held as disjoint open boxes with the level each was born at. A

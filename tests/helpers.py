@@ -1,15 +1,17 @@
 """Shared builders for test inputs."""
 
-import copy
 import itertools
 import math
 
 import numpy as np
 
-from ehvi import GaussianBelief, ProblemFrame, validate_front
+from ehvi import GaussianBelief, ProblemFrame, psi, validate_front
 from ehvi.bench import benchmark_frame, generate_front
+from ehvi.clm3 import nondominated_boxes
 from ehvi.core import BoxDecomposition
 from ehvi.gaussian import integrate_boxes
+from ehvi.grid import grid_decompose
+from oracles import brute_nondominated
 
 
 def random_front(m, n, seed):
@@ -83,11 +85,36 @@ def slab_integral(keys, vals, reference, belief2):
     return box_sum(box_decomposition(slabs), belief2)
 
 
-def open_strips(state):
-    """The open strips of a SweepState as a 2-D decomposition, read off by closing a copy."""
-    probe = copy.deepcopy(state)
-    before = len(probe.boxes)
-    probe.close(math.inf)
-    return box_decomposition(
-        [((lo1, probe.bottom), (up1, up2)) for lo1, up1, up2, _, _ in probe.boxes[before:]]
-    )
+def cross_section(boxes, level):
+    """Axes 1-2 of the m=3 boxes whose third-axis range holds the slab just below breakpoint `level`."""
+    keep = (boxes.lower[:, 2] < level) & (boxes.upper[:, 2] >= level)
+    return BoxDecomposition(boxes.breaks[:2], boxes.lower[keep, :2], boxes.upper[keep, :2])
+
+
+def check_cross_sections(front, belief2):
+    """Check every cross-section of an m=3 front's sweep boxes against a 2-D recomputation.
+
+    At each level L the cross-section must be disjoint, integrate to grid's
+    decomposition of the nondominated projections of the points below L, and
+    with the slab integral of their staircase tile the quadrant. There are at
+    most 2n+1 boxes, none of zero width.
+    """
+    boxes = nondominated_boxes(front)
+    assert len(boxes.lower) <= 2 * front.n + 1
+    assert (boxes.lower < boxes.upper).all()  # ties never give a box of zero width
+    r = front.reference[:2]
+    full = math.prod(psi(r[j], belief2.mean[j], belief2.stddev[j]) for j in range(2))
+    for level in range(1, front.n + 2):
+        section = cross_section(boxes, level)
+        lo, up = section.lower, section.upper
+        overlap = (np.maximum(lo[:, None], lo[None]) < np.minimum(up[:, None], up[None])).all(axis=2)
+        assert overlap.sum() == len(lo)  # each box overlaps itself only
+        height = boxes.breaks[2, level - 1]
+        below = brute_nondominated(p[:2] for p in front.points if p[2] <= height)
+        got = box_sum(section, belief2)
+        want = box_sum(grid_decompose(min_front(r, below)), belief2)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+        keys = [p[0] for p in below]
+        vals = [p[1] for p in below]
+        dominated = slab_integral(keys, vals, r, belief2)
+        assert math.isclose(got + dominated, full, rel_tol=1e-12, abs_tol=1e-300)

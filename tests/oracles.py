@@ -91,6 +91,22 @@ def full_region_integral(frame, belief):
     return math.prod(psi(frame.internal_reference, belief.mean, belief.stddev).tolist())
 
 
+def sequential_front(m, n, seed, low=0.1, high=10.0):
+    """bench.generate_front's sampler one draw at a time, as it was first written.
+
+    A uniform draw is accepted iff it neither weakly dominates nor is weakly
+    dominated by any point accepted before it.
+    """
+    rng = np.random.default_rng(seed)
+    accepted = np.empty((0, m))
+    while len(accepted) < n:
+        v = rng.uniform(low, high, m)
+        if (v >= accepted).all(axis=1).any() or (v <= accepted).all(axis=1).any():
+            continue
+        accepted = np.vstack([accepted, v])
+    return [tuple(row) for row in accepted]
+
+
 def brute_hypervolume(points, reference):
     """Dominated hypervolume by inclusion-exclusion over the point boxes."""
     return float(union_box_volume(points, reference))

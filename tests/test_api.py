@@ -1,5 +1,7 @@
-"""The package namespace is exactly the API that README.md documents."""
+"""The package namespace is exactly the API that README.md documents, and perfbench finds what it calls."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -32,3 +34,26 @@ def test_readme_cli_lists_every_backend():
     bench = re.search(r"--algorithms ([\w,]+)", README).group(1)
     assert bench == build_parser().parse_args(["bench", "--out", "bench.csv"]).algorithms
     assert set(bench.split(",")) == set(dispatch.BACKENDS)
+
+
+def test_benchmark_modules_and_entry_points_exist():
+    # perfbench imports every module in spans.LAYERS and calls these attributes
+    spans = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    modules = {name: importlib.import_module(f"ehvi.{name}") for name in layers}
+    assert "clm3" in modules
+    called = {
+        "bo": ["BoState", "bo_step", "synthetic_problem", "gp_posterior_batch"],
+        "dispatch": ["compute_ehvi", "BACKENDS"],
+        "bench": ["generate_front", "benchmark_frame"],
+        "core": ["validate_front"],
+        "gaussian": ["GaussianBelief"],
+        "gp": ["fit_gp", "gp_posterior_batch"],
+    }
+    for name, attrs in called.items():
+        for attr in attrs:
+            assert hasattr(modules[name], attr), f"ehvi.{name}.{attr}"

@@ -13,7 +13,8 @@ from ehvi import (
     run_benchmark,
     validate_front,
 )
-from ehvi.bench import benchmark_belief, benchmark_frame, summarize
+from ehvi.bench import GEN_HIGH, GEN_LOW, benchmark_belief, benchmark_frame, summarize
+from oracles import sequential_front
 
 
 def test_generate_front_deterministic():
@@ -31,6 +32,12 @@ def test_generate_front_is_valid_and_mutually_nondominated():
             front = validate_front(benchmark_frame(m), pts)
             assert front.n == n
             assert np.all((np.asarray(pts) >= 0.1) & (np.asarray(pts) <= 10.0))
+
+
+def test_generate_front_matches_sequential_sampler():
+    # blocked draws and numpy rejection give the one-draw-at-a-time front bit for bit
+    for m, n, seed in [(2, 1, 0), (2, 100, 1), (2, 100, 7), (3, 300, 2), (3, 40, 3), (4, 40, 4), (6, 15, 5)]:
+        assert generate_front(m, n, seed) == sequential_front(m, n, seed, GEN_LOW, GEN_HIGH), (m, n, seed)
 
 
 def test_generate_front_validation():

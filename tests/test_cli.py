@@ -218,6 +218,19 @@ def test_exit_code_2_sweep_over_budget(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: sweep needs more than its budget of 11 boxes\n"
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_exit_code_2_out_of_memory(tmp_path, capsys, monkeypatch, message):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("ehvi.cli.ehvi_monte_carlo", out_of_memory)
+    path = write_request(tmp_path / "req.json", **BASIC)
+    assert main(["oracle", "--input", str(path), "--samples", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: " + message if message else "error: out of memory") + "\n"
+
+
 def test_exit_code_3_invalid_front(tmp_path, capsys):
     dup = dict(BASIC, front=[[-1.0, -1.0], [-1.0, -1.0]])
     path = write_request(tmp_path / "dup.json", **dup)

@@ -1,9 +1,8 @@
-"""The m=3 staircase sweep of ehvi.clm3: staircase maintenance, box emission, EHVI.
+"""The m=3 staircase sweep of ehvi.clm3: its cross-sections, box emission, EHVI.
 
 The sweep backend integrates these boxes at m=3, so EHVI is tested through ehvi_sweep.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ import ehvi.grid
 from ehvi import (
     DimensionError,
     GaussianBelief,
-    ReferenceBoundError,
     UnsupportedDimensionError,
     compute_ehvi_batch,
     ehvi_grid,
@@ -22,133 +20,81 @@ from ehvi import (
     psi,
     validate_front,
 )
-from ehvi.grid import grid_decompose
 from ehvi import ProblemFrame
-from ehvi.clm3 import SweepState, nondominated_boxes
-from ehvi.core import BoxDecomposition
+from ehvi.clm3 import nondominated_boxes
+from ehvi.core import BoxDecomposition, Front
 from helpers import (
     box_sum,
+    check_cross_sections,
+    cross_section,
     decomposition_boxes,
     lattice_front,
     min_front,
-    open_strips,
     random_belief,
     random_front,
-    slab_integral,
 )
 from oracles import full_region_integral, union_box_integral
 
 
-def _state():
-    return SweepState(reference=(0.0, 0.0))
-
-
-def _snapshot(state):
-    return copy.deepcopy((state.keys, state.vals, state.births, state.boxes, state.operations))
-
-
 def test_empty_staircase_insert_delta():
-    state = _state()
-    belief = random_belief(2, 0)
-    a, b = -3.0, -1.5
-    state.insert(a, b, 1.0)
-    r1, r2 = state.reference
-    m1, m2 = belief.mean
-    s1, s2 = belief.stddev
-    # the initial strip (the whole quadrant) closes at the insertion level
-    assert state.boxes == [(-math.inf, r1, r2, -math.inf, 1.0)]
-    assert state.births == [1.0, 1.0]
-    assert state.keys == [a] and state.vals == [b]
-    strips = open_strips(state)
-    assert decomposition_boxes(strips) == [
-        ((-math.inf, -math.inf), (a, r2)),
-        ((a, -math.inf), (r1, b)),
+    a, b, c = -3.0, -1.5, -2.0
+    boxes = nondominated_boxes(min_front((0.0, 0.0, 0.0), [(a, b, c)]))
+    # the initial strip (the whole quadrant) closes at the point's level
+    assert decomposition_boxes(boxes)[0] == ((-math.inf,) * 3, (0.0, 0.0, c))
+    above = cross_section(boxes, 2)
+    assert decomposition_boxes(above) == [
+        ((-math.inf, -math.inf), (a, 0.0)),
+        ((a, -math.inf), (0.0, b)),
     ]
-    # the cross-section lost to the insert is the box (a, r1] x (b, r2]
-    lost = (psi(r1, m1, s1) - psi(a, m1, s1)) * (psi(r2, m2, s2) - psi(b, m2, s2))
-    full = psi(r1, m1, s1) * psi(r2, m2, s2)
-    assert box_sum(strips, belief) + lost == pytest.approx(full, rel=1e-14)
+    belief = random_belief(2, 0)
+    (m1, m2), (s1, s2) = belief.mean, belief.stddev
+    # the cross-section lost to the point is the box (a, r1] x (b, r2]
+    lost = (psi(0.0, m1, s1) - psi(a, m1, s1)) * (psi(0.0, m2, s2) - psi(b, m2, s2))
+    full = psi(0.0, m1, s1) * psi(0.0, m2, s2)
+    assert box_sum(above, belief) + lost == pytest.approx(full, rel=1e-14)
 
 
 def test_reinsert_and_dominated_insert_are_no_ops():
-    state = _state()
-    state.insert(-3.0, -2.0, 0.0)
-    before = _snapshot(state)
-    state.insert(-3.0, -2.0, 1.0)
-    assert _snapshot(state) == before
-    state.insert(-2.0, -1.0, 2.0)
-    assert _snapshot(state) == before
-    assert state.operations == 1
-    assert state.keys == [-3.0]
-
-
-def test_insert_out_of_bound_rejected():
-    state = _state()
-    with pytest.raises(ReferenceBoundError):
-        state.insert(0.0, -1.0, 0.0)
-    with pytest.raises(ReferenceBoundError):
-        state.insert(-1.0, 0.5, 0.0)
+    # a Front built without validate_front lets a copy and dominated points reach the sweep
+    frame = ProblemFrame(3, (0.0, 0.0, 0.0))
+    points = ((-3.0, -2.0, -4.0), (-1.0, -4.0, -3.0))
+    extra = ((-3.0, -2.0, -4.0), (-2.0, -1.0, -1.0), (-3.0, -2.0, -2.0), (-1.0, -3.0, -3.0))
+    want = decomposition_boxes(nondominated_boxes(Front(frame, points)))
+    assert decomposition_boxes(nondominated_boxes(Front(frame, points + extra))) == want
 
 
 def test_open_strips_match_slab_recomputation():
-    for seed in range(6):
-        state = _state()
-        belief = random_belief(2, seed + 3)
-        full = psi(0.0, belief.mean[0], belief.stddev[0]) * psi(0.0, belief.mean[1], belief.stddev[1])
-        rng = np.random.default_rng([21, seed])
-        inserted = 0
-        for level in range(20):
-            p = tuple(rng.uniform(-8.0, -0.1, 2))
-            state.insert(*p, float(level))
-            inserted += 1
-            # strict staircase shape after every insertion
-            assert state.keys == sorted(state.keys)
-            assert all(a < b for a, b in zip(state.keys, state.keys[1:]))
-            assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
-            assert len(state.births) == len(state.keys) + 1
-            strips = open_strips(state)
-            got = box_sum(strips, belief)
-            # the open strips are the nondominated cross-section ...
-            staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-            want = box_sum(grid_decompose(staircase), belief)
-            assert got == pytest.approx(want, rel=1e-12)
-            # ... and with the slab recomputation of the dominated one they tile the quadrant
-            dominated = slab_integral(state.keys, state.vals, state.reference, belief)
-            assert got + dominated == pytest.approx(full, rel=1e-12)
-        assert state.operations <= 2 * inserted
-        assert len(state.boxes) + len(strips.lower) <= 2 * inserted + 1
+    fronts = [random_front(3, n, seed) for n, seed in [(1, 3), (8, 4), (20, 5)]]
+    fronts += [lattice_front(3, seed, n=12) for seed in range(3)]
+    for k, front in enumerate(fronts):
+        check_cross_sections(front, random_belief(2, k + 3))
 
 
 def test_nondominated_cross_section_only_shrinks():
-    state = _state()
     rng = np.random.default_rng(22)
-    samples = rng.uniform(-9.0, 0.0, (400, 2))
+    samples = rng.uniform(-11.0, 0.0, (400, 2))
+    for front in [random_front(3, 30, 22), lattice_front(3, 4)]:
+        boxes = nondominated_boxes(front)
 
-    def inside(strips):
-        boxes = decomposition_boxes(strips)
-        return {
-            i
-            for i, (x, y) in enumerate(samples)
-            if any(lo[0] < x <= up[0] and y <= up[1] for lo, up in boxes)
-        }
+        def inside(level):
+            strips = decomposition_boxes(cross_section(boxes, level))
+            return {
+                i
+                for i, (x, y) in enumerate(samples)
+                if any(lo[0] < x <= up[0] and y <= up[1] for lo, up in strips)
+            }
 
-    prev = inside(open_strips(state))
-    assert len(prev) == len(samples)
-    for level in range(30):
-        p = tuple(rng.uniform(-6.0, -0.2, 2))
-        state.insert(*p, float(level))
-        now = inside(open_strips(state))
-        assert now <= prev
-        # a sample leaves the cross-section exactly when the staircase covers it
-        covered = {i for i, s in enumerate(samples) if any(
-            k <= s[0] and v <= s[1] for k, v in zip(state.keys, state.vals))}
-        assert now == set(range(len(samples))) - covered
-        prev = now
-
-
-def test_sweep_state_validation():
-    with pytest.raises(DimensionError):
-        SweepState(reference=(0.0, 0.0, 0.0))
+        prev = inside(1)
+        assert len(prev) == len(samples)
+        for level in range(2, front.n + 2):
+            now = inside(level)
+            assert now <= prev
+            # a sample leaves the cross-section exactly when a point below covers it
+            height = boxes.breaks[2, level - 1]
+            covered = {i for i, s in enumerate(samples) if any(
+                p[0] <= s[0] and p[1] <= s[1] for p in front.points if p[2] <= height)}
+            assert now == set(range(len(samples))) - covered
+            prev = now
 
 
 def test_ehvi_clm3_empty_front():
@@ -233,16 +179,18 @@ def test_boxes_disjoint_cover_nondominated_region():
             assert hits == (1 if inside and not dominated else 0)
 
 
-def test_operation_count_bound():
+def test_box_count_bound():
     for n, seed in [(10, 0), (50, 1), (120, 2)]:
         front = random_front(3, n, seed)
-        state = SweepState(reference=front.reference[:2])
-        for x, y, z in sorted(front.points, key=lambda p: p[2]):
-            state.insert(x, y, z)
-        assert state.operations <= 2 * n
+        assert all(len({p[j] for p in front.points}) == n for j in range(3))
         boxes = len(nondominated_boxes(front).lower)
-        assert boxes <= 2 * n + 1
+        assert boxes == 2 * n + 1  # distinct coordinates: every point closes one strip more than it removes
         assert ehvi_sweep(front, random_belief(3, seed + 80)).boxes == boxes
+    # shared coordinates: fewer boxes, and a staircase that kept the entries a
+    # point weakly dominates (a shared value) would split more strips than these
+    counts = [len(nondominated_boxes(lattice_front(3, seed)).lower) for seed in range(6)]
+    assert counts == [32, 32, 32, 34, 31, 30]
+    assert max(counts) <= 2 * 25 + 1
 
 
 def test_tied_levels_order_invariant():

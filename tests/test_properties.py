@@ -20,11 +20,9 @@ from ehvi import (
     psi,
     validate_front,
 )
-from ehvi.clm3 import SweepState
-from ehvi.grid import grid_decompose
 from ehvi.oracle import std_normal_cdf
-from helpers import box_decomposition, box_sum, min_front, open_strips, slab_integral
-from oracles import brute_dominates
+from helpers import box_decomposition, box_sum, check_cross_sections, min_front
+from oracles import brute_dominates, brute_nondominated
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -109,22 +107,9 @@ def test_nondominated_filter_invariants(points):
 def test_staircase_strips_consistent(count, data):
     mean = (data.draw(st.floats(-6.0, -1.0)), data.draw(st.floats(-6.0, -1.0)))
     sd = (data.draw(st.floats(0.5, 3.0)), data.draw(st.floats(0.5, 3.0)))
-    belief = GaussianBelief(mean, sd)
-    full = psi(0.0, mean[0], sd[0]) * psi(0.0, mean[1], sd[1])
-    state = SweepState(reference=(0.0, 0.0))
-    for level in range(count):
-        point = (data.draw(st.floats(-8.0, -0.1)), data.draw(st.floats(-8.0, -0.1)))
-        state.insert(*point, float(level))
-        assert all(a < b for a, b in zip(state.keys, state.keys[1:]))
-        assert all(a > b for a, b in zip(state.vals, state.vals[1:]))
-        assert state.operations <= 2 * (level + 1)
-        assert len(state.boxes) + len(state.births) <= 2 * (level + 1) + 1
-        strips = box_sum(open_strips(state), belief)
-        staircase = min_front((0.0, 0.0), list(zip(state.keys, state.vals)))
-        nondominated = box_sum(grid_decompose(staircase), belief)
-        assert math.isclose(strips, nondominated, rel_tol=1e-12, abs_tol=1e-300)
-        dominated = slab_integral(state.keys, state.vals, (0.0, 0.0), belief)
-        assert math.isclose(strips + dominated, full, rel_tol=1e-12, abs_tol=1e-300)
+    points = [tuple(data.draw(st.floats(-8.0, -0.1)) for _ in range(3)) for _ in range(count)]
+    front = min_front((0.0, 0.0, 0.0), brute_nondominated(points))
+    check_cross_sections(front, GaussianBelief(mean, sd))
 
 
 @CASES
