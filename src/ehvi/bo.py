@@ -4,8 +4,10 @@ Structure: deterministic synthetic problems on [0,1]^d, one GP fit over
 all objectives, exhaustive EHVI argmax over the unexplored
 candidates, dominated hypervolume as the progress metric, plus a
 random-search baseline sharing the same initialization stream so the two
-arms are directly comparable. Each observation adds its exact hypervolume
-improvement over the current front's boxes, then joins the front.
+arms are directly comparable. Each front is decomposed into sweep boxes
+once: each observation adds its exact hypervolume improvement over the
+current front's boxes, then joins the front, and the sweep acquisition
+integrates over the same boxes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Front, Orientation, ProblemFrame, Vector, nondominated_filter, validate_front
-from .dispatch import compute_ehvi_batch
+from .core import BoxDecomposition, Front, Orientation, ProblemFrame, Vector, nondominated_filter, validate_front
+from .dispatch import compute_ehvi_batch, resolve_algorithm
 from .errors import CandidatesExhaustedError, ParameterError
+from .gaussian import integrate_boxes
 from .gp import fit_gp, gp_posterior_batch
-from .sweep import hypervolume_improvement
+from .sweep import clipped_volumes, sweep_boxes
 from .wfg import dominated_volume
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
@@ -60,18 +63,20 @@ class BoRunRecord:
 
 @dataclass
 class BoState:
-    """Queries so far; front (lex-sorted) and hypervolume are kept incrementally from observed."""
+    """Queries so far; front (lex-sorted), its sweep boxes and hypervolume are kept incrementally from observed."""
 
     problem: SyntheticProblem
     backend: str = "auto"
     observed: list[int] = field(default_factory=list)
     records: list[BoRunRecord] = field(default_factory=list)
     front: Front = field(init=False)
+    boxes: BoxDecomposition = field(init=False)  # sweep_boxes(front)
     hypervolume: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         prior, self.observed = self.observed, []
         self.front = validate_front(self.problem.frame, [])
+        self.boxes = sweep_boxes(self.front)
         for index in prior:
             _add_observation(self, index)
 
@@ -132,8 +137,11 @@ def _add_observation(state: BoState, index: int) -> None:
     # the front's points are internal already, so only y goes through validate_front
     (y,) = validate_front(state.problem.frame, [state.problem.candidates.objectives[index]]).points
     state.observed.append(index)
-    state.hypervolume += hypervolume_improvement(y, state.front)
-    state.front = Front(state.problem.frame, tuple(nondominated_filter(state.front.points + (y,))))
+    state.hypervolume += float(clipped_volumes(state.boxes, np.array([y]))[0])
+    points = tuple(nondominated_filter(state.front.points + (y,)))
+    if points != state.front.points:  # a dominated y leaves the front and its boxes as they are
+        state.front = Front(state.problem.frame, points)
+        state.boxes = sweep_boxes(state.front)
 
 
 def _observe(state: BoState, index: int, acquisition_time_ns: int = 0, gp_time_ns: int = 0) -> BoRunRecord:
@@ -154,9 +162,10 @@ def bo_step(state: BoState) -> BoRunRecord:
     """Fit one GP over all objectives, score EHVI on every unexplored candidate, query the argmax.
 
     The GP sees the objectives in the front's internal convention, so its
-    means are internal too. Ties (and the all-zero case) go to the lowest
-    candidate index. The GP timer covers fit and posterior, the acquisition
-    timer EHVI scoring and the argmax scan.
+    means are internal too. auto and sweep integrate over the state's boxes;
+    grid and wfg go through compute_ehvi_batch. Ties (and the all-zero case)
+    go to the lowest candidate index. The GP timer covers fit and posterior,
+    the acquisition timer EHVI scoring and the argmax scan.
     """
     if not state.observed:
         raise ParameterError("bo_step needs at least one prior observation")
@@ -174,7 +183,11 @@ def bo_step(state: BoState) -> BoRunRecord:
     stds = np.maximum(stds, _STDDEV_FLOOR)
 
     start = time.perf_counter_ns()
-    scores = compute_ehvi_batch(state.front, means, stds, state.backend)
+    if resolve_algorithm(state.backend) == "sweep":
+        # what compute_ehvi_batch would do, on the boxes the state already has
+        scores = integrate_boxes(state.boxes, means, stds)
+    else:
+        scores = compute_ehvi_batch(state.front, means, stds, state.backend)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed, gp_elapsed)

@@ -43,9 +43,18 @@ def _unit_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _median_lengthscales(inputs: np.ndarray) -> np.ndarray:
     """Per dimension, the median nonzero gap between two inputs; 1 where there is none."""
-    i, j = np.triu_indices(len(inputs), k=1)
-    gaps = [g[g > 0.0] for g in np.abs(inputs[i] - inputs[j]).T]
-    return np.array([float(np.median(g)) if g.size else 1.0 for g in gaps])
+    d = inputs.shape[1]
+    # every ordered pair, each input with itself too: the added gaps are
+    # zeros, which sort first and are counted out, and a median of the
+    # nonzero gaps taken twice each is their median
+    gaps = np.sort(np.abs(inputs[:, None] - inputs).reshape(-1, d), axis=0)
+    zeros = np.count_nonzero(gaps == 0.0, axis=0)
+    nonzero = np.count_nonzero(gaps > 0.0, axis=0)
+    # the mean of the middle pair of the nonzero gaps; clipped where there are none
+    last, axes = len(gaps) - 1, np.arange(d)
+    low = gaps[np.minimum(zeros + (nonzero - 1) // 2, last), axes]
+    high = gaps[np.minimum(zeros + nonzero // 2, last), axes]
+    return np.where(nonzero > 0, (low + high) / 2.0, 1.0)
 
 
 def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
@@ -60,9 +69,10 @@ def fit_gp(inputs, targets, jitter: float = DEFAULT_JITTER) -> GpSurrogate:
     if not (jitter > 0.0):
         raise ParameterError(f"jitter must be positive, got {jitter}")
     lengthscale = _median_lengthscales(x)
-    # per column, so each sums in the order a 1-D fit of it does
-    signal_var = np.array([max(float(np.var(c)), _SIGNAL_VAR_FLOOR) for c in columns])
-    prior_mean = np.array([float(np.mean(c)) for c in columns])
+    # row reductions of contiguous rows sum each column in the order a 1-D fit of it does
+    rows = np.ascontiguousarray(columns)
+    signal_var = np.maximum(rows.var(axis=1), _SIGNAL_VAR_FLOOR)
+    prior_mean = rows.mean(axis=1)
     cov = signal_var[:, None, None] * _unit_kernel(x / lengthscale, x / lengthscale) + jitter * np.eye(len(x))
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(cov))
@@ -93,10 +103,19 @@ def gp_posterior_batch(surrogate: GpSurrogate, candidates) -> tuple[np.ndarray, 
     n = len(surrogate.inputs)
     signal_var = np.atleast_1d(surrogate.signal_var)
     unit = _unit_kernel(xs / surrogate.lengthscale, surrogate.inputs / surrogate.lengthscale)
-    cross = signal_var[:, None, None] * unit  # (k, q, n)
-    mean = (cross @ surrogate.alpha.reshape(-1, n, 1))[:, :, 0].T + surrogate.prior_mean
-    v = surrogate.chol_inv.reshape(-1, n, n) @ cross.transpose(0, 2, 1)
-    var = signal_var - np.einsum("kiq,kiq->qk", v, v)
+    mean = np.empty((len(xs), len(signal_var)))
+    var = np.empty_like(mean)
+    alphas, chol_invs = surrogate.alpha.reshape(-1, n, 1), surrogate.chol_inv.reshape(-1, n, n)
+    # one column at a time, so each temporary is (q, n), not (k, q, n): a BO
+    # step's (k, q, n) arrays outgrew the heap's trim threshold and were
+    # page-faulted back in on every step
+    for c, s in enumerate(signal_var):
+        cross = s * unit
+        mean[:, c] = (cross @ alphas[c])[:, 0]
+        v = chol_invs[c] @ cross.T
+        var[:, c] = np.einsum("iq,iq->q", v, v)
+    mean += surrogate.prior_mean
+    var = signal_var - var
     negative = var < 0.0
     if negative.any():
         surrogate.clamp_count += int(negative.sum())

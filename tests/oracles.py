@@ -10,6 +10,7 @@ psi, which tests compare bit for bit with the backends' empty-front values.
 
 import itertools
 import math
+import statistics
 from fractions import Fraction
 
 import mpmath
@@ -273,6 +274,16 @@ def mc_hvi_mean(points, reference, mean, stddev, samples, seed):
             continue
         acc += brute_hvi(y, points, reference)
     return acc / samples
+
+
+def median_lengthscales(inputs):
+    """Per dimension, the median of the nonzero gaps over pairs i < j of inputs; 1.0 where there is none."""
+    out = []
+    for column in np.asarray(inputs, dtype=float).T.tolist():
+        gaps = [abs(a - b) for i, a in enumerate(column) for b in column[i + 1 :]]
+        nonzero = sorted(g for g in gaps if g > 0.0)
+        out.append(statistics.median(nonzero) if nonzero else 1.0)
+    return np.array(out)
 
 
 def dense_gp_posterior(X, y, lengthscale, signal_var, jitter, prior_mean, Xs):

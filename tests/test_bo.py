@@ -16,6 +16,7 @@ from ehvi import (
     validate_front,
 )
 from ehvi.bo import DEFAULT_RESOLUTION, BoState, CandidateSet, SyntheticProblem, _observe, bo_step
+from ehvi.sweep import sweep_boxes
 
 # Candidate indices queried by run_bo(n_init=10, iterations=15) after its
 # seeded initialization, for seeds 0-7 at the default resolutions. A rewrite
@@ -192,6 +193,25 @@ def test_prefilled_state_matches_observed_one():
         dominated_volume(problem.candidates.objectives[obs], problem.frame.reference), rel=1e-12
     )
     assert bo_step(prefilled).design_point == bo_step(fed).design_point
+
+
+def _assert_boxes_of_front(state):
+    want = sweep_boxes(state.front)
+    assert len(state.boxes) == len(want)
+    for got, expected in zip(state.boxes, want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name, backend", [("sphere2", "auto"), ("sphere3", "auto"), ("sphere3", "wfg")])
+def test_state_keeps_the_sweep_boxes_of_its_front(name, backend):
+    problem = synthetic_problem(name, resolution=6)
+    init = [int(i) for i in np.random.default_rng(4).choice(len(problem.candidates.design_points), 6, replace=False)]
+    state = BoState(problem=problem, backend=backend, observed=init)
+    _assert_boxes_of_front(state)
+    for _ in range(6):
+        bo_step(state)
+        _assert_boxes_of_front(state)
 
 
 def test_acquisition_time_recorded_only_for_bo_steps():

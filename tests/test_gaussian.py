@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
+import ehvi.gaussian
 from ehvi.gaussian import integrate_boxes, rational_h
 from ehvi.oracle import std_normal_cdf
 from ehvi.sweep import sweep_boxes
-from helpers import box_decomposition, box_sum, random_front
+from helpers import box_decomposition, box_sum, min_front, random_front
 from oracles import complex_horner_h, full_region_integral, mp_h, mp_psi, quad_box_integral, quad_psi
 
 
@@ -153,6 +154,63 @@ def test_integrate_boxes_worked_examples():
     flat = ((1.0, 0.0), (1.0, 9.0))
     assert box_sum(box_decomposition([flat]), belief) == 0.0
     assert box_sum(box_decomposition([flat, (lower, upper)]), belief) == val
+
+
+def _blocks(boxes, q):
+    """How many blocks integrate_boxes splits a batch of q beliefs into."""
+    m, width = boxes.breaks.shape
+    return min(q, -(-q * (len(boxes.lower) + m * width) // ehvi.gaussian._BLOCK))
+
+
+def test_integrate_boxes_batch_across_blocks_matches_one_row_at_a_time():
+    rng = np.random.default_rng(8)
+    for m, n, q in [(3, 60, 130), (4, 40, 101), (6, 15, 37)]:
+        boxes = sweep_boxes(random_front(m, n, m))
+        assert _blocks(boxes, q) >= 3
+        means = -rng.uniform(4.0, 12.0, (q, m))
+        stds = rng.uniform(0.2, 3.0, (q, m))
+        batch = integrate_boxes(boxes, means, stds)
+        single = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+
+
+def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypatch):
+    # the fronts of test_overflowing_box_factors_give_inf_not_nan; every
+    # third belief overflows, in blocks of one to three beliefs
+    fronts = [
+        [(-1.0, -2.0), (-2.0, -1.0)],
+        [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)],
+        [(-1.0, -2.0, -3.0, -4.0), (-4.0, -3.0, -1.0, -2.0), (-2.0, -4.0, -1.0, -3.0)],
+    ]
+    for points in fronts:
+        m = len(points[0])
+        boxes = sweep_boxes(min_front((0.0,) * m, points))
+        means = np.tile([[-1e308] * m, [-1.5] * m, [-0.5] * m], (4, 1))
+        stds = np.tile([[1e308] * m, [1.0] * m, [0.5] * m], (4, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(ehvi.gaussian, "_BLOCK", 2 * (len(boxes.lower) + boxes.breaks.size))
+            assert _blocks(boxes, len(means)) >= 3
+            batch = integrate_boxes(boxes, means, stds)
+        assert (batch[::3] == math.inf).all(), m
+        finite = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means[:3], stds[:3])][1:]
+        assert np.isfinite(finite).all()
+        np.testing.assert_allclose(batch[1::3], finite[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(batch[2::3], finite[1], rtol=1e-13, atol=0.0)
+
+
+def test_integrate_boxes_psi_on_finite_first_breakpoints():
+    # helpers.box_decomposition's first breakpoint column is the first box's
+    # lower corner, so it is finite on some or all axes and needs psi
+    mean, std = np.array([[0.0, 0.5], [-1.0, 0.0]]), np.array([[1.0, 2.0], [0.5, 1.0]])
+    inf = math.inf
+    for lower in [(0.0, 0.0), (-inf, 0.0), (0.0, -inf), (-inf, -inf)]:
+        boxes = box_decomposition([(lower, (1.0, 1.5))])
+        got = integrate_boxes(boxes, mean, std)
+        for row, (mu, sd) in enumerate(zip(mean, std)):
+            want = math.prod(
+                float(psi(up, u, s) - psi(lo, u, s)) for lo, up, u, s in zip(lower, (1.0, 1.5), mu, sd)
+            )
+            assert got[row] == pytest.approx(want, rel=1e-15, abs=0.0), (lower, row)
 
 
 def test_integrate_boxes_monotone_and_bounded():

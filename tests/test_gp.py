@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ehvi import GpFitError, ParameterError, fit_gp, gp_posterior_batch
-from oracles import dense_gp_posterior
+from ehvi.gp import _median_lengthscales
+from oracles import dense_gp_posterior, median_lengthscales
 
 X_SMALL = [[0.0, 0.0], [0.5, 0.3], [1.0, 1.0], [0.2, 0.8]]
 Y_SMALL = [1.0, 2.0, 0.5, 1.5]
@@ -120,3 +121,21 @@ def test_two_dimensional_fit_counts_clamps_over_all_columns():
     surrogate = fit_gp(X, Y, jitter=1e-14)
     gp_posterior_batch(surrogate, X)
     assert surrogate.clamp_count == sum(s.clamp_count for s in singles)
+
+
+def test_median_lengthscales_are_the_median_nonzero_gap_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [
+        rng.uniform(0.0, 1.0, size=(12, 3)),  # an even count of distinct gaps
+        rng.uniform(0.0, 1.0, size=(6, 2)),  # an odd count (15 pairs)
+        rng.choice(np.linspace(0.0, 1.0, 4), size=(13, 3)),  # tied inputs: repeated and zero gaps
+        np.column_stack([np.full(9, 0.25), np.linspace(0.0, 1.0, 9), np.r_[np.zeros(8), 1.0]]),
+        np.full((5, 2), 0.5),  # all equal: no nonzero gap on any axis
+        [[0.3, 0.7]],  # one input: no pair
+    ]
+    for inputs in cases:
+        inputs = np.asarray(inputs, dtype=float)
+        want = median_lengthscales(inputs)
+        assert np.array_equal(_median_lengthscales(inputs), want), inputs
+        assert np.array_equal(fit_gp(inputs, np.zeros(len(inputs))).lengthscale, want)
+    assert np.array_equal(median_lengthscales(np.full((5, 2), 0.5)), [1.0, 1.0])
