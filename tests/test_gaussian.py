@@ -156,20 +156,24 @@ def test_integrate_boxes_worked_examples():
     assert box_sum(box_decomposition([flat, (lower, upper)]), belief) == val
 
 
-def _blocks(boxes, q):
-    """How many blocks integrate_boxes splits a batch of q beliefs into."""
-    m, width = boxes.breaks.shape
-    return min(q, -(-q * (len(boxes.lower) + m * width) // ehvi.gaussian._BLOCK))
+def _count_blocks(patch):
+    """Patch integrate_boxes' psi to count its calls, one per block; returns the running count."""
+    calls = []
+    real = ehvi.gaussian.psi
+    patch.setattr(ehvi.gaussian, "psi", lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
-def test_integrate_boxes_batch_across_blocks_matches_one_row_at_a_time():
+def test_integrate_boxes_batch_across_blocks_matches_one_row_at_a_time(monkeypatch):
     rng = np.random.default_rng(8)
     for m, n, q in [(3, 60, 130), (4, 40, 101), (6, 15, 37)]:
         boxes = sweep_boxes(random_front(m, n, m))
-        assert _blocks(boxes, q) >= 3
         means = -rng.uniform(4.0, 12.0, (q, m))
         stds = rng.uniform(0.2, 3.0, (q, m))
-        batch = integrate_boxes(boxes, means, stds)
+        with monkeypatch.context() as patch:
+            blocks = _count_blocks(patch)
+            batch = integrate_boxes(boxes, means, stds)
+        assert len(blocks) >= 3, m
         single = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
 
@@ -189,10 +193,11 @@ def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypat
         stds = np.tile([[1e308] * m, [1.0] * m, [0.5] * m], (4, 1))
         with monkeypatch.context() as patch:
             patch.setattr(ehvi.gaussian, "_BLOCK", 2 * (len(boxes.lower) + boxes.breaks.size))
-            assert _blocks(boxes, len(means)) >= 3
+            blocks = _count_blocks(patch)
             batch = integrate_boxes(boxes, means, stds)
+        assert len(blocks) >= 3, m
         assert (batch[::3] == math.inf).all(), m
-        finite = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means[:3], stds[:3])][1:]
+        finite = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means[1:3], stds[1:3])]
         assert np.isfinite(finite).all()
         np.testing.assert_allclose(batch[1::3], finite[0], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(batch[2::3], finite[1], rtol=1e-13, atol=0.0)
