@@ -15,17 +15,23 @@ coordinates, r_j] of core.rank_form.
 - m = 3: clm3.nondominated_boxes, the paper's CLM-based staircase sweep
   on breakpoint ranks: at most 2n+1 boxes, exactly 2n+1 when no two points
   share a coordinate, from at most 2n staircase updates.
-- m >= 4: a sweep over the last axis. The cross-section of the region
-  between two sweep levels is the (m-1)-D nondominated region of the points
-  below, held as disjoint open boxes with the level each was born at. A
-  point q closes, at its level, every open box it cuts into (q < upper on
-  every axis) and replaces it by the disjoint pieces of box minus the
-  orthant above q: piece j keeps the axes after j, raises the lower bound of
-  the axes before j to q, and caps axis j at q_j; it exists only where
-  q_j > lower_j. The sweep closes what is still open at r_m. Each box
-  covers at least one nondominated grid cell, so there are at most
-  (n+1)^m of them; the sweep refuses a front once it has made more than
-  _MAX_BOXES open plus closed boxes.
+- m >= 4: a sweep over one axis, in an axis order taken from the front.
+  Axis j scores the sum over the points of rank_j times the point's rank
+  sum; the sweep runs along the highest-scoring axis, where later points
+  seldom cut the projections of earlier ones, and splits the others in
+  ascending score (ties in listed order), so listing the objectives in
+  another order only permutes the boxes' columns (While, Bradstreet, Barone
+  & Hingston, IEEE CEC 2005, also order objectives from the front). The
+  cross-section of the region between two sweep levels is the (m-1)-D
+  nondominated region of the points below, held as disjoint open boxes with
+  the level each was born at. A point q closes, at its level, every open
+  box it cuts into (q < upper on every axis) and replaces it by the
+  disjoint pieces of box minus the orthant above q: piece j keeps the axes
+  after j, raises the lower bound of the axes before j to q, and caps axis
+  j at q_j; it exists only where q_j > lower_j. The sweep closes what is
+  still open at the reference. Each box covers at least one nondominated
+  grid cell, so there are at most (n+1)^m of them; the sweep refuses a
+  front once it has made more than _MAX_BOXES open plus closed boxes.
 
 Coordinates are replaced by rank_form's breakpoint ranks, a tied coordinate
 taking the rank of its first copy, so ties compare equal and no box has
@@ -45,11 +51,12 @@ from .gaussian import GaussianBelief, integrate_boxes
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 # Most open plus closed boxes the m >= 4 sweep may make. Producing and
-# integrating one box for one belief takes about 2.8 us and 0.8 KB at peak
-# at m = 10 on a 2-core x86-64 host (m = 10, n = 26: 400k boxes, 1.1 s,
-# 300 MiB), so the largest admitted front needs about 1.5 s and 0.4 GiB, and
-# `ehvi compute` refuses m = 10, n = 100 after 1.2 s. The tests and the
-# benchmark pass with a budget of 2^15; m = 10, n = 40 would make 1.7M boxes.
+# integrating one box for one belief takes about 1.6 us and 0.7 KB at peak
+# at m = 10 on a 2-core x86-64 host (generate_front(10, 30, 5): 297k boxes,
+# 0.48 s, 208 MiB). generate_front(10, 40, 5), at 523k boxes about the
+# largest admitted front, took 1.2 s and 357 MiB, and `ehvi compute` refuses
+# m = 10, n = 100 after 1.1 s. No call in the tests or the benchmark makes
+# more than 685 boxes; the tests pass with a budget of 2^13.
 _MAX_BOXES = 1 << 19
 
 
@@ -67,6 +74,10 @@ def _staircase_boxes(front: Front) -> BoxDecomposition:
 def _sweep_boxes(front: Front) -> BoxDecomposition:
     m, n = front.m, front.n
     breaks, ranks = rank_form(front.points, front.reference)
+    # sweep last the axis whose ranks agree most with the points' rank sums
+    # and split the rest in ascending agreement; the columns go back at the end
+    order = np.argsort(ranks.T @ ranks.sum(axis=1), kind="stable")
+    ranks = ranks[:, order]
     k = m - 1
     # An open box is one row [lower (k), -upper (k), birth]. For a point q at
     # `level`, piece j of a box q cuts raises the lower bounds before j to q,
@@ -101,8 +112,9 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     top = np.repeat(levels, [len(c) for c in closed])
     grown = rows[:, 2 * k] < top  # a box born and cut at one level has no height
     rows, top = rows[grown], top[grown]
-    lower = np.column_stack([rows[:, :k], rows[:, 2 * k]])
-    upper = np.column_stack([-rows[:, k : 2 * k], top])
+    back = np.argsort(order)
+    lower = np.column_stack([rows[:, :k], rows[:, 2 * k]])[:, back]
+    upper = np.column_stack([-rows[:, k : 2 * k], top])[:, back]
     return BoxDecomposition(breaks, lower, upper)
 
 

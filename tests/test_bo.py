@@ -214,6 +214,41 @@ def test_state_keeps_the_sweep_boxes_of_its_front(name, backend):
         _assert_boxes_of_front(state)
 
 
+def _negated(problem):
+    """The same problem on a maximize frame: objectives and reference negated."""
+    return SyntheticProblem(
+        name=problem.name + "-max",
+        candidates=CandidateSet(problem.candidates.design_points, -problem.candidates.objectives),
+        frame=ProblemFrame(problem.frame.m, tuple(-r for r in problem.frame.reference), Orientation.MAXIMIZE),
+        true_front=tuple(tuple(-x for x in p) for p in problem.true_front),
+        reference_hypervolume=problem.reference_hypervolume,
+    )
+
+
+@pytest.mark.parametrize("name, maximize", [("sphere2", False), ("sphere3", False), ("sphere3", True)])
+def test_front_is_the_nondominated_set_of_the_observed_points(name, maximize):
+    problem = synthetic_problem(name, resolution=6)
+    if maximize:
+        problem = _negated(problem)
+    sign = -1.0 if maximize else 1.0
+    rng = np.random.default_rng(9)
+    init = [int(i) for i in rng.choice(len(problem.candidates.design_points), 5, replace=False)]
+    state = BoState(problem=problem, observed=init)
+
+    def check():
+        internal = sign * problem.candidates.objectives[state.observed]
+        assert state.front.points == tuple(nondominated_filter(internal))
+
+    check()
+    for step in range(12):
+        if step % 2:
+            bo_step(state)
+        else:  # random queries also bring dominated points and members' copies
+            pool = np.delete(np.arange(len(problem.candidates.design_points)), state.observed)
+            _observe(state, int(rng.choice(pool)))
+        check()
+
+
 def test_acquisition_time_recorded_only_for_bo_steps():
     problem = synthetic_problem("sphere2", resolution=6)
     records = run_bo(problem, seed=2, n_init=4, iterations=3)

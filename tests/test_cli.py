@@ -14,7 +14,7 @@ import pytest
 import ehvi.grid
 import ehvi.sweep
 import ehvi.wfg
-from ehvi import generate_front, validate_front
+from ehvi import ProblemFrame, generate_front, validate_front
 from ehvi.cli import load_request, main
 
 
@@ -208,14 +208,17 @@ def test_exit_code_2_sweep_over_budget(tmp_path, capsys, monkeypatch):
     )
     path = write_request(tmp_path / "req.json", **request)
     args = ["compute", "--input", str(path)]
-    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", 12)  # the m = 4 sweep makes 12 boxes here
+    front = validate_front(ProblemFrame(4, request["reference"]), request["front"])
+    count = len(ehvi.sweep.sweep_boxes(front).lower)
+    assert count == 11  # the m = 4 sweep makes exactly the boxes it returns here
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", count)
     assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["boxes"] == 12
-    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", 11)
+    assert json.loads(capsys.readouterr().out)["boxes"] == count
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", count - 1)
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: sweep needs more than its budget of 11 boxes\n"
+    assert captured.err == f"error: sweep needs more than its budget of {count - 1} boxes\n"
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])

@@ -166,7 +166,7 @@ def _count_blocks(patch):
 
 def test_integrate_boxes_batch_across_blocks_matches_one_row_at_a_time(monkeypatch):
     rng = np.random.default_rng(8)
-    for m, n, q in [(3, 60, 130), (4, 40, 101), (6, 15, 37)]:
+    for m, n, q in [(3, 60, 130), (4, 40, 101), (6, 15, 64)]:
         boxes = sweep_boxes(random_front(m, n, m))
         means = -rng.uniform(4.0, 12.0, (q, m))
         stds = rng.uniform(0.2, 3.0, (q, m))

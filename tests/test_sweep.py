@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from ehvi import GaussianBelief, compute_ehvi, compute_ehvi_batch, ehvi_grid, ehvi_sweep
+from ehvi.core import rank_form
+from ehvi.gaussian import integrate_boxes
+from ehvi.grid import grid_decompose
 from ehvi.sweep import sweep_boxes
 from helpers import lattice_front, min_front, random_front
 
@@ -38,26 +41,77 @@ def _dominated_cells(front, breaks):
     return dominated
 
 
+def _assert_disjoint_cover(front):
+    boxes = sweep_boxes(front)
+    m, n = front.m, front.n
+    assert boxes.lower.shape == boxes.upper.shape == (len(boxes.lower), m)
+    if m == 2:
+        assert len(boxes.lower) == n + 1
+    assert len(boxes.lower) <= (n + 1) ** m
+    for j in range(m):  # no box has zero width on any axis
+        assert (boxes.breaks[j][boxes.upper[:, j]] > boxes.breaks[j][boxes.lower[:, j]]).all()
+    # every cell of positive width lies in exactly one box if no point
+    # dominates it and in none otherwise
+    counts = _cover_counts(boxes, n, m)
+    wide = np.ones((n + 1,) * m, dtype=bool)
+    for j in range(m):
+        axis_wide = np.diff(boxes.breaks[j]) > 0.0
+        wide &= axis_wide.reshape((1,) * j + (-1,) + (1,) * (m - j - 1))
+    want = np.where(_dominated_cells(front, boxes.breaks), 0, 1)
+    np.testing.assert_array_equal(counts[wide], want[wide])
+
+
 @pytest.mark.parametrize("m", [2, 4, 5, 6])
 def test_boxes_disjoint_cover_nondominated_region(m):
     for front in _fronts(m):
+        _assert_disjoint_cover(front)
+
+
+def _permuted(front, perm):
+    """The front with its objectives listed in the order perm, as a minimization front."""
+    return min_front(tuple(front.reference[j] for j in perm), [tuple(p[j] for j in perm) for p in front.points])
+
+
+def _box_rows(boxes):
+    return {tuple(lo) + tuple(up) for lo, up in zip(boxes.lower.tolist(), boxes.upper.tolist())}
+
+
+@pytest.mark.parametrize("m, n", [(4, 12), (5, 10), (6, 8)])
+def test_boxes_do_not_depend_on_objective_order(m, n):
+    """The axis order comes from the front, so listing the objectives in another order permutes the boxes' columns."""
+    rng = np.random.default_rng([17, m])
+    for seed in range(3):
+        front = random_front(m, n, 100 + seed)
+        _, ranks = rank_form(front.points, front.reference)
+        assert len(set((ranks.T @ ranks.sum(axis=1)).tolist())) == m  # distinct scores
         boxes = sweep_boxes(front)
-        n = front.n
-        assert boxes.lower.shape == boxes.upper.shape == (len(boxes.lower), m)
-        if m == 2:
-            assert len(boxes.lower) == n + 1
-        assert len(boxes.lower) <= (n + 1) ** m
-        for j in range(m):  # no box has zero width on any axis
-            assert (boxes.breaks[j][boxes.upper[:, j]] > boxes.breaks[j][boxes.lower[:, j]]).all()
-        # every cell of positive width lies in exactly one box if no point
-        # dominates it and in none otherwise
-        counts = _cover_counts(boxes, n, m)
-        wide = np.ones((n + 1,) * m, dtype=bool)
-        for j in range(m):
-            axis_wide = np.diff(boxes.breaks[j]) > 0.0
-            wide &= axis_wide.reshape((1,) * j + (-1,) + (1,) * (m - j - 1))
-        want = np.where(_dominated_cells(front, boxes.breaks), 0, 1)
-        np.testing.assert_array_equal(counts[wide], want[wide])
+        for perm in [list(range(m))[::-1]] + [rng.permutation(m).tolist() for _ in range(4)]:
+            got = sweep_boxes(_permuted(front, perm))
+            np.testing.assert_array_equal(got.breaks, boxes.breaks[perm])
+            assert _box_rows(got) == _box_rows(boxes._replace(lower=boxes.lower[:, perm], upper=boxes.upper[:, perm]))
+
+
+def test_benchmark_front_box_counts():
+    # generate_front's fronts for perfbench's score shapes m6_n15 and m4_n40; in
+    # the order the objectives are listed, the sweep made 1448 and 563 boxes
+    assert len(sweep_boxes(random_front(6, 15, 1443265020)).lower) <= 343
+    assert len(sweep_boxes(random_front(4, 40, 1771253958)).lower) <= 563
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_tied_fronts_in_every_objective_order_match_grid(m):
+    """Lattice fronts tie on every axis, so rank-sum scores can tie too; any order must still cover exactly."""
+    rng = np.random.default_rng([19, m])
+    means = -rng.uniform(1.0, 8.0, (3, m))
+    stds = rng.uniform(0.3, 3.0, (3, m))
+    for seed in range(2):
+        front = lattice_front(m, seed, SIZES[m] + 2)
+        for perm in [list(range(m))[::-1]] + [rng.permutation(m).tolist() for _ in range(3)]:
+            permuted = _permuted(front, perm)
+            _assert_disjoint_cover(permuted)
+            want = integrate_boxes(grid_decompose(permuted), means[:, perm], stds[:, perm])
+            got = integrate_boxes(sweep_boxes(permuted), means[:, perm], stds[:, perm])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_empty_front_is_one_full_box():

@@ -13,8 +13,8 @@ counted.
 
 It prints the median microseconds per step of the GP fit, the GP
 posterior, the acquisition (EHVI scoring and argmax, as bo_step times it),
-the observation (hypervolume update, front refilter and the new front's
-boxes) and the whole step, and this process's minor page faults per step,
+the observation (hypervolume update, dominance check of the new point and
+the new front's boxes) and the whole step, and this process's minor page faults per step,
 from resource.getrusage around each bo_step call.
 """
 
