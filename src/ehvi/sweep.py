@@ -76,8 +76,8 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     breaks, ranks = rank_form(front.points, front.reference)
     # sweep last the axis whose ranks agree most with the points' rank sums
     # and split the rest in ascending agreement; the columns go back at the end
-    order = np.argsort(ranks.T @ ranks.sum(axis=1), kind="stable")
-    ranks = ranks[:, order]
+    order = (ranks.sum(axis=1) @ ranks).argsort(kind="stable")
+    ranks = ranks.take(order, axis=1)
     k = m - 1
     # An open box is one row [lower (k), -upper (k), birth]. For a point q at
     # `level`, piece j of a box q cuts raises the lower bounds before j to q,
@@ -112,9 +112,11 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     top = np.repeat(levels, [len(c) for c in closed])
     grown = rows[:, 2 * k] < top  # a box born and cut at one level has no height
     rows, top = rows[grown], top[grown]
-    back = np.argsort(order)
-    lower = np.column_stack([rows[:, :k], rows[:, 2 * k]])[:, back]
-    upper = np.column_stack([-rows[:, k : 2 * k], top])[:, back]
+    lower, upper = np.empty((2, len(rows), m), dtype=np.intp)
+    lower[:, order[:k]] = rows[:, :k]
+    lower[:, order[k]] = rows[:, 2 * k]
+    upper[:, order[:k]] = -rows[:, k : 2 * k]
+    upper[:, order[k]] = top
     return BoxDecomposition(breaks, lower, upper)
 
 
