@@ -13,8 +13,9 @@ dominated region and subtracts it from the full region below the reference:
   recursion gives the hypervolume.
 - ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
   staircase at m = 2, the CLM-based staircase sweep at m = 3 (at most 2n+1
-  boxes, O(n log n)) and a box-splitting sweep over the last axis at
-  m >= 4. "auto" picks it for every m.
+  boxes, O(n log n)) and a box-splitting sweep at m >= 4 along the axis
+  whose ranks agree most with the points' rank sums. "auto" picks it for
+  every m.
 
 Around them: Monte-Carlo and 2-D quadrature verification oracles, a timing
 benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI

@@ -12,7 +12,6 @@ integrates over the same boxes.
 
 from __future__ import annotations
 
-import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -139,13 +138,10 @@ def _add_observation(state: BoState, index: int) -> None:
     (y,) = validate_front(state.problem.frame, [state.problem.candidates.objectives[index]]).points
     state.observed.append(index)
     state.hypervolume += float(clipped_volumes(state.boxes, np.array([y]))[0])
-    front = state.front.points
-    if any(all(a <= b for a, b in zip(p, y)) for p in front):
-        return  # a weakly dominated y (a member too) leaves the front and its boxes as they are
-    points = [p for p in front if not all(b <= a for a, b in zip(p, y))]
-    bisect.insort(points, y)  # the front stays lex-sorted
-    state.front = Front(state.problem.frame, tuple(points))
-    state.boxes = sweep_boxes(state.front)
+    points = tuple(nondominated_filter(state.front.points + (y,)))
+    if points != state.front.points:  # a dominated y leaves the front and its boxes as they are
+        state.front = Front(state.problem.frame, points)
+        state.boxes = sweep_boxes(state.front)
 
 
 def _observe(state: BoState, index: int, acquisition_time_ns: int = 0, gp_time_ns: int = 0) -> BoRunRecord:

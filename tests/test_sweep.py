@@ -96,6 +96,9 @@ def test_benchmark_front_box_counts():
     # the order the objectives are listed, the sweep made 1448 and 563 boxes
     assert len(sweep_boxes(random_front(6, 15, 1443265020)).lower) <= 343
     assert len(sweep_boxes(random_front(4, 40, 1771253958)).lower) <= 563
+    # a front the rank-sum order serves worse than the listed order (2931 boxes);
+    # pinned exactly so a change to the split order shows whether it mends it
+    assert len(sweep_boxes(random_front(5, 50, 7004)).lower) == 4839
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

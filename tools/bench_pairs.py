@@ -6,13 +6,11 @@
 PARENT and CHANGE are git revisions of this repository. Each is exported
 with `git archive` into a temporary directory of its own, so uncommitted
 files take no part. For every workload of the
-change's BENCHMARK.json (or each --workload given) and each of --pairs seeds
-from --first-seed on, it runs
+change's BENCHMARK.json and each of 10 seeds from --first-seed on, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each checkout, T being BENCHMARK.json's run_seconds unless
---seconds is given. The parent runs first at even positions of the seed list
+once in each checkout, T being BENCHMARK.json's run_seconds. The parent runs first at even positions of the seed list
 and second at odd ones. The last line of each run's stdout is its result; a
 run that exits non-zero or prints no result is kept with `correct: false`
 and its exit code.
@@ -47,6 +45,7 @@ ORDER = (
     "one parent and one change run per (workload, seed), each in its own checkout; "
     "the parent runs first at even positions of the seed list and second at odd ones"
 )
+PAIRS = 10
 RUN_TIMEOUT_S = 900
 
 
@@ -120,18 +119,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", help="git revision of the change")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="per run; default: BENCHMARK.json's run_seconds")
-    ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         base = Path(tmp)
         revisions = {side: _export(getattr(args, side), base / side) for side in ("parent", "change")}
         bench = json.loads((base / "change" / "BENCHMARK.json").read_text())
-        seconds = args.seconds or bench["run_seconds"]
-        workloads = args.workload or [w["name"] for w in bench["workloads"]]
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+        seconds = bench["run_seconds"]
+        workloads = [w["name"] for w in bench["workloads"]]
+        seeds = list(range(args.first_seed, args.first_seed + PAIRS))
         runs: dict = {w: {"parent": [], "change": []} for w in workloads}
         for workload in workloads:
             for i, seed in enumerate(seeds):
