@@ -123,6 +123,9 @@ def run_benchmark(
     disagreement aborts the run rather than reporting timings for wrong
     answers.
     """
+    for label, values in (("ms", ms), ("ns", ns), ("algorithms", algorithms)):
+        if not len(values):
+            raise ParameterError(f"{label} must not be empty")
     if seeds < 1:
         raise ParameterError(f"seeds must be positive, got {seeds}")
     if reps < 1:

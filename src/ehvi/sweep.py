@@ -24,14 +24,16 @@ coordinates, r_j] of core.rank_form.
   & Hingston, IEEE CEC 2005, also order objectives from the front). The
   cross-section of the region between two sweep levels is the (m-1)-D
   nondominated region of the points below, held as disjoint open boxes with
-  the level each was born at. A point q closes, at its level, every open
-  box it cuts into (q < upper on every axis) and replaces it by the
-  disjoint pieces of box minus the orthant above q: piece j keeps the axes
-  after j, raises the lower bound of the axes before j to q, and caps axis
-  j at q_j; it exists only where q_j > lower_j. The sweep closes what is
-  still open at the reference. Each box covers at least one nondominated
-  grid cell, so there are at most (n+1)^m of them; the sweep refuses a
-  front once it has made more than _MAX_BOXES open plus closed boxes.
+  the level each was born at: one box per column of a (2m-1, boxes) array,
+  so each point's tests reduce along the long axis. A point q closes, at
+  its level, every open box it cuts into (q < upper on every axis) and
+  replaces it by the disjoint pieces of box minus the orthant above q:
+  piece j keeps the axes after j, raises the lower bound of the axes
+  before j to q, and caps axis j at q_j; it exists only where q_j >
+  lower_j. The sweep closes what is still open at the reference. Each box
+  covers at least one nondominated grid cell, so there are at most (n+1)^m
+  of them; the sweep refuses a front once it has made more than _MAX_BOXES
+  open plus closed boxes.
 
 Coordinates are replaced by rank_form's breakpoint ranks, a tied coordinate
 taking the rank of its first copy, so ties compare equal and no box has
@@ -79,43 +81,43 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     order = (ranks.sum(axis=1) @ ranks).argsort(kind="stable")
     ranks = ranks.take(order, axis=1)
     k = m - 1
-    # An open box is one row [lower (k), -upper (k), birth]. For a point q at
-    # `level`, piece j of a box q cuts raises the lower bounds before j to q,
-    # caps upper j at q (q < upper) and takes the level as its birth: all
-    # maxima against [q, -q, level] on the axes of raise_where[j].
-    raise_where = np.zeros((k, 2 * k + 1), dtype=bool)
-    raise_where[:, :k] = np.tri(k, k, -1, dtype=bool)
-    raise_where[:, k : 2 * k] = np.eye(k, dtype=bool)
-    raise_where[:, 2 * k] = True
-    open_ = np.concatenate([np.zeros(k), np.full(k, -(n + 1)), [0]]).astype(np.intp)[None]
+    # An open box is one column [lower (k), -upper (k), birth]. For a point q
+    # at `level`, piece j of a box q cuts raises the lower bounds before j to
+    # q, caps upper j at q (q < upper) and takes the level as its birth: all
+    # maxima against the column [q, -q, level] on the rows of raise_where[:, j].
+    raise_where = np.zeros((2 * k + 1, k), dtype=bool)
+    raise_where[:k] = np.tri(k, k, -1, dtype=bool).T
+    raise_where[k : 2 * k] = np.eye(k, dtype=bool)
+    raise_where[2 * k] = True
+    open_ = np.concatenate([np.zeros(k), np.full(k, -(n + 1)), [0]]).astype(np.intp)[:, None]
     made = 1  # open plus closed boxes
     closed, levels = [], []
     ranks = ranks[np.argsort(ranks[:, k], kind="stable")]
-    raise_to = np.concatenate([ranks[:, :k], -ranks[:, :k], ranks[:, k:]], axis=1)
-    for q, level, bounds in zip(ranks[:, :k], ranks[:, k].tolist(), raise_to):
-        hit = np.logical_and.reduce(open_[:, k : 2 * k] < bounds[k : 2 * k], axis=1)  # q < upper
-        cut = open_[hit]
-        if not len(cut):
+    raise_to = np.concatenate([ranks[:, :k], -ranks[:, :k], ranks[:, k:]], axis=1)[:, :, None]
+    for level, bounds in zip(ranks[:, k].tolist(), raise_to):
+        miss = np.logical_or.reduce(open_[k : 2 * k] >= bounds[k : 2 * k], axis=0)  # upper <= q
+        cut = open_.compress(~miss, axis=1)
+        if not cut.shape[1]:
             continue  # q's projection is dominated by an earlier point's
         closed.append(cut)
         levels.append(level)
-        axis, box = np.nonzero(q[:, None] > cut[:, :k].T)  # the pieces that exist
+        axis, box = np.nonzero(bounds[:k] > cut[:k])  # the pieces that exist
         made += len(axis)
         if made > _MAX_BOXES:
             raise ParameterError(f"sweep needs more than its budget of {_MAX_BOXES} boxes")
-        pieces = cut[box]
-        np.maximum(pieces, bounds, out=pieces, where=raise_where[axis])
-        open_ = np.concatenate([open_[~hit], pieces])
+        pieces = cut.take(box, axis=1)
+        np.maximum(pieces, bounds, out=pieces, where=raise_where.take(axis, axis=1))
+        open_ = np.concatenate([open_.compress(miss, axis=1), pieces], axis=1)
     closed.append(open_)
     levels.append(n + 1)
-    rows = np.concatenate(closed)
-    top = np.repeat(levels, [len(c) for c in closed])
-    grown = rows[:, 2 * k] < top  # a box born and cut at one level has no height
-    rows, top = rows[grown], top[grown]
-    lower, upper = np.empty((2, len(rows), m), dtype=np.intp)
-    lower[:, order[:k]] = rows[:, :k]
-    lower[:, order[k]] = rows[:, 2 * k]
-    upper[:, order[:k]] = -rows[:, k : 2 * k]
+    rows = np.concatenate(closed, axis=1)
+    top = np.repeat(levels, [c.shape[1] for c in closed])
+    grown = rows[2 * k] < top  # a box born and cut at one level has no height
+    rows, top = rows.compress(grown, axis=1), top[grown]
+    lower, upper = np.empty((2, len(top), m), dtype=np.intp)
+    lower[:, order[:k]] = rows[:k].T
+    lower[:, order[k]] = rows[2 * k]
+    upper[:, order[:k]] = -rows[k : 2 * k].T
     upper[:, order[k]] = top
     return BoxDecomposition(breaks, lower, upper)
 

@@ -119,3 +119,6 @@ def test_run_benchmark_validation():
         run_benchmark(ms=[2], ns=[3], seeds=0, reps=1, algorithms=("grid",))
     with pytest.raises(ParameterError):
         run_benchmark(ms=[2], ns=[3], seeds=1, reps=0, algorithms=("grid",))
+    for empty in ({"ms": []}, {"ns": []}, {"algorithms": ()}):
+        with pytest.raises(ParameterError, match="must not be empty"):
+            run_benchmark(**{"ms": [2], "ns": [3], "seeds": 1, "reps": 1, "algorithms": ("grid",), **empty})

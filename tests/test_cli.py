@@ -284,6 +284,14 @@ def test_gen_front_round_trip(tmp_path, capsys):
     assert stdout_payload["m"] == 2 and len(stdout_payload["front"]) == 3
 
 
+def test_bench_with_nothing_to_run_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    for flag, value in (("--algorithms", ","), ("--m", ""), ("--n", " , ")):
+        assert main(["bench", flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("must not be empty") == 3
+
+
 def test_bench_writes_records_and_summary(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main(
@@ -351,7 +359,7 @@ def test_bo_demo_outputs(tmp_path, capsys):
         hvs = [float(r["hypervolume"]) for r in rows]
         assert all(b >= a for a, b in zip(hvs, hvs[1:]))
         assert set(rows[0]) == {
-            "seed", "iteration", "x0", "x1", "f0", "f1", "hypervolume", "acquisition_time_ms"
+            "seed", "iteration", "x0", "x1", "f0", "f1", "hypervolume", "acquisition_time_ms", "gp_time_ms"
         }
     with open(out_dir / "summary.csv", newline="") as fh:
         srows = list(csv.DictReader(fh))

@@ -99,6 +99,10 @@ def test_benchmark_front_box_counts():
     # a front the rank-sum order serves worse than the listed order (2931 boxes);
     # pinned exactly so a change to the split order shows whether it mends it
     assert len(sweep_boxes(random_front(5, 50, 7004)).lower) == 4839
+    # fronts large enough that thousands of boxes are open at once
+    assert len(sweep_boxes(random_front(5, 100, 5)).lower) == 11541
+    assert len(sweep_boxes(random_front(4, 200, 5)).lower) == 6960
+    assert len(sweep_boxes(random_front(6, 60, 5)).lower) == 11480
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
