@@ -53,12 +53,13 @@ from .gaussian import GaussianBelief, integrate_boxes
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 # Most open plus closed boxes the m >= 4 sweep may make. Producing and
-# integrating one box for one belief takes about 1.6 us and 0.7 KB at peak
-# at m = 10 on a 2-core x86-64 host (generate_front(10, 30, 5): 297k boxes,
-# 0.48 s, 208 MiB). generate_front(10, 40, 5), at 523k boxes about the
-# largest admitted front, took 1.2 s and 357 MiB, and `ehvi compute` refuses
-# m = 10, n = 100 after 1.1 s. No call in the tests or the benchmark makes
-# more than 685 boxes; the tests pass with a budget of 2^13.
+# integrating one box for one belief takes about 0.6-1.3 us and 0.55 KiB at
+# peak (tracemalloc) at m = 10 on a 2-core x86-64 host: generate_front(10,
+# 30, 5) makes 297k boxes in 0.19-0.24 s and 155 MiB, and generate_front(10,
+# 40, 5), at 523k boxes about the largest admitted front, takes 0.52-0.67 s
+# and 282 MiB (354 MiB resident). `ehvi compute` refuses m = 10, n = 100
+# after 0.6 s at 208 MiB resident. The largest sweep in the tests makes
+# 11541 boxes (random_front(5, 100, 5)); they pass with a budget of 2^14.
 _MAX_BOXES = 1 << 19
 
 
@@ -95,7 +96,7 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     ranks = ranks[np.argsort(ranks[:, k], kind="stable")]
     raise_to = np.concatenate([ranks[:, :k], -ranks[:, :k], ranks[:, k:]], axis=1)[:, :, None]
     for level, bounds in zip(ranks[:, k].tolist(), raise_to):
-        miss = np.logical_or.reduce(open_[k : 2 * k] >= bounds[k : 2 * k], axis=0)  # upper <= q
+        miss = np.logical_or.reduce(open_[k : 2 * k] >= bounds[k : 2 * k], axis=0)  # upper <= q on some axis
         cut = open_.compress(~miss, axis=1)
         if not cut.shape[1]:
             continue  # q's projection is dominated by an earlier point's
