@@ -121,11 +121,14 @@ def run_benchmark(
     Each cell gets one untimed warm-up call per algorithm, then reps timed
     calls. All algorithms must agree on each cell's value to 1e-10 relative;
     disagreement aborts the run rather than reporting timings for wrong
-    answers.
+    answers. ParameterError if ms, ns or algorithms is empty or repeats a
+    value, which would time a cell twice and fold both runs into one row.
     """
     for label, values in (("ms", ms), ("ns", ns), ("algorithms", algorithms)):
         if not len(values):
             raise ParameterError(f"{label} must not be empty")
+        if len(set(values)) < len(values):
+            raise ParameterError(f"{label} must not repeat a value, got {list(values)}")
     if seeds < 1:
         raise ParameterError(f"seeds must be positive, got {seeds}")
     if reps < 1:

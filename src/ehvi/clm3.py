@@ -48,7 +48,7 @@ def nondominated_boxes(front: Front) -> BoxDecomposition:
     if front.m != 3:
         raise UnsupportedDimensionError(f"the CLM staircase sweep needs m=3, got m={front.m}")
     top = front.n + 1
-    breaks, ranks = rank_form(front.points, front.reference)
+    breaks, ranks = rank_form(front.coords, front.reference)
     xs, ys, zs = ranks[np.argsort(ranks[:, 2], kind="stable")].T.tolist()
     keys, vals, births = [0, top], [top, 0], [0]
     flat: list[int] = []  # (lower_1, upper_1, upper_2, lower_3, upper_3) per box

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -93,10 +93,20 @@ class Front:
 
     Construct through validate_front, which establishes the invariants
     (mutual nondominance, no duplicates, strictly inside the reference bound).
+    coords is the same points as a read-only (n, m) float array, built once
+    here so that no decomposition converts the tuples again; it takes no
+    part in == or hash.
     """
 
     frame: ProblemFrame
     points: tuple[Vector, ...]
+    coords: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        m, n = self.frame.m, len(self.points)
+        coords = np.fromiter(chain.from_iterable(self.points), dtype=float, count=m * n).reshape(n, m)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     @property
     def m(self) -> int:
@@ -161,16 +171,19 @@ def nondominated_filter(points: Iterable[Sequence[float]]) -> list[Vector]:
     return nondominated_sorted(pts)
 
 
-def rank_form(points: Sequence[Sequence[float]], reference: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def rank_form(
+    points: np.ndarray | Sequence[Sequence[float]], reference: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis breakpoints and the (n, m) breakpoint ranks of the points.
 
-    breaks is (m, n+2): row j is [-inf, sorted coordinates of axis j, r_j].
-    A point's rank on axis j is the index of its coordinate in breaks[j],
-    a tied coordinate taking the rank of its first copy, so ties compare
-    equal and ranks order exactly as the coordinates do.
+    points is an (n, m) array such as Front.coords, or any sequence of n
+    points. breaks is (m, n+2): row j is [-inf, sorted coordinates of axis
+    j, r_j]. A point's rank on axis j is the index of its coordinate in
+    breaks[j], a tied coordinate taking the rank of its first copy, so ties
+    compare equal and ranks order exactly as the coordinates do.
     """
     m, n = len(reference), len(points)
-    pts = np.fromiter(chain.from_iterable(points), dtype=float, count=m * n).reshape(n, m)
+    pts = np.asarray(points, dtype=float).reshape(n, m)
     coords = np.sort(pts, axis=0)
     breaks = np.empty((m, n + 2))
     breaks[:, 0] = -np.inf

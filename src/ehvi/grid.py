@@ -60,7 +60,7 @@ def build_grid(front: Front) -> GridStructure:
     m, n = front.m, front.n
     if (n + 1) ** m > _MAX_CELLS:
         raise ParameterError(f"grid needs {n + 1}^{m} cells, more than its budget of {_MAX_CELLS}")
-    pts = np.asarray(front.points, dtype=float).reshape(n, m)
+    pts = front.coords
     axes = tuple(
         np.concatenate(([-np.inf], np.sort(pts[:, j]), [front.reference[j]])) for j in range(m)
     )

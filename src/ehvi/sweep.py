@@ -11,7 +11,8 @@ coordinates, r_j] of core.rank_form.
 - m = 2: the staircase. With the points in ascending first coordinate x
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
   (-inf, y[i-1]], with x[-1] = -inf, y[-1] = r2 and x[n] = r1: exactly n+1
-  boxes, pure index arithmetic.
+  boxes, pure index arithmetic on the breakpoints of one sort of the two
+  coordinate columns, with no ranks to look up.
 - m = 3: clm3.nondominated_boxes, the paper's CLM-based staircase sweep
   on breakpoint ranks: at most 2n+1 boxes, exactly 2n+1 when no two points
   share a coordinate, from at most 2n staircase updates.
@@ -65,18 +66,24 @@ _MAX_BOXES = 1 << 19
 
 def _staircase_boxes(front: Front) -> BoxDecomposition:
     n = front.n
-    breaks, _ = rank_form(front.points, front.reference)
+    breaks = np.empty((2, n + 2))
+    breaks[:, 0] = -np.inf
+    breaks[:, 1:-1] = np.sort(front.coords.T, axis=1)
+    breaks[:, -1] = front.reference
     # no two points of an m = 2 front share a coordinate: in ascending first
     # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2
     i = np.arange(n + 1)
-    lower = np.stack([i, np.zeros_like(i)], axis=1)
-    upper = np.stack([i + 1, n + 1 - i], axis=1)
+    lower = np.zeros((n + 1, 2), dtype=np.intp)
+    lower[:, 0] = i
+    upper = np.empty((n + 1, 2), dtype=np.intp)
+    upper[:, 0] = i + 1
+    upper[:, 1] = n + 1 - i
     return BoxDecomposition(breaks, lower, upper)
 
 
 def _sweep_boxes(front: Front) -> BoxDecomposition:
     m, n = front.m, front.n
-    breaks, ranks = rank_form(front.points, front.reference)
+    breaks, ranks = rank_form(front.coords, front.reference)
     # sweep last the axis whose ranks agree most with the points' rank sums
     # and split the rest in ascending agreement; the columns go back at the end
     order = (ranks.sum(axis=1) @ ranks).argsort(kind="stable")

@@ -106,28 +106,32 @@ def _rank_tuples(ranks: np.ndarray) -> list[tuple]:
     return nondominated_sorted(sorted(set(map(tuple, ranks.tolist()))))
 
 
+def _volume(points: np.ndarray | list[Vector], reference: Vector) -> float:
+    if not len(points):
+        return 0.0
+    breaks, ranks = rank_form(points, reference)
+    table = (breaks[:, -1:] - breaks).tolist()
+    return _wfg_rec(_rank_tuples(ranks), table, [0, 0])
+
+
 def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
     """Lebesgue measure of the union of boxes [p, r); accepts any list of finite points."""
     ref = as_vector(reference)
     pts = [as_vector(p) for p in points]
     _check_bound(pts, ref)
-    if not pts:
-        return 0.0
-    breaks, ranks = rank_form(pts, ref)
-    table = (breaks[:, -1:] - breaks).tolist()
-    return _wfg_rec(_rank_tuples(ranks), table, [0, 0])
+    return _volume(pts, ref)
 
 
 def hypervolume(front: Front) -> float:
     """Exact dominated hypervolume of the front within its reference bound."""
-    return dominated_volume(front.points, front.reference)
+    return _volume(front.coords, front.reference)
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     """EHVI as the full-region integral minus the recursive dominated-region integral."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    breaks, ranks = rank_form(front.points, front.reference)
+    breaks, ranks = rank_form(front.coords, front.reference)
     # one psi evaluation over every axis's breakpoints; the last column is
     # the reference, so its product is the full-region integral
     p = psi(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])

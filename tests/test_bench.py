@@ -122,3 +122,6 @@ def test_run_benchmark_validation():
     for empty in ({"ms": []}, {"ns": []}, {"algorithms": ()}):
         with pytest.raises(ParameterError, match="must not be empty"):
             run_benchmark(**{"ms": [2], "ns": [3], "seeds": 1, "reps": 1, "algorithms": ("grid",), **empty})
+    for repeated in ({"ms": [2, 3, 2]}, {"ns": [3, 3]}, {"algorithms": ("sweep", "sweep")}):
+        with pytest.raises(ParameterError, match="must not repeat a value"):
+            run_benchmark(**{"ms": [2], "ns": [3], "seeds": 1, "reps": 1, "algorithms": ("grid",), **repeated})

@@ -292,6 +292,14 @@ def test_bench_with_nothing_to_run_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("must not be empty") == 3
 
 
+def test_bench_with_a_repeated_value_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    argv = ["bench", "--m", "3", "--n", "2", "--seeds", "1", "--reps", "1", "--algorithms", "sweep,sweep"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert "must not repeat a value" in capsys.readouterr().err
+
+
 def test_bench_writes_records_and_summary(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main(

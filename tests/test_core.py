@@ -138,6 +138,40 @@ def test_rank_form_empty_front():
     assert ranks.shape == (0, 3)
 
 
+def test_rank_form_same_from_array_and_tuples():
+    worked = [[1, 3, 2], [2, 1, 2], [3, 2, 1]]
+    tied = lattice_front(3, 1)
+    for points, reference in ((worked, (4, 5, 6)), (tied.points, tied.reference)):
+        from_tuples = rank_form(points, reference)
+        from_array = rank_form(np.array(points, dtype=float), reference)
+        for got, want in zip(from_array, from_tuples):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(rank_form(tied.coords, tied.reference)[1], rank_form(tied.points, tied.reference)[1])
+
+
+def test_front_coords_is_a_read_only_array_of_the_points():
+    mini = ProblemFrame(m=2, reference=(4.0, 4.0))
+    maxi = ProblemFrame(m=3, reference=(0.0, 0.0, 0.0), orientation="maximize")
+    fronts = [
+        validate_front(mini, [(3.0, 1.0), (1.0, 3.0)]),
+        validate_front(maxi, [(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)]),  # internal signs: negated
+        validate_front(maxi, []),
+        ehvi.core.Front(mini, ((1.0, 3.0), (2.0, 2.0))),  # built directly, as bo does
+    ]
+    for front in fronts:
+        assert front.coords.dtype == np.float64
+        assert front.coords.shape == (front.n, front.m)
+        assert np.array_equal(front.coords, np.array(front.points).reshape(front.n, front.m))
+        with pytest.raises(ValueError):
+            front.coords[...] = 0.0
+    assert fronts[1].coords.tolist() == [[-1.0, -2.0, -3.0], [-3.0, -2.0, -1.0]]
+    assert fronts[2].coords.shape == (0, 3)
+    # coords takes no part in equality, hashing or repr
+    twin = ehvi.core.Front(mini, ((1.0, 3.0), (2.0, 2.0)))
+    assert twin == fronts[3] and hash(twin) == hash(fronts[3])
+    assert "coords" not in repr(twin)
+
+
 def _internal(frame, p):
     """p in the frame's internal minimization convention: maximization negates."""
     return tuple(-x for x in p) if frame.orientation is Orientation.MAXIMIZE else tuple(p)
