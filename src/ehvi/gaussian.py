@@ -152,16 +152,18 @@ def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray
     out = np.zeros(q)
     if q == 0 or count == 0:
         return out
+    # psi(-inf) is exactly 0, so a first breakpoint column that is -inf on
+    # every axis (rank_form's) needs no psi
+    first = 1 if np.isneginf(boxes.breaks[:, 0]).all() else 0
     lower, upper = boxes.lower.T.copy(), boxes.upper.T.copy()
     blocks = min(q, -(-q * (count + m * width) // _BLOCK))
     edges = [q * i // blocks for i in range(blocks + 1)]  # blocks of even size
     for s, e in zip(edges, edges[1:]):
         mu, sd = means[s:e].T[:, None], stds[s:e].T[:, None]
         # the psi table is (axes, breakpoints, beliefs): a box corner is one
-        # row of its axis, and a block's beliefs stay contiguous. psi(-inf) is
-        # exactly 0, so the -inf column needs no case of its own, and psi over
-        # the whole contiguous breaks is faster than over the strided rest.
-        p = psi(boxes.breaks[:, :, None], mu, sd)
+        # row of its axis, and a block's beliefs stay contiguous
+        p = np.zeros((m, width, mu.shape[2]))
+        p[:, first:] = psi(boxes.breaks[:, first:, None], mu, sd)
         factors = _box_factors(p, lower, upper)
         volume = next(factors)
         # a product that overflows is meant to be inf (ehvi compute exits 2 on it)
