@@ -146,7 +146,6 @@ def test_rank_form_same_from_array_and_tuples():
         from_array = rank_form(np.array(points, dtype=float), reference)
         for got, want in zip(from_array, from_tuples):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(rank_form(tied.coords, tied.reference)[1], rank_form(tied.points, tied.reference)[1])
 
 
 def test_front_coords_is_a_read_only_array_of_the_points():

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Time the layers of a single-belief compute_ehvi call on the benchmark's score fronts.
 
-    python3 tools/call_profile.py [--src DIR] [--repeats K] [--seed S]
+    python3 tools/call_profile.py [--src DIR]
 
 The fronts and beliefs are the score workload's, made by perfbench's
-make_inputs under --seed (default 7): the m2_n100, m3_n100, m3_n1000, m4_n40
-and m6_n15 fronts, each with its improving and dominated-mean beliefs. For
-each front it prints the best of K repeats (default 7) of the mean
-microseconds per call of the following, each called once per belief of the
-front in a repeat:
+make_inputs under seed SEED: the m2_n100, m3_n100, m3_n1000, m4_n40 and
+m6_n15 fronts, each with its improving and dominated-mean beliefs. For each
+front it prints the best of REPEATS repeats of the mean microseconds per
+call of the following, each called once per belief of the front in a
+repeat:
 
 - compute_ehvi(front, belief);
-- rank_form on the front's points, as the decompositions call it;
+- rank_form on Front.coords, as the m >= 3 decompositions call it;
 - sweep_boxes(front);
 - integrate_boxes(boxes, [mean], [stddev]) over the front's sweep boxes;
 - psi on the breakpoints (all but the first -inf column) for the belief;
@@ -36,6 +36,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7  # make_inputs' seed, which draws the improving beliefs
+REPEATS = 15
 
 
 def _best_us(fn, calls: int, repeats: int) -> float:
@@ -52,8 +54,6 @@ def _best_us(fn, calls: int, repeats: int) -> float:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the ehvi package")
-    ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=7, help="seed of make_inputs' improving beliefs")
     args = ap.parse_args(argv)
     # before numpy is first imported
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
@@ -68,12 +68,12 @@ def main(argv: list[str] | None = None) -> int:
     sweep_boxes, integrate_boxes, psi = ehvi.sweep.sweep_boxes, ehvi.gaussian.integrate_boxes, ehvi.gaussian.psi
 
     shapes: dict = {}
-    for s in make_inputs(ehvi, args.seed).score:
+    for s in make_inputs(ehvi, SEED).score:
         shapes.setdefault(s.shape, (s.front, []))[1].extend(s.beliefs)
     header = ("shape", "compute_ehvi", "rank_form", "sweep_boxes", "integrate_boxes", "psi", "boxes")
     print(f"{header[0]:<9}" + "".join(f"{h:>16}" for h in header[1:]))
     for shape, (front, beliefs) in shapes.items():
-        k, r = len(beliefs), args.repeats
+        k, r = len(beliefs), REPEATS
         points = getattr(front, "coords", front.points)
         boxes = sweep_boxes(front)
         rows = [(b.mean, b.stddev) for b in beliefs]
