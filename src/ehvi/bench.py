@@ -2,11 +2,12 @@
 
 Fronts are drawn uniformly in the maximization box [0.1, 10]^m against a
 reference at the origin, rejecting every draw that is comparable with an
-already-accepted point. The candidate belief is fixed (mean -10 on every
-negated axis, stddev 2.5) so runs are reproducible and comparable across
-algorithms. Every (m, n, seed) cell is computed by all requested backends
-and the values are required to agree to 1e-10 relative before any timing is
-reported.
+already-accepted point. Draws are rejected in numpy blocks, and the front
+is still the one a draw-at-a-time sampler makes (see generate_front). The
+candidate belief is fixed (mean -10 on every negated axis, stddev 2.5) so
+runs are reproducible and comparable across algorithms. Every (m, n, seed)
+cell is computed by all requested backends and the values are required to
+agree to 1e-10 relative before any timing is reported.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ DEFAULT_SIGMA = 2.5
 
 DEFAULT_NS = (10, 50, 100, 150, 200, 250, 300)
 _DRAW_BLOCK = 256  # generate_front's draws per numpy rejection pass
+# Accepted points in a block's first comparison. The first 32 points of
+# generate_front(3, 1000, .) already reject 88 % of its late draws.
+_FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,14 @@ def generate_front(m: int, n: int, seed: int) -> list[Vector]:
 
     Draws come in blocks of _DRAW_BLOCK, the same stream as one draw at a
     time. A block first drops, in numpy, the draws comparable with a point
-    accepted before it; the rest are then taken in order against the points
-    accepted within the block, so the front is the one-at-a-time sampler's.
+    accepted before it, comparing them in chunks of those points: the first
+    _FIRST_CHUNK points, then chunks of about _FILTER_BLOCK over the
+    surviving draws. Each chunk drops its rejects, so once the front has
+    grown the later points meet only the few draws that the first ones did
+    not reject. Whether a draw survives depends only on the set of earlier
+    points, not on the chunks. The survivors are then taken in order against
+    the points accepted within the block, so the front is the one-at-a-time
+    sampler's, bit for bit.
     """
     if m < 2:
         raise UnsupportedDimensionError(f"need at least 2 objectives, got m={m}")
@@ -67,21 +77,22 @@ def generate_front(m: int, n: int, seed: int) -> list[Vector]:
     rng = np.random.default_rng(seed)
     accepted = np.empty((n, m))
     count = 0
-    step = _FILTER_BLOCK // _DRAW_BLOCK  # accepted points per comparison
     while count < n:
         draws = rng.uniform(GEN_LOW, GEN_HIGH, (_DRAW_BLOCK, m))
-        keep = np.ones(_DRAW_BLOCK, dtype=bool)
         prior = accepted[:count]
-        for s in range(0, count, step):
+        s = 0
+        while s < count and len(draws):
+            step = _FIRST_CHUNK if s == 0 else max(1, _FILTER_BLOCK // len(draws))
             earlier = prior[s:s + step]
             geq = draws[:, 0, None] >= earlier[:, 0]
             leq = draws[:, 0, None] <= earlier[:, 0]
             for j in range(1, m):
                 geq &= draws[:, j, None] >= earlier[:, j]
                 leq &= draws[:, j, None] <= earlier[:, j]
-            keep &= ~(geq | leq).any(axis=1)
+            draws = draws[~(geq | leq).any(axis=1)]
+            s += step
         start = count
-        for v in draws[keep]:
+        for v in draws:
             within = accepted[start:count]
             if (v >= within).all(axis=1).any() or (v <= within).all(axis=1).any():
                 continue

@@ -23,13 +23,18 @@ from .errors import CandidatesExhaustedError, ParameterError
 from .gaussian import integrate_boxes
 from .gp import fit_gp, gp_posterior_batch
 from .sweep import clipped_volumes, sweep_boxes
-from .wfg import dominated_volume
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
 # get this floor instead of 0.
 _STDDEV_FLOOR = 1e-9
 
 DEFAULT_RESOLUTION = {"sphere2": 32, "sphere3": 10}
+# Most grid candidates a synthetic problem may have. Set-up time is almost
+# all nondominated_filter over the candidates, which grows with their
+# square: on a 2-core x86-64 host sphere3 takes 0.6 s at resolution 30
+# (27,000 candidates), 3.3 s at 40 (64,000) and 16 s at 50 (125,000), and
+# sphere2 takes 2.1 s at resolution 256 (65,536).
+_MAX_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,25 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
     trade-off surface reached at last-coordinate 0.5. The demo reference
     point is the componentwise worst grid objective plus a 10% range margin,
     fixed before any run so all arms and seeds are comparable.
+    ParameterError, before anything is built, when the grid would have more
+    than _MAX_CANDIDATES candidates.
+
+    The reference hypervolume is the volume of box(ideal, r) minus the part
+    of it that the true front's sweep boxes leave open, the same boxes and
+    clip that BoState uses for each observation. To first order in u =
+    2^-53 its rounding error is at most (K + 4m) u prod(r - ideal), K being
+    the number of boxes (at most 2n+1 for n front points at m <= 3).
     """
     if name not in _PROBLEMS:
         raise ParameterError(f"unknown problem {name!r}, expected one of {sorted(_PROBLEMS)}")
     if resolution < 2:
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
     d, objective_fn = _PROBLEMS[name]
+    if resolution**d > _MAX_CANDIDATES:
+        raise ParameterError(
+            f"{name} at resolution {resolution} has {resolution}^{d} candidates, "
+            f"more than the budget of {_MAX_CANDIDATES}"
+        )
     axis = np.linspace(0.0, 1.0, resolution)
     design = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
     objectives = objective_fn(design)
@@ -124,12 +142,15 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
     reference = tuple(worst + 0.1 * (worst - best))
     frame = ProblemFrame(m=objectives.shape[1], reference=reference, orientation=Orientation.MINIMIZE)
     true_front = tuple(nondominated_filter(tuple(row) for row in objectives))
+    # best is the true front's ideal point too: a grid point that is lowest
+    # on an axis ties there with a nondominated one
+    open_volume = clipped_volumes(sweep_boxes(Front(frame, true_front)), best[None])[0]
     return SyntheticProblem(
         name=name,
         candidates=CandidateSet(design_points=design, objectives=objectives),
         frame=frame,
         true_front=true_front,
-        reference_hypervolume=dominated_volume(true_front, reference),
+        reference_hypervolume=float(np.prod(reference - best) - open_volume),
     )
 
 

@@ -1,5 +1,6 @@
 """Benchmark harness: front generation, record schema, cross-validation, summaries."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from ehvi import (
     run_benchmark,
     validate_front,
 )
+import ehvi.bench
 from ehvi.bench import GEN_HIGH, GEN_LOW, benchmark_belief, benchmark_frame, summarize
 from oracles import sequential_front
 
@@ -34,10 +36,43 @@ def test_generate_front_is_valid_and_mutually_nondominated():
             assert np.all((np.asarray(pts) >= 0.1) & (np.asarray(pts) <= 10.0))
 
 
+SEQUENTIAL_CASES = [(2, 1, 0), (2, 100, 1), (2, 100, 7), (3, 300, 2), (3, 40, 3), (4, 40, 4), (6, 15, 5)]
+
+
 def test_generate_front_matches_sequential_sampler():
     # blocked draws and numpy rejection give the one-draw-at-a-time front bit for bit
-    for m, n, seed in [(2, 1, 0), (2, 100, 1), (2, 100, 7), (3, 300, 2), (3, 40, 3), (4, 40, 4), (6, 15, 5)]:
+    for m, n, seed in SEQUENTIAL_CASES:
         assert generate_front(m, n, seed) == sequential_front(m, n, seed, GEN_LOW, GEN_HIGH), (m, n, seed)
+
+
+@pytest.mark.parametrize("first_chunk, filter_block", [(1, None), (10**6, None), (1, 64), (3, 1)])
+def test_generate_front_matches_sequential_sampler_at_any_chunking(monkeypatch, first_chunk, filter_block):
+    # a first chunk of one point, one chunk for all, and chunks cut small
+    # enough that every chunk boundary is crossed
+    monkeypatch.setattr(ehvi.bench, "_FIRST_CHUNK", first_chunk)
+    if filter_block is not None:
+        monkeypatch.setattr(ehvi.bench, "_FILTER_BLOCK", filter_block)
+    for m, n, seed in SEQUENTIAL_CASES:
+        assert generate_front(m, n, seed) == sequential_front(m, n, seed, GEN_LOW, GEN_HIGH), (m, n, seed)
+
+
+# sha256 of the float64 bytes of the fronts of perfbench's score shapes, at
+# int(SeedSequence([20181, m, n]).generate_state(1)[0]), as first pinned
+SCORE_FRONT_SHA256 = {
+    (2, 100): "584c458cbfbf03f62d097b20d018c9fb270e6bc5e43fd4dececf62c7fa9e10c6",
+    (3, 100): "1241f5d95de86888635ef8a849941d2964caecd10df175887dc303e36d31bdd7",
+    (3, 1000): "915f7a04c39a4784a561170d4cd14e5734d5fc5a265b0514446c323d41f811dc",
+    (4, 40): "5c9a32919c9680a897398912a5bb2391d4a12bc85fb42a7bd3f2644356fc46ef",
+    (6, 15): "c8c78305c2dc3f86da4725d1b434cab743c443b8098dc6b3127c0c48bc3c3a1e",
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(SCORE_FRONT_SHA256))
+def test_score_fronts_pinned(m, n):
+    seed = int(np.random.SeedSequence([20181, m, n]).generate_state(1)[0])
+    front = np.array(generate_front(m, n, seed), dtype=np.float64)
+    assert front.shape == (n, m)
+    assert hashlib.sha256(front.tobytes()).hexdigest() == SCORE_FRONT_SHA256[(m, n)]
 
 
 def test_generate_front_validation():

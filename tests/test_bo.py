@@ -15,6 +15,8 @@ from ehvi import (
     synthetic_problem,
     validate_front,
 )
+import ehvi.bo
+import ehvi.wfg
 from ehvi.bo import DEFAULT_RESOLUTION, BoState, CandidateSet, SyntheticProblem, _observe, bo_step
 from ehvi.sweep import sweep_boxes
 
@@ -88,6 +90,32 @@ def test_reference_hypervolume_matches_filtered_recompute():
         dominated_volume(best, problem.frame.reference), rel=1e-12
     )
     assert list(map(tuple, problem.true_front)) == list(best)
+
+
+def test_reference_hypervolume_does_not_call_wfg(monkeypatch):
+    cases = [("sphere2", 16), ("sphere2", 32), ("sphere3", 10), ("sphere3", 20)]
+    expected = {}
+    for name, res in cases:
+        problem = synthetic_problem(name, res)
+        expected[name, res] = dominated_volume(problem.true_front, problem.frame.reference)
+    # a budget that any wfg call on three or more points exceeds
+    monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", 1)
+    with pytest.raises(ParameterError):
+        dominated_volume(problem.true_front, problem.frame.reference)
+    for name, res in cases:
+        problem = synthetic_problem(name, res)
+        assert problem.reference_hypervolume == pytest.approx(expected[name, res], rel=1e-12)
+
+
+def test_candidate_budget(monkeypatch):
+    with pytest.raises(ParameterError, match="candidates"):
+        synthetic_problem("sphere3", 41)  # 68921 > 2^16, refused before the grid is built
+    with pytest.raises(ParameterError, match="candidates"):
+        synthetic_problem("sphere2", 257)
+    monkeypatch.setattr(ehvi.bo, "_MAX_CANDIDATES", 1000)
+    assert len(synthetic_problem("sphere3", 10).candidates.design_points) == 1000
+    with pytest.raises(ParameterError, match="candidates"):
+        synthetic_problem("sphere3", 11)
 
 
 def test_zero_iteration_bo_equals_random_head():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ehvi.bo
 import ehvi.grid
 import ehvi.sweep
 import ehvi.wfg
@@ -394,6 +395,29 @@ def test_bo_demo_zero_iterations_matches_random(tmp_path, capsys):
     bo = (out_dir / "bo_seed0.csv").read_text()
     rnd = (out_dir / "random_seed0.csv").read_text()
     assert bo == rnd
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "problem, resolution, budget", [("sphere3", 41, None), ("sphere2", 257, None), ("sphere3", 7, 6**3)]
+)
+def test_bo_demo_resolution_over_the_candidate_budget_exits_2(
+    tmp_path, capsys, monkeypatch, problem, resolution, budget
+):
+    # the unpatched cases are refused before the grid is built, so they return at once
+    if budget is not None:
+        monkeypatch.setattr(ehvi.bo, "_MAX_CANDIDATES", budget)
+    out_dir = tmp_path / "over"
+    argv = ["bo-demo", "--problem", problem, "--seeds", "1", "--iters", "0", "--init", "2"]
+    assert main(argv + ["--resolution", str(resolution), "--out-dir", str(out_dir)]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_bo_demo_resolution_at_the_candidate_budget_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ehvi.bo, "_MAX_CANDIDATES", 6**3)
+    argv = ["bo-demo", "--problem", "sphere3", "--seeds", "1", "--iters", "1", "--init", "2"]
+    assert main(argv + ["--resolution", "6", "--out-dir", str(tmp_path / "at")]) == 0
     capsys.readouterr()
 
 
