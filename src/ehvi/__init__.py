@@ -3,23 +3,24 @@
 Three interchangeable exact backends, one per algorithm of the paper,
 compute EHVI as closed-form Gaussian box integrals (compute_ehvi for one
 belief, compute_ehvi_batch for many beliefs against one front). grid and
-sweep integrate disjoint boxes of the nondominated region; wfg integrates the
-dominated region and subtracts it from the full region below the reference:
+sweep integrate disjoint boxes of the nondominated region; wfg integrates
+the full region below the reference plus signed corner boxes that take the
+dominated region away, through the same integrator as sweep:
 
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
 - ehvi_wfg: the WFG recursion over the dominated region, at most 2^n - 1
-  box-measure evaluations, any m >= 2; kept as a reference, and the same
-  recursion gives the hypervolume.
+  signed corner boxes, any m >= 2; kept as a reference, and the same
+  corners give the hypervolume.
 - ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
   staircase at m = 2, the CLM-based staircase sweep at m = 3 (at most 2n+1
   boxes, O(n log n)) and a box-splitting sweep at m >= 4 along the axis
   whose ranks agree most with the points' rank sums. "auto" picks it for
   every m.
 
-Around them: Monte-Carlo and 2-D quadrature verification oracles, a timing
-benchmark on random fronts, and a Bayesian-optimization demo that uses EHVI
-as its acquisition function over GP surrogates.
+Around them: a Monte-Carlo verification oracle, a timing benchmark on random
+fronts, and a Bayesian-optimization demo that uses EHVI as its acquisition
+function over GP surrogates.
 """
 
 from .bench import generate_front, run_benchmark
@@ -39,7 +40,7 @@ from .errors import (
 from .gaussian import GaussianBelief, psi
 from .gp import fit_gp, gp_posterior_batch
 from .grid import ehvi_grid
-from .oracle import ehvi_monte_carlo, ehvi_quadrature_2d
+from .oracle import ehvi_monte_carlo
 from .sweep import ehvi_sweep, hypervolume_improvement
 from .wfg import dominated_volume, ehvi_wfg, hypervolume
 
@@ -66,7 +67,6 @@ __all__ = [
     "dominated_volume",
     "ehvi_grid",
     "ehvi_monte_carlo",
-    "ehvi_quadrature_2d",
     "ehvi_sweep",
     "ehvi_wfg",
     "fit_gp",

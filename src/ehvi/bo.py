@@ -86,25 +86,23 @@ class BoState:
             _add_observation(self, index)
 
 
-def _sphere2(x: np.ndarray) -> np.ndarray:
-    g = (x[:, 1] - 0.5) ** 2
-    theta = x[:, 0] * (np.pi / 2)
-    return np.column_stack([(1 + g) * np.cos(theta), (1 + g) * np.sin(theta)])
+def _sphere(x: np.ndarray) -> np.ndarray:
+    """DTLZ2 with m = d objectives and one distance variable, the last coordinate.
+
+    With theta_k = x_k * pi/2, objective j is (1 + g) * cos(theta_0) * ... *
+    cos(theta_{m-2-j}) * sin(theta_{m-1-j}), without the sine for j = 0, and
+    g = (x_{d-1} - 0.5)^2.
+    """
+    radius = 1 + (x[:, -1] - 0.5) ** 2
+    cols = []
+    for theta in (x[:, :-1] * (np.pi / 2)).T:
+        cols.append(radius * np.sin(theta))
+        radius = radius * np.cos(theta)
+    cols.append(radius)
+    return np.column_stack(cols[::-1])
 
 
-def _sphere3(x: np.ndarray) -> np.ndarray:
-    g = (x[:, 2] - 0.5) ** 2
-    a = x[:, 0] * (np.pi / 2)
-    b = x[:, 1] * (np.pi / 2)
-    return np.column_stack(
-        [
-            (1 + g) * np.cos(a) * np.cos(b),
-            (1 + g) * np.cos(a) * np.sin(b),
-            (1 + g) * np.sin(a),
-        ]
-    )
-
-_PROBLEMS = {"sphere2": (2, _sphere2), "sphere3": (3, _sphere3)}
+_PROBLEMS = {"sphere2": (2, _sphere), "sphere3": (3, _sphere)}
 
 
 def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:

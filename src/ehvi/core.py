@@ -51,8 +51,9 @@ class EhviResult(NamedTuple):
     """An exact EHVI value plus the backend's work counter.
 
     `boxes` counts what the backend actually enumerated: grid cells for
-    grid, box-measure evaluations for wfg, and boxes integrated for sweep at
-    every m.
+    grid, boxes integrated for sweep at every m, and for wfg the signed
+    corner boxes integrated, one per term of the WFG recursion, without the
+    full box they are taken from.
     """
 
     value: float

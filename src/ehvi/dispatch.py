@@ -9,7 +9,7 @@ from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, integrate_boxes
 from .grid import ehvi_grid
 from .sweep import ehvi_sweep, sweep_boxes
-from .wfg import ehvi_wfg
+from .wfg import ehvi_wfg, wfg_boxes
 
 BACKENDS = {
     "grid": ehvi_grid,
@@ -39,9 +39,10 @@ def compute_ehvi(front: Front, belief: GaussianBelief, algorithm: str = "auto") 
 def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np.ndarray:
     """EHVI of q beliefs against one front; row i of means and stds is belief i.
 
-    means and stds are (q, m) arrays. sweep decomposes the front once and
-    integrates every belief over the same boxes; grid and wfg run their
-    single-belief backend row by row. Returns the q values.
+    means and stds are (q, m) arrays. sweep and wfg decompose the front once
+    and integrate every belief over the same boxes, wfg's signed and clamped
+    at 0 as in ehvi_wfg; grid, the independent reference, runs row by row.
+    Returns the q values.
     """
     name = resolve_algorithm(algorithm)
     means = np.asarray(means, dtype=float)
@@ -56,5 +57,7 @@ def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np
         raise ParameterError("belief stddevs must be positive and finite")
     if name == "sweep":
         return integrate_boxes(sweep_boxes(front), means, stds)
-    backend = BACKENDS[name]
-    return np.array([backend(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)
+    if name == "wfg":
+        boxes, signs = wfg_boxes(front.coords, front.reference)
+        return np.maximum(integrate_boxes(boxes, means, stds, signs), 0.0)
+    return np.array([ehvi_grid(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)

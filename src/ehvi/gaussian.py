@@ -25,6 +25,7 @@ Comp. 1969), so nothing cancels: psi is within 3e-13 of mpmath for t in
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -124,22 +125,26 @@ def _box_factors(p: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         yield np.maximum(f, 0.0, out=f)
 
 
-def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray, signs=None) -> np.ndarray:
     """Integral over the disjoint boxes of a decomposition for each of q beliefs.
 
     means and stds are (q, m), one belief per row, for the decomposition's
     m; DimensionError otherwise. psi is evaluated once per breakpoint and
     belief; each box contributes the product of its per-axis psi
-    differences. Returns the q sums.
+    differences, times signs[b] (+1 or -1) for the overlapping boxes of a
+    signed decomposition such as wfg's. Returns the q sums.
 
     The beliefs go in blocks of about _BLOCK elements, evenly filled, so a
     block's temporaries stay cache-sized and glibc reuses them from its
     heap: one block for a whole BO batch made (boxes, m, q) temporaries
     that were trimmed from the heap and page-faulted back in, about 265
     minor faults and 1.1 ms per sphere3 step, against about 1 and 0.8 ms
-    now. A block of one belief sums its boxes pairwise, wider blocks in box
-    order, so a value can depend on the blocking in its last digits (up to
-    1.8e-14 relative on q = 1000 batches of 21163 boxes).
+    now. Without signs, a block of one belief sums its boxes pairwise, wider
+    blocks in box order, so a value can depend on the blocking in its last
+    digits (up to 1.8e-14 relative on q = 1000 batches of 21163 boxes). A
+    signed sum cancels, so each belief's terms are summed exactly (math.fsum)
+    and rounded once, whatever the blocking, unless fsum meets inf - inf or
+    a partial sum past the float range; the plain sum then stands.
     """
     means = np.asarray(means, dtype=float)
     stds = np.asarray(stds, dtype=float)
@@ -166,15 +171,21 @@ def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray
         p[:, first:] = psi(boxes.breaks[:, first:, None], mu, sd)
         factors = _box_factors(p, lower, upper)
         volume = next(factors)
-        # a product that overflows is meant to be inf (ehvi compute exits 2 on it)
+        # overflowing products are inf and signed sums of infs nan: ehvi compute exits 2
         with np.errstate(invalid="ignore", over="ignore"):
             for f in factors:
                 volume *= f
-        total = volume.sum(axis=0)
-        if np.isnan(total).any():
-            # a zero factor zeroes the box even when another factor
-            # overflowed to inf (inf * 0 is nan)
-            nonzero = np.logical_and.reduce([f != 0.0 for f in _box_factors(p, lower, upper)])
-            total = np.where(nonzero, volume, 0.0).sum(axis=0)
+            if signs is not None:
+                volume *= signs[:, None]
+            total = volume.sum(axis=0)
+            if np.isnan(total).any():
+                # a zero factor zeroes the box even when another factor
+                # overflowed to inf (inf * 0 is nan)
+                nonzero = np.logical_and.reduce([f != 0.0 for f in _box_factors(p, lower, upper)])
+                volume = np.where(nonzero, volume, 0.0)
+                total = volume.sum(axis=0)
+        if signs is not None:
+            with contextlib.suppress(OverflowError, ValueError):
+                total = np.array([math.fsum(terms) for terms in volume.T.tolist()])
         out[s:e] = total
     return out

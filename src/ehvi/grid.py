@@ -11,7 +11,7 @@ closed-form box integrals over all qualifying cells.
 The EHVI entry point enumerates every cell (that is the algorithm: Theta(n^m)
 cells, O(m) work each), vectorized and chunked so memory stays bounded, and
 integrates them itself; grid_decompose materializes the cells as a
-core.BoxDecomposition, the box type of the other backends, for the
+core.BoxDecomposition, the box type of the other backends, for the tests'
 quadrature oracle and for checks against the shared integrator.
 
 The grid sorts its own axes and builds its own H-array instead of using

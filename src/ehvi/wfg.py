@@ -1,4 +1,4 @@
-"""WFG recursion for the dominated region (any m >= 2).
+"""WFG recursion for the dominated region (any m >= 2), as signed corners.
 
 The dominated measure of a point list decomposes as
 
@@ -6,33 +6,36 @@ The dominated measure of a point list decomposes as
     H_I(a, S) = measure(box(a, r)) - H(nondominated(limit(S, a)))
 
 with limit the componentwise maximum (While, Bradstreet & Barone, IEEE TEC
-2012). Any measure that is a product of per-axis factors of the box works:
-Lebesgue volume gives the exact hypervolume, and the closed-form Gaussian
-box integral gives the dominated-region integral that ehvi_wfg subtracts
-from the full-region integral.
-
-The recursion runs on the breakpoint ranks of core.rank_form, the rank form
-that sweep_boxes (clm3's sweep at m = 3) shares: coordinates are replaced by
-ranks, and box measures by products of per-axis factors looked up by rank
-in tables built from the (m, n+2) breakpoints.
+2012). Unrolled, H(A) is a signed sum of the measures of boxes (c, r], one
+per corner c. The recursion only chooses the corners and their signs and
+never evaluates a measure: ehvi_wfg integrates the full box (-inf, r] and
+the negated corners in one gaussian.integrate_boxes pass for any batch of
+beliefs, and hypervolume and dominated_volume sum the same corners'
+Lebesgue volumes. It runs on core.rank_form's breakpoint ranks, which
+sweep_boxes shares: a corner is a tuple of ranks into the (m, n+2)
+breakpoints, and componentwise max never leaves them.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .core import EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
+from .core import BoxDecomposition, EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
 from .errors import DimensionError, ParameterError, ReferenceBoundError
-from .gaussian import GaussianBelief, psi
+from .gaussian import GaussianBelief, integrate_boxes
 
 # Most point tuples the recursion may limit in one run. Time tracks this
-# count, at 4-6 us per tuple for m = 3 to 8 on a 2-core x86-64 host, where
-# the box-measure count does not (m = 3, n = 1000: 3 s for 20k boxes), so a
-# refused input stops after about 5 s. The largest run of the tests and of
-# the README's `ehvi bench` command (m = 3, n = 300) limits 52k tuples.
+# count, at 2-4.5 us per tuple for m = 3 to 10 on a 2-core x86-64 host,
+# where the corner count does not (m = 3, n = 1000: 2.2 s for 20k corners),
+# so a refused input stops after about 5 s. The corners live until they are
+# integrated: generate_front(8, 80, 0) makes 649k from 737k tuples in 2.5 to
+# 3 s and 166 MiB of peak resident memory, and (10, 44, 0), about the largest
+# admitted front, 1.01M from 946k in 4.1 s and 301 MiB. The largest run of
+# the tests and of `ehvi bench` in the README (m = 3, n = 300) limits 52k.
 _MAX_LIMITED = 1 << 20
 
 
@@ -46,72 +49,68 @@ def _check_bound(points: list[Vector], reference: Vector) -> None:
             raise ReferenceBoundError(f"point {p} is not strictly inside the bound {reference}")
 
 
-def _wfg_rec(pts: list[tuple], table: list[list[float]], counter: list[int]) -> float:
-    """Signed recursion over lex-sorted, mutually nondominated rank tuples.
+def _wfg_rec(pts: list[tuple], sign: int, corners: list[tuple], signs: list[int], counter: list[int]) -> None:
+    """Append the corners and signs of sign * H(pts), in recursion order.
 
-    table[j][rank] is the measure factor of axis j for a box whose lower
-    bound sits at that rank (upper bound always the reference). counter[0]
-    accumulates box-measure evaluations and counter[1] the tuples limited;
-    ParameterError once those exceed _MAX_LIMITED.
+    pts are lex-sorted, mutually nondominated rank tuples. Each point's
+    corner comes first, then the terms of the later points it limits, with
+    the opposite sign. counter[0] accumulates the tuples limited;
+    ParameterError once it exceeds _MAX_LIMITED.
     """
-    total = 0.0
-    npts = len(pts)
-    counter[0] += npts
-    counter[1] += npts * (npts - 1) // 2  # point i limits the npts-1-i after it
-    if counter[1] > _MAX_LIMITED:
+    counter[0] += len(pts) * (len(pts) - 1) // 2  # point i limits the ones after it
+    if counter[0] > _MAX_LIMITED:
         raise ParameterError(f"wfg needs to limit more than its budget of {_MAX_LIMITED} point tuples")
-    last = npts - 1
-    for i in range(npts):
-        a = pts[i]
-        t = 1.0
-        for rk, col in zip(a, table):
-            t *= col[rk]
-        if i < last:
-            if i == last - 1:
-                unique = {tuple(map(max, pts[last], a))}
+    for i, a in enumerate(pts):
+        corners.append(a)
+        signs.append(sign)
+        unique = {tuple(map(max, s, a)) for s in pts[i + 1 :]}
+        if len(unique) == 1:
+            corners.append(unique.pop())
+            signs.append(-sign)
+        elif unique:
+            limited = nondominated_sorted(sorted(unique))
+            if len(limited) == 2:
+                # the three terms the recursion would emit, without limiting again
+                x, y = limited
+                corners += (x, y, tuple(map(max, x, y)))
+                signs += (-sign, -sign, sign)
             else:
-                unique = {tuple(map(max, s, a)) for s in pts[i + 1 :]}
-            if len(unique) == 1:
-                counter[0] += 1
-                s = 1.0
-                for rk, col in zip(unique.pop(), table):
-                    s *= col[rk]
-                t -= s
-            else:
-                limited = nondominated_sorted(sorted(unique))
-                if len(limited) == 2:
-                    # same three boxes the recursion would emit, minus the frame
-                    counter[0] += 3
-                    x, y = limited
-                    sx = sy = sz = 1.0
-                    for j, col in enumerate(table):
-                        xr, yr = x[j], y[j]
-                        sx *= col[xr]
-                        sy *= col[yr]
-                        sz *= col[xr if xr >= yr else yr]
-                    t -= sx + sy - sz
-                else:
-                    t -= _wfg_rec(limited, table, counter)
-        total += t
-    return total
+                _wfg_rec(limited, -sign, corners, signs, counter)
 
 
 def _rank_tuples(ranks: np.ndarray) -> list[tuple]:
     """The distinct, mutually nondominated rows of a rank_form rank array, lex-sorted.
 
-    Ranks are order-isomorphic to coordinates, and componentwise max never
-    leaves the per-axis breakpoints, so the whole recursion runs on small
-    integers with measure factors looked up in per-axis tables.
+    Ranks order exactly as the coordinates do, so the recursion on them
+    emits the same terms, each corner a tuple of small breakpoint indices.
     """
     return nondominated_sorted(sorted(set(map(tuple, ranks.tolist()))))
 
 
-def _volume(points: np.ndarray | list[Vector], reference: Vector) -> float:
-    if not len(points):
-        return 0.0
+def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> tuple[BoxDecomposition, np.ndarray]:
+    """The full box (-inf, r] with sign +1, then each WFG term's box (corner, r] with its sign negated.
+
+    A measure summed over the boxes with these signs is the measure of the
+    region below r that no point weakly dominates.
+    """
+    m = len(reference)
     breaks, ranks = rank_form(points, reference)
-    table = (breaks[:, -1:] - breaks).tolist()
-    return _wfg_rec(_rank_tuples(ranks), table, [0, 0])
+    corners, signs = [(0,) * m], [1]
+    if len(ranks):
+        _wfg_rec(_rank_tuples(ranks), -1, corners, signs, [0])
+    lower = np.fromiter(chain.from_iterable(corners), dtype=np.intp, count=m * len(corners)).reshape(-1, m)
+    # every box ends at the reference, the last breakpoint
+    upper = np.broadcast_to(np.intp(breaks.shape[1] - 1), lower.shape)
+    return BoxDecomposition(breaks, lower, upper), np.array(signs, dtype=float)
+
+
+def _volume(points: np.ndarray | list[Vector], reference: Vector) -> float:
+    boxes, signs = wfg_boxes(points, reference)
+    widths = boxes.breaks[:, -1:] - boxes.breaks
+    # volumes past the float range are inf, and a signed sum of them nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = widths[np.arange(len(widths)), boxes.lower[1:]].prod(axis=1)
+        return float((terms * -signs[1:]).sum())
 
 
 def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
@@ -128,15 +127,9 @@ def hypervolume(front: Front) -> float:
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
-    """EHVI as the full-region integral minus the recursive dominated-region integral."""
+    """EHVI over the full box and the signed WFG corners, clamped at 0; reports the corners."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    breaks, ranks = rank_form(front.coords, front.reference)
-    # one psi evaluation over every axis's breakpoints; the last column is
-    # the reference, so its product is the full-region integral
-    p = psi(breaks, np.array(belief.mean)[:, None], np.array(belief.stddev)[:, None])
-    full = math.prod(p[:, -1].tolist())
-    table = np.maximum(p[:, -1:] - p, 0.0).tolist()
-    counter = [0, 0]
-    dominated = _wfg_rec(_rank_tuples(ranks), table, counter)
-    return EhviResult(value=max(full - dominated, 0.0), boxes=counter[0])
+    boxes, signs = wfg_boxes(front.coords, front.reference)
+    value = integrate_boxes(boxes, [belief.mean], [belief.stddev], signs)[0]
+    return EhviResult(value=max(float(value), 0.0), boxes=len(signs) - 1)

@@ -17,10 +17,12 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from ehvi import DimensionError, psi
+from ehvi import DimensionError, ParameterError, UnsupportedDimensionError, psi
 from ehvi.gaussian import _H_DEN, _H_NUM
+from ehvi.grid import grid_decompose
 
 SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 
 def brute_dominates(a, b):
@@ -257,6 +259,48 @@ def quad_box_integral(lower, upper, mean, stddev):
         )
         out *= val
     return out
+
+
+def std_normal_cdf(x):
+    """Standard normal cdf Phi(x), computed from erfc for tail accuracy."""
+    return 0.5 * math.erfc(-x * _INV_SQRT_2)
+
+
+def ehvi_quadrature_2d(front, belief, tolerance):
+    """Deterministic EHVI for m=2 by adaptive quadrature over the grid boxes.
+
+    Each box integral is a product of two 1-D integrals of the normal cdf
+    (the integrand is separable), each evaluated adaptively to a quarter of
+    the requested tolerance; the total error is bounded by roughly the
+    tolerance times the box count.
+    """
+    if front.m != 2:
+        raise UnsupportedDimensionError(f"quadrature oracle needs m=2, got m={front.m}")
+    if not (tolerance > 0.0):
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if belief.m != 2:
+        raise DimensionError(f"front has m=2 but belief has m={belief.m}")
+
+    eps = tolerance / 4.0
+    boxes = grid_decompose(front)
+    lowers = boxes.breaks[[0, 1], boxes.lower].tolist()
+    uppers = boxes.breaks[[0, 1], boxes.upper].tolist()
+    total = 0.0
+    for lower, upper in zip(lowers, uppers):
+        term = 1.0
+        for j in range(2):
+            mu, sd = belief.mean[j], belief.stddev[j]
+            val, _ = quad(
+                lambda t, mu=mu, sd=sd: std_normal_cdf((t - mu) / sd),
+                lower[j],
+                upper[j],
+                epsabs=eps,
+                epsrel=eps,
+                limit=200,
+            )
+            term *= val
+        total += term
+    return total
 
 
 def mc_hvi_mean(points, reference, mean, stddev, samples, seed):

@@ -15,7 +15,6 @@ from ehvi import (
     dominated_volume,
     ehvi_grid,
     ehvi_monte_carlo,
-    ehvi_quadrature_2d,
     ehvi_sweep,
     ehvi_wfg,
     generate_front,
@@ -28,7 +27,7 @@ from ehvi import (
 )
 from ehvi.bench import benchmark_belief, benchmark_frame, summarize
 from helpers import random_front
-from oracles import full_region_integral, rasterized_hv, staircase_hv_2d
+from oracles import ehvi_quadrature_2d, full_region_integral, rasterized_hv, staircase_hv_2d
 
 import test_properties
 

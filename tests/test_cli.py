@@ -141,8 +141,15 @@ def test_exit_code_2_mistyped_request_fields(tmp_path, capsys, field, value):
             mean=[-1e308, -1e308, -1e308],
             stddev=[1e308, 1e308, 1e308],
         ),
+        # wfg's signed corners: the full box and corners of both signs overflow to inf
+        dict(
+            BASIC,
+            front=[[-1e307, -3e307], [-2e307, -2e307], [-3e307, -1e307]],
+            mean=[-1e308, -1e308],
+            algorithm="wfg",
+        ),
     ],
-    ids=["m2", "m3"],
+    ids=["m2", "m3", "m2_wfg_signed"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_2_non_finite_result(tmp_path, capsys, request_kwargs):

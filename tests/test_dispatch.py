@@ -75,15 +75,18 @@ def test_boxes_counts_the_boxes_integrated(m):
             assert count == 2 * front.n + 1
 
 
-def test_batch_decomposes_the_front_once(monkeypatch):
-    decompose = dispatch.sweep_boxes
+@pytest.mark.parametrize("algorithm", ["sweep", "wfg"])
+def test_batch_decomposes_the_front_once(monkeypatch, algorithm):
+    producer = f"{algorithm}_boxes"
+    decompose = getattr(dispatch, producer)
     calls = []
-    monkeypatch.setattr(dispatch, "sweep_boxes", lambda front: calls.append(front) or decompose(front))
+    monkeypatch.setattr(dispatch, producer, lambda *args: calls.append(args) or decompose(*args))
     front = random_front(4, 12, 0)
     means, stds = _beliefs(4, 1000, 0)
-    batch = compute_ehvi_batch(front, means, stds)
+    batch = compute_ehvi_batch(front, means, stds, algorithm)
     assert len(calls) == 1 and batch.shape == (1000,)
-    assert batch[7] == pytest.approx(compute_ehvi(front, GaussianBelief(means[7], stds[7])).value, rel=1e-12)
+    single = compute_ehvi(front, GaussianBelief(means[7], stds[7]), algorithm).value
+    assert batch[7] == pytest.approx(single, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -8,10 +8,17 @@ import pytest
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
 import ehvi.gaussian
 from ehvi.gaussian import integrate_boxes, rational_h
-from ehvi.oracle import std_normal_cdf
 from ehvi.sweep import sweep_boxes
 from helpers import box_decomposition, box_sum, min_front, random_front
-from oracles import complex_horner_h, full_region_integral, mp_h, mp_psi, quad_box_integral, quad_psi
+from oracles import (
+    complex_horner_h,
+    full_region_integral,
+    mp_h,
+    mp_psi,
+    quad_box_integral,
+    quad_psi,
+    std_normal_cdf,
+)
 
 
 def test_cdf_values():

@@ -13,11 +13,10 @@ from ehvi import (
     UnsupportedDimensionError,
     ehvi_grid,
     ehvi_monte_carlo,
-    ehvi_quadrature_2d,
     validate_front,
 )
 from helpers import lattice_front, min_front, random_belief, random_front
-from oracles import full_region_integral, mc_hvi_mean
+from oracles import ehvi_quadrature_2d, full_region_integral, mc_hvi_mean
 
 
 def test_mc_dominated_mean_tiny_sigma_is_exactly_zero():

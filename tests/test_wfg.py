@@ -40,6 +40,11 @@ def test_hypervolume_trivial_cases():
     assert dominated_volume([(1.0, 2.0, 3.0)], (4.0, 4.0, 4.0)) == 3.0 * 2.0 * 1.0
 
 
+def test_volume_past_the_float_range_is_inf_or_nan():
+    assert dominated_volume([(-1e200, -1e200)], (1e200, 1e200)) == float("inf")
+    assert np.isnan(dominated_volume([(-1e200, -2e200), (-2e200, -1e200)], (1e200, 1e200)))
+
+
 def test_hypervolume_out_of_bound_point_rejected():
     with pytest.raises(ReferenceBoundError):
         dominated_volume([(5.0, 1.0)], (4.0, 4.0))
@@ -158,11 +163,11 @@ def test_ehvi_wfg_nonnegative_and_bounded_by_full():
 def test_work_budget(monkeypatch):
     front = random_front(4, 12, 0)
     belief = random_belief(4, 0)
-    # the tuples the recursion limits depend on the points alone, not the measure
-    breaks, ranks = rank_form(front.points, front.reference)
-    counter = [0, 0]
-    ehvi.wfg._wfg_rec(ehvi.wfg._rank_tuples(ranks), (breaks[:, -1:] - breaks).tolist(), counter)
-    limited = counter[1]
+    # the tuples the recursion limits depend on the points alone
+    _, ranks = rank_form(front.points, front.reference)
+    counter = [0]
+    ehvi.wfg._wfg_rec(ehvi.wfg._rank_tuples(ranks), 1, [], [], counter)
+    limited = counter[0]
     assert front.n * (front.n - 1) // 2 < limited <= ehvi.wfg._MAX_LIMITED
     whole = ehvi_wfg(front, belief)
     volume = hypervolume(front)
