@@ -9,6 +9,7 @@ from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, p
 import ehvi.gaussian
 from ehvi.gaussian import integrate_boxes, rational_h
 from ehvi.sweep import sweep_boxes
+from ehvi.wfg import wfg_boxes
 from helpers import box_decomposition, box_sum, min_front, random_front
 from oracles import (
     complex_horner_h,
@@ -183,6 +184,22 @@ def test_integrate_boxes_batch_across_blocks_matches_one_row_at_a_time(monkeypat
         assert len(blocks) >= 3, m
         single = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0.0)
+
+
+def test_signed_batch_across_blocks_equals_one_row_at_a_time(monkeypatch):
+    # signed terms are summed exactly, so the blocking moves no bit
+    rng = np.random.default_rng(9)
+    for m, n, q in [(3, 30, 130), (4, 20, 101), (6, 15, 130)]:
+        front = random_front(m, n, m)
+        boxes, signs = wfg_boxes(front.coords, front.reference)
+        means = -rng.uniform(0.2, 12.0, (q, m))
+        stds = rng.uniform(0.05, 3.0, (q, m))
+        with monkeypatch.context() as patch:
+            blocks = _count_blocks(patch)
+            batch = integrate_boxes(boxes, means, stds, signs)
+        assert len(blocks) >= 3, m
+        single = [integrate_boxes(boxes, mu[None], sd[None], signs)[0] for mu, sd in zip(means, stds)]
+        assert batch.tolist() == single
 
 
 def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypatch):

@@ -35,8 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    from ehvi import GaussianBelief, ParameterError, compute_ehvi_batch, ehvi_wfg, generate_front, hypervolume
-    from ehvi import validate_front
+    from ehvi import (GaussianBelief, ParameterError, compute_ehvi_batch, ehvi_wfg, generate_front, hypervolume,
+                      validate_front)
     from ehvi.bench import benchmark_frame
 
     print(f"{'front':<14}{'boxes':>8}{'single':>8}{'batch':>8}{'hypervolume':>24}")
