@@ -10,13 +10,12 @@ dominated region away, through the same integrator as sweep:
 - ehvi_grid: full (n+1)^m grid-cell enumeration, any m >= 2; the slow,
   transparent reference.
 - ehvi_wfg: the WFG recursion over the dominated region, at most 2^n - 1
-  signed corner boxes, any m >= 2; kept as a reference, and the same
-  corners give the hypervolume.
+  signed corner boxes, any m >= 2; kept as a reference.
 - ehvi_sweep: disjoint nondominated boxes for any m >= 2: the n+1-box
   staircase at m = 2, the CLM-based staircase sweep at m = 3 (at most 2n+1
   boxes, O(n log n)) and a box-splitting sweep at m >= 4 along the axis
   whose ranks agree most with the points' rank sums. "auto" picks it for
-  every m.
+  every m. The same boxes give the hypervolume.
 
 Around them: a Monte-Carlo verification oracle, a timing benchmark on random
 fronts, and a Bayesian-optimization demo that uses EHVI as its acquisition
@@ -41,8 +40,8 @@ from .gaussian import GaussianBelief, psi
 from .gp import fit_gp, gp_posterior_batch
 from .grid import ehvi_grid
 from .oracle import ehvi_monte_carlo
-from .sweep import ehvi_sweep, hypervolume_improvement
-from .wfg import dominated_volume, ehvi_wfg, hypervolume
+from .sweep import dominated_volume, ehvi_sweep, hypervolume, hypervolume_improvement
+from .wfg import ehvi_wfg
 
 __version__ = "0.1.0"
 

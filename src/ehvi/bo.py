@@ -6,8 +6,8 @@ candidates, dominated hypervolume as the progress metric, plus a
 random-search baseline sharing the same initialization stream so the two
 arms are directly comparable. Each front is decomposed into sweep boxes
 once: each observation adds its exact hypervolume improvement over the
-current front's boxes, then joins the front, and the sweep acquisition
-integrates over the same boxes.
+current front's boxes, then joins the front, and the acquisition
+integrates every candidate's belief over the same boxes.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BoxDecomposition, Front, Orientation, ProblemFrame, Vector, nondominated_filter, validate_front
-from .dispatch import compute_ehvi_batch, resolve_algorithm
 from .errors import CandidatesExhaustedError, ParameterError
 from .gaussian import integrate_boxes
 from .gp import fit_gp, gp_posterior_batch
-from .sweep import clipped_volumes, sweep_boxes
+from .sweep import clipped_volumes, hypervolume, sweep_boxes
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
 # get this floor instead of 0.
@@ -71,7 +70,6 @@ class BoState:
     """Queries so far; front (lex-sorted), its sweep boxes and hypervolume are kept incrementally from observed."""
 
     problem: SyntheticProblem
-    backend: str = "auto"
     observed: list[int] = field(default_factory=list)
     records: list[BoRunRecord] = field(default_factory=list)
     front: Front = field(init=False)
@@ -116,11 +114,8 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
     ParameterError, before anything is built, when the grid would have more
     than _MAX_CANDIDATES candidates.
 
-    The reference hypervolume is the volume of box(ideal, r) minus the part
-    of it that the true front's sweep boxes leave open, the same boxes and
-    clip that BoState uses for each observation. To first order in u =
-    2^-53 its rounding error is at most (K + 4m) u prod(r - ideal), K being
-    the number of boxes (at most 2n+1 for n front points at m <= 3).
+    The reference hypervolume is sweep.hypervolume of the true front: the
+    same boxes and clip that BoState uses for each observation.
     """
     if name not in _PROBLEMS:
         raise ParameterError(f"unknown problem {name!r}, expected one of {sorted(_PROBLEMS)}")
@@ -140,15 +135,12 @@ def synthetic_problem(name: str, resolution: int) -> SyntheticProblem:
     reference = tuple(worst + 0.1 * (worst - best))
     frame = ProblemFrame(m=objectives.shape[1], reference=reference, orientation=Orientation.MINIMIZE)
     true_front = tuple(nondominated_filter(tuple(row) for row in objectives))
-    # best is the true front's ideal point too: a grid point that is lowest
-    # on an axis ties there with a nondominated one
-    open_volume = clipped_volumes(sweep_boxes(Front(frame, true_front)), best[None])[0]
     return SyntheticProblem(
         name=name,
         candidates=CandidateSet(design_points=design, objectives=objectives),
         frame=frame,
         true_front=true_front,
-        reference_hypervolume=float(np.prod(reference - best) - open_volume),
+        reference_hypervolume=hypervolume(Front(frame, true_front)),
     )
 
 
@@ -181,8 +173,8 @@ def bo_step(state: BoState) -> BoRunRecord:
     """Fit one GP over all objectives, score EHVI on every unexplored candidate, query the argmax.
 
     The GP sees the objectives in the front's internal convention, so its
-    means are internal too. auto and sweep integrate over the state's boxes;
-    grid and wfg go through compute_ehvi_batch. Ties (and the all-zero case)
+    means are internal too. Every belief is integrated over the state's
+    sweep boxes, as compute_ehvi_batch would. Ties (and the all-zero case)
     go to the lowest candidate index. The GP timer covers fit and posterior,
     the acquisition timer EHVI scoring and the argmax scan.
     """
@@ -202,11 +194,7 @@ def bo_step(state: BoState) -> BoRunRecord:
     stds = np.maximum(stds, _STDDEV_FLOOR)
 
     start = time.perf_counter_ns()
-    if resolve_algorithm(state.backend) == "sweep":
-        # what compute_ehvi_batch would do, on the boxes the state already has
-        scores = integrate_boxes(state.boxes, means, stds)
-    else:
-        scores = compute_ehvi_batch(state.front, means, stds, state.backend)
+    scores = integrate_boxes(state.boxes, means, stds)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed, gp_elapsed)
@@ -226,10 +214,9 @@ def run_bo(
     seed: int,
     n_init: int = 20,
     iterations: int = 100,
-    backend: str = "auto",
 ) -> list[BoRunRecord]:
     """Random initialization followed by EHVI-driven queries; returns all records."""
-    state = BoState(problem=problem, backend=backend)
+    state = BoState(problem=problem)
     _initialize(state, seed, n_init)
     for _ in range(iterations):
         bo_step(state)

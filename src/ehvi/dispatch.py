@@ -1,4 +1,4 @@
-"""Backend selection shared by the CLI and the BO loop."""
+"""Backend selection for compute_ehvi, compute_ehvi_batch and the CLI."""
 
 from __future__ import annotations
 

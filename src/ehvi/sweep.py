@@ -39,17 +39,21 @@ coordinates, r_j] of core.rank_form.
 Coordinates are replaced by rank_form's breakpoint ranks, a tied coordinate
 taking the rank of its first copy, so ties compare equal and no box has
 zero width.
+
+The same boxes give every volume of the library: hypervolume_improvement,
+hypervolume and dominated_volume clip them with clipped_volumes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .clm3 import nondominated_boxes
-from .core import BoxDecomposition, EhviResult, Front, as_vector, rank_form
-from .errors import DimensionError, ParameterError
+from .core import BoxDecomposition, EhviResult, Front, ProblemFrame, as_vector, nondominated_filter, rank_form
+from .errors import DimensionError, ParameterError, ReferenceBoundError
 from .gaussian import GaussianBelief, integrate_boxes
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
@@ -185,4 +189,45 @@ def hypervolume_improvement(y: Sequence[float], front: Front) -> float:
     vec = as_vector(y)
     if len(vec) != front.m:
         raise DimensionError(f"candidate has {len(vec)} coordinates, expected m={front.m}")
+    if any(math.isnan(x) for x in vec):
+        raise ParameterError(f"candidate {vec} has a NaN coordinate")
     return float(clipped_volumes(sweep_boxes(front), np.array([vec]))[0])
+
+
+def hypervolume(front: Front) -> float:
+    """Exact dominated hypervolume of the front within its reference bound.
+
+    The volume of box(ideal, r) minus the part of it that the front's sweep
+    boxes leave open, ideal being the front's componentwise minimum: O(n log
+    n) at m = 3. To first order in u = 2^-53 its rounding error is at most
+    (K + 4m) u prod(r - ideal), K being the number of boxes (at most 2n+1
+    for n points at m <= 3). Volumes past the float range are inf, and
+    differences of them nan. Raises sweep_boxes' ParameterError at m >= 4
+    once the sweep is over its budget.
+    """
+    if not front.n:
+        return 0.0
+    ideal = front.coords.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        open_volume = clipped_volumes(sweep_boxes(front), ideal[None])[0]
+        return float(np.prod(front.reference - ideal) - open_volume)
+
+
+def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
+    """Lebesgue measure of the union of boxes [p, r) over any list of finite points.
+
+    Every point, dominated or not, must be finite, have the reference's
+    length and lie strictly inside the bound; the volume is then the
+    hypervolume of the nondominated ones. UnsupportedDimensionError below
+    m = 2.
+    """
+    ref = as_vector(reference)
+    pts = [as_vector(p) for p in points]
+    if not all(math.isfinite(x) for p in (ref, *pts) for x in p):
+        raise ParameterError("reference and point coordinates must be finite")
+    for p in pts:
+        if len(p) != len(ref):
+            raise DimensionError(f"point {p} has {len(p)} coordinates, expected {len(ref)}")
+        if not all(x < r for x, r in zip(p, ref)):
+            raise ReferenceBoundError(f"point {p} is not strictly inside the bound {ref}")
+    return hypervolume(Front(ProblemFrame(len(ref), ref), tuple(nondominated_filter(pts))))

@@ -1,4 +1,4 @@
-"""WFG recursion for the dominated region (any m >= 2), as signed corners.
+"""WFG recursion for the dominated region (any m >= 2), as signed corners, for EHVI.
 
 The dominated measure of a point list decomposes as
 
@@ -10,22 +10,20 @@ with limit the componentwise maximum (While, Bradstreet & Barone, IEEE TEC
 per corner c. The recursion only chooses the corners and their signs and
 never evaluates a measure: ehvi_wfg integrates the full box (-inf, r] and
 the negated corners in one gaussian.integrate_boxes pass for any batch of
-beliefs, and hypervolume and dominated_volume sum the same corners'
-Lebesgue volumes. It runs on core.rank_form's breakpoint ranks, which
-sweep_boxes shares: a corner is a tuple of ranks into the (m, n+2)
+beliefs. It serves EHVI only, as a reference; the library's hypervolume
+comes from the sweep boxes. It runs on core.rank_form's breakpoint ranks,
+which sweep_boxes shares: a corner is a tuple of ranks into the (m, n+2)
 breakpoints, and componentwise max never leaves them.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .core import BoxDecomposition, EhviResult, Front, Vector, as_vector, nondominated_sorted, rank_form
-from .errors import DimensionError, ParameterError, ReferenceBoundError
+from .core import BoxDecomposition, EhviResult, Front, Vector, nondominated_sorted, rank_form
+from .errors import DimensionError, ParameterError
 from .gaussian import GaussianBelief, integrate_boxes
 
 # Most point tuples the recursion may limit in one run. Time tracks this
@@ -37,16 +35,6 @@ from .gaussian import GaussianBelief, integrate_boxes
 # admitted front, 1.01M from 946k in 4.1 s and 301 MiB. The largest run of
 # the tests and of `ehvi bench` in the README (m = 3, n = 300) limits 52k.
 _MAX_LIMITED = 1 << 20
-
-
-def _check_bound(points: list[Vector], reference: Vector) -> None:
-    if not all(math.isfinite(x) for p in (reference, *points) for x in p):
-        raise ParameterError("reference and point coordinates must be finite")
-    for p in points:
-        if len(p) != len(reference):
-            raise DimensionError(f"point {p} has {len(p)} coordinates, expected {len(reference)}")
-        if not all(x < r for x, r in zip(p, reference)):
-            raise ReferenceBoundError(f"point {p} is not strictly inside the bound {reference}")
 
 
 def _wfg_rec(pts: list[tuple], sign: int, corners: list[tuple], signs: list[int], counter: list[int]) -> None:
@@ -102,28 +90,6 @@ def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> tuple[Box
     # every box ends at the reference, the last breakpoint
     upper = np.broadcast_to(np.intp(breaks.shape[1] - 1), lower.shape)
     return BoxDecomposition(breaks, lower, upper), np.array(signs, dtype=float)
-
-
-def _volume(points: np.ndarray | list[Vector], reference: Vector) -> float:
-    boxes, signs = wfg_boxes(points, reference)
-    widths = boxes.breaks[:, -1:] - boxes.breaks
-    # volumes past the float range are inf, and a signed sum of them nan
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = widths[np.arange(len(widths)), boxes.lower[1:]].prod(axis=1)
-        return float((terms * -signs[1:]).sum())
-
-
-def dominated_volume(points: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
-    """Lebesgue measure of the union of boxes [p, r); accepts any list of finite points."""
-    ref = as_vector(reference)
-    pts = [as_vector(p) for p in points]
-    _check_bound(pts, ref)
-    return _volume(pts, ref)
-
-
-def hypervolume(front: Front) -> float:
-    """Exact dominated hypervolume of the front within its reference bound."""
-    return _volume(front.coords, front.reference)
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:

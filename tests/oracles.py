@@ -4,8 +4,10 @@ Everything in this module is deliberately brute force and dependency-light:
 plain loops over tuples, subset inclusion-exclusion, rasterization, and
 adaptive quadrature. None of it shares code with the package's fast paths,
 so agreement between the two is meaningful evidence rather than tautology.
-The one exception is full_region_integral, a product of the package's own
-psi, which tests compare bit for bit with the backends' empty-front values.
+The exceptions are full_region_integral, a product of the package's own
+psi, which tests compare bit for bit with the backends' empty-front values,
+and wfg_volume, which sums the corners of the package's WFG recursion (an
+EHVI backend) while the package's hypervolume comes from the sweep boxes.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from scipy.integrate import quad
 from ehvi import DimensionError, ParameterError, UnsupportedDimensionError, psi
 from ehvi.gaussian import _H_DEN, _H_NUM
 from ehvi.grid import grid_decompose
+from ehvi.wfg import wfg_boxes
 
 SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -113,6 +116,19 @@ def sequential_front(m, n, seed, low=0.1, high=10.0):
 def brute_hypervolume(points, reference):
     """Dominated hypervolume by inclusion-exclusion over the point boxes."""
     return float(union_box_volume(points, reference))
+
+
+def wfg_volume(points, reference):
+    """Dominated hypervolume as the signed sum of the WFG corner volumes, rounded once.
+
+    The terms are the boxes (c, r] of ehvi.wfg.wfg_boxes after its full box,
+    each with its term's sign, summed with math.fsum. Any finite points
+    strictly inside the reference; exponential in the front size.
+    """
+    boxes, signs = wfg_boxes(points, reference)
+    widths = boxes.breaks[:, -1:] - boxes.breaks
+    terms = widths[np.arange(len(widths)), boxes.lower[1:]].prod(axis=1)
+    return math.fsum((terms * -signs[1:]).tolist())
 
 
 def brute_hvi(y, points, reference):

@@ -19,6 +19,7 @@ import ehvi.bo
 import ehvi.wfg
 from ehvi.bo import DEFAULT_RESOLUTION, BoState, CandidateSet, SyntheticProblem, _observe, bo_step
 from ehvi.sweep import sweep_boxes
+from oracles import wfg_volume
 
 # Candidate indices queried by run_bo(n_init=10, iterations=15) after its
 # seeded initialization, for seeds 0-7 at the default resolutions. A rewrite
@@ -87,7 +88,7 @@ def test_reference_hypervolume_matches_filtered_recompute():
     )
     validate_front(problem.frame, best)
     assert problem.reference_hypervolume == pytest.approx(
-        dominated_volume(best, problem.frame.reference), rel=1e-12
+        wfg_volume(best, problem.frame.reference), rel=1e-12
     )
     assert list(map(tuple, problem.true_front)) == list(best)
 
@@ -97,11 +98,11 @@ def test_reference_hypervolume_does_not_call_wfg(monkeypatch):
     expected = {}
     for name, res in cases:
         problem = synthetic_problem(name, res)
-        expected[name, res] = dominated_volume(problem.true_front, problem.frame.reference)
+        expected[name, res] = wfg_volume(problem.true_front, problem.frame.reference)
     # a budget that any wfg call on three or more points exceeds
     monkeypatch.setattr(ehvi.wfg, "_MAX_LIMITED", 1)
     with pytest.raises(ParameterError):
-        dominated_volume(problem.true_front, problem.frame.reference)
+        wfg_volume(problem.true_front, problem.frame.reference)
     for name, res in cases:
         problem = synthetic_problem(name, res)
         assert problem.reference_hypervolume == pytest.approx(expected[name, res], rel=1e-12)
@@ -168,8 +169,7 @@ def test_argmax_breaks_ties_toward_lowest_index():
     assert tuple(record.design_point) == (0.0,)
 
 
-@pytest.mark.parametrize("backend", ["auto", "grid", "wfg"])
-def test_batched_argmax_breaks_ties_toward_lowest_index(backend):
+def test_batched_argmax_breaks_ties_toward_lowest_index():
     # m = 3: candidates 1 and 2 mirror each other about the one observation,
     # so their beliefs and EHVI scores coincide; candidate 0 scores lower
     design = np.array([[0.95], [0.0], [2.0], [1.0]])
@@ -182,7 +182,7 @@ def test_batched_argmax_breaks_ties_toward_lowest_index(backend):
         true_front=objectives.copy(),
         reference_hypervolume=dominated_volume([tuple(r) for r in objectives], frame.reference),
     )
-    state = BoState(problem=problem, backend=backend)
+    state = BoState(problem=problem)
     _observe(state, 3, 0)
     record = bo_step(state)
     assert tuple(record.design_point) == (0.0,)
@@ -201,7 +201,7 @@ def test_hypervolume_trajectories_nondecreasing():
             # the kept hypervolume matches a from-scratch one of every prefix
             for k, record in enumerate(records):
                 seen = [r.objectives for r in records[: k + 1]]
-                exact = dominated_volume(seen, problem.frame.reference)
+                exact = wfg_volume(seen, problem.frame.reference)
                 assert record.hypervolume == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
@@ -218,7 +218,7 @@ def test_prefilled_state_matches_observed_one():
     assert prefilled.front.points == tuple(nondominated_filter(problem.candidates.objectives[obs]))
     assert prefilled.hypervolume == fed.hypervolume == fed.records[-1].hypervolume
     assert prefilled.hypervolume == pytest.approx(
-        dominated_volume(problem.candidates.objectives[obs], problem.frame.reference), rel=1e-12
+        wfg_volume(problem.candidates.objectives[obs], problem.frame.reference), rel=1e-12
     )
     assert bo_step(prefilled).design_point == bo_step(fed).design_point
 
@@ -231,11 +231,11 @@ def _assert_boxes_of_front(state):
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("name, backend", [("sphere2", "auto"), ("sphere3", "auto"), ("sphere3", "wfg")])
-def test_state_keeps_the_sweep_boxes_of_its_front(name, backend):
+@pytest.mark.parametrize("name", ["sphere2", "sphere3"])
+def test_state_keeps_the_sweep_boxes_of_its_front(name):
     problem = synthetic_problem(name, resolution=6)
     init = [int(i) for i in np.random.default_rng(4).choice(len(problem.candidates.design_points), 6, replace=False)]
-    state = BoState(problem=problem, backend=backend, observed=init)
+    state = BoState(problem=problem, observed=init)
     _assert_boxes_of_front(state)
     for _ in range(6):
         bo_step(state)
@@ -324,27 +324,11 @@ def test_maximize_state_keeps_internal_front():
         candidates=CandidateSet(np.array([[0.0], [1.0], [2.0]]), objectives),
         frame=frame,
         true_front=tuple(map(tuple, objectives)),
-        reference_hypervolume=dominated_volume([tuple(-r) for r in objectives], (0.0, 0.0)),
+        reference_hypervolume=wfg_volume([tuple(-r) for r in objectives], (0.0, 0.0)),
     )
     state = BoState(problem=problem, observed=[0, 1, 2])
     assert state.front.points == ((-2.0, -1.0), (-1.5, -1.5), (-1.0, -2.0))
     assert state.hypervolume == pytest.approx(problem.reference_hypervolume, rel=1e-12)
-
-
-def test_query_sequence_invariant_across_backends():
-    problem2 = synthetic_problem("sphere2", resolution=6)
-    seq = {}
-    for backend in ("grid", "wfg"):
-        records = run_bo(problem2, seed=0, n_init=5, iterations=5, backend=backend)
-        seq[backend] = [tuple(r.design_point) for r in records]
-    assert seq["grid"] == seq["wfg"]
-
-    problem3 = synthetic_problem("sphere3", resolution=4)
-    seq3 = {}
-    for backend in ("grid", "wfg", "sweep"):
-        records = run_bo(problem3, seed=0, n_init=6, iterations=3, backend=backend)
-        seq3[backend] = [tuple(r.design_point) for r in records]
-    assert seq3["grid"] == seq3["wfg"] == seq3["sweep"]
 
 
 def test_random_baseline_validations():

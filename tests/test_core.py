@@ -309,6 +309,16 @@ def test_hvi_dimension_mismatch():
         hypervolume_improvement((1.0, 2.0, 3.0), front)
 
 
+def test_hvi_rejects_a_nan_coordinate():
+    front = min_front((4.0, 4.0), [(1, 3), (3, 1)])
+    for y in [(math.nan, 2.0), (2.0, math.nan)]:
+        with pytest.raises(ParameterError):
+            hypervolume_improvement(y, front)
+    # an infinite coordinate has a meaning: -inf improves without bound, inf lies outside
+    assert hypervolume_improvement((-math.inf, 2.0), front) == math.inf
+    assert hypervolume_improvement((math.inf, 2.0), front) == 0.0
+
+
 def _hvi_fronts():
     # m >= 4 runs the splitting sweep; the lattice front ties coordinates on every axis
     cases = [(2, 5, 0), (2, 8, 1), (3, 5, 2), (3, 7, 3), (4, 6, 4), (5, 6, 5)]

@@ -10,8 +10,9 @@ from ehvi import (
     compute_ehvi,
     compute_ehvi_batch,
 )
+from ehvi.bo import _STDDEV_FLOOR, BoState
 from ehvi.dispatch import ALGORITHMS, resolve_algorithm
-from ehvi import dispatch
+from ehvi import dispatch, fit_gp, gp_posterior_batch, run_bo, synthetic_problem
 from ehvi.sweep import sweep_boxes
 from helpers import lattice_front, min_front, random_belief, random_front
 from oracles import mp_ehvi
@@ -87,6 +88,24 @@ def test_batch_decomposes_the_front_once(monkeypatch, algorithm):
     assert len(calls) == 1 and batch.shape == (1000,)
     single = compute_ehvi(front, GaussianBelief(means[7], stds[7]), algorithm).value
     assert batch[7] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, resolution, n_init, iterations", [("sphere2", 6, 5, 5), ("sphere3", 4, 6, 3)])
+def test_bo_step_argmax_agrees_across_backends(name, resolution, n_init, iterations):
+    """Each BO step's posterior batch has one first-index argmax under every backend, the queried candidate."""
+    problem = synthetic_problem(name, resolution)
+    design, objectives = problem.candidates.design_points, problem.candidates.objectives
+    index = {tuple(row): i for i, row in enumerate(design.tolist())}
+    queried = [index[r.design_point] for r in run_bo(problem, seed=0, n_init=n_init, iterations=iterations)]
+    for k in range(n_init, n_init + iterations):
+        observed = queried[:k]
+        unexplored = np.delete(np.arange(len(design)), observed)
+        front = BoState(problem=problem, observed=observed).front
+        means, stds = gp_posterior_batch(fit_gp(design[observed], objectives[observed]), design[unexplored])
+        stds = np.maximum(stds, _STDDEV_FLOOR)
+        for algorithm in ("grid", "wfg", "sweep"):
+            best = int(np.argmax(compute_ehvi_batch(front, means, stds, algorithm)))
+            assert unexplored[best] == queried[k], (algorithm, k)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -1,14 +1,29 @@
-"""Sweep backend: nondominated boxes for every m, and deep-tail agreement with grid."""
+"""Sweep backend: nondominated boxes for every m, deep-tail agreement with grid, and the hypervolume."""
+
+import math
 
 import numpy as np
 import pytest
 
-from ehvi import GaussianBelief, compute_ehvi, compute_ehvi_batch, ehvi_grid, ehvi_sweep
+import ehvi.sweep
+from ehvi import (
+    GaussianBelief,
+    ParameterError,
+    ReferenceBoundError,
+    UnsupportedDimensionError,
+    compute_ehvi,
+    compute_ehvi_batch,
+    dominated_volume,
+    ehvi_grid,
+    ehvi_sweep,
+    hypervolume,
+)
 from ehvi.core import rank_form
 from ehvi.gaussian import integrate_boxes
 from ehvi.grid import grid_decompose
 from ehvi.sweep import sweep_boxes
 from helpers import lattice_front, min_front, random_front
+from oracles import wfg_volume
 
 SIZES = {2: 12, 4: 10, 5: 8, 6: 6}
 
@@ -152,3 +167,36 @@ def test_deep_tail_agreement_with_grid(m, sizes):
             assert want > 0.0
             assert compute_ehvi(front, belief, "auto").value == pytest.approx(want, rel=1e-10, abs=0.0)
             assert b == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_dominated_point_outside_the_bound_is_rejected():
+    # the second point is dominated by the first, and is checked before it is filtered away
+    with pytest.raises(ReferenceBoundError):
+        dominated_volume([(0.5, 0.5), (0.6, 1.5)], (1.0, 1.0))
+
+
+def test_dominated_volume_needs_two_objectives():
+    with pytest.raises(UnsupportedDimensionError):
+        dominated_volume([(0.5,)], (1.0,))
+    with pytest.raises(UnsupportedDimensionError):
+        dominated_volume([], (1.0,))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hypervolume_refuses_a_front_over_the_sweep_budget(monkeypatch, m):
+    front = random_front(m, 8, m)
+    count = len(sweep_boxes(front).lower)
+    assert math.isfinite(hypervolume(front))
+    # the budget counts open plus closed boxes, at least the boxes kept
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", count - 1)
+    with pytest.raises(ParameterError, match="budget"):
+        hypervolume(front)
+    with pytest.raises(ParameterError, match="budget"):
+        dominated_volume(front.points, front.reference)
+
+
+def test_hypervolume_of_large_m3_fronts():
+    front = random_front(3, 300, 5)
+    assert hypervolume(front) == pytest.approx(wfg_volume(front.points, front.reference), rel=1e-12)
+    # the WFG recursion takes seconds at this size
+    assert math.isfinite(hypervolume(random_front(3, 1000, 5)))

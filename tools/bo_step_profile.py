@@ -3,13 +3,12 @@
 
     python3 tools/bo_step_profile.py
 
-Runs BO on sphere3 (resolution 10: 1000 candidates, m = 3) with the `auto`
-backend: 5 steps from 10 initial points for each of 16 seeds, the initial
-points of seed r drawn by `default_rng([0, 1, r])`, as perfbench's
-bo-sphere3 workload draws BO seed r under `--seed 0`. BLAS is pinned to
-one thread and ehvi is imported from src/ of this checkout. Seed 0 runs
-once first, unrecorded, so lazy set-up and the heap's first growth are not
-counted.
+Runs BO on sphere3 (resolution 10: 1000 candidates, m = 3): 5 steps from
+10 initial points for each of 16 seeds, the initial points of seed r drawn
+by `default_rng([0, 1, r])`, as perfbench's bo-sphere3 workload draws BO
+seed r under `--seed 0`. BLAS is pinned to one thread and ehvi is imported
+from src/ of this checkout. Seed 0 runs once first, unrecorded, so lazy
+set-up and the heap's first growth are not counted.
 
 It prints the median microseconds per step of the GP fit, the GP
 posterior, the acquisition (EHVI scoring and argmax, as bo_step times it),

@@ -10,9 +10,9 @@ beliefs drawn from default_rng([7, m, n, seed]): means uniform in
 [0.05, 3]^m. Far behind the front EHVI is tiny next to the full-region
 integral that wfg's signed sum starts from, so some of those values keep no
 correct digit; sweep integrates positive terms only and serves as the
-reference. For each front the tool prints wfg's box count, how many beliefs
-are over 1e-10 in single-belief ehvi_wfg calls and in one
-compute_ehvi_batch(..., "wfg") call, and the hypervolume; then the totals.
+reference. For each front the tool prints wfg's box count and how many
+beliefs are over 1e-10 in single-belief ehvi_wfg calls and in one
+compute_ehvi_batch(..., "wfg") call; then the totals.
 
 ehvi is imported from --src (default src/ of this checkout), so two
 revisions' src/ directories are compared on the same fronts and beliefs.
@@ -35,11 +35,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
 
-    from ehvi import (GaussianBelief, ParameterError, compute_ehvi_batch, ehvi_wfg, generate_front, hypervolume,
-                      validate_front)
+    from ehvi import GaussianBelief, ParameterError, compute_ehvi_batch, ehvi_wfg, generate_front, validate_front
     from ehvi.bench import benchmark_frame
 
-    print(f"{'front':<14}{'boxes':>8}{'single':>8}{'batch':>8}{'hypervolume':>24}")
+    print(f"{'front':<14}{'boxes':>8}{'single':>8}{'batch':>8}")
     totals = np.zeros(2, dtype=int)
     beliefs = 0
     for m in range(2, 7):
@@ -60,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
                 off = [int((np.abs(v - sweep) > 1e-10 * np.abs(sweep)).sum()) for v in (single, batch)]
                 totals += off
                 beliefs += len(means)
-                print(f"{name:<14}{results[0].boxes:>8}{off[0]:>8}{off[1]:>8}{hypervolume(front):>24.17g}")
+                print(f"{name:<14}{results[0].boxes:>8}{off[0]:>8}{off[1]:>8}")
     print(f"{'total':<14}{'':>8}{totals[0]:>8}{totals[1]:>8}   of {beliefs} beliefs")
     return 0
 
