@@ -22,8 +22,8 @@ fronts, and a Bayesian-optimization demo that uses EHVI as its acquisition
 function over GP surrogates.
 """
 
-from .bench import generate_front, run_benchmark
-from .bo import run_bo, run_random, synthetic_problem
+import importlib
+
 from .core import EhviResult, Front, Orientation, ProblemFrame, nondominated_filter, validate_front
 from .dispatch import compute_ehvi, compute_ehvi_batch
 from .errors import (
@@ -37,13 +37,32 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .gaussian import GaussianBelief, psi
-from .gp import fit_gp, gp_posterior_batch
 from .grid import ehvi_grid
 from .oracle import ehvi_monte_carlo
 from .sweep import dominated_volume, ehvi_sweep, hypervolume, hypervolume_improvement
 from .wfg import ehvi_wfg
 
 __version__ = "0.1.0"
+
+# the BO, benchmark and GP names load their module on first access (PEP
+# 562), so `import ehvi` and `ehvi compute` do not pay for them
+_LAZY = {
+    "generate_front": "bench", "run_benchmark": "bench",
+    "run_bo": "bo", "run_random": "bo", "synthetic_problem": "bo",
+    "fit_gp": "gp", "gp_posterior_batch": "gp",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
 
 # exactly the API that README.md documents; everything else is imported
 # from its submodule

@@ -31,7 +31,6 @@ GEN_HIGH = 10.0
 DEFAULT_MEAN = 10.0
 DEFAULT_SIGMA = 2.5
 
-DEFAULT_NS = (10, 50, 100, 150, 200, 250, 300)
 _DRAW_BLOCK = 256  # generate_front's draws per numpy rejection pass
 # Accepted points in a block's first comparison. The first 32 points of
 # generate_front(3, 1000, .) already reject 88 % of its late draws.

@@ -4,21 +4,20 @@ Single computations print JSON to stdout; bulk runs write CSV files. Floats
 go through Python's shortest round-trip repr, so every emitted number parses
 back to the identical double. Exit codes: 0 ok, 2 usage/parse errors, 3
 invalid front, 4 unsupported dimension.
+
+Only the compute path is imported here: gen-front, bench and bo-demo import
+the bench and BO modules, csv and statistics when they run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .bench import DEFAULT_NS, generate_front, run_benchmark, summarize
-from .bo import DEFAULT_RESOLUTION, BoRunRecord, run_bo, run_random, synthetic_problem
 from .core import Front, Orientation, ProblemFrame, Vector, as_vector, validate_front
 from .dispatch import ALGORITHMS, compute_ehvi, resolve_algorithm
 from .errors import (
@@ -30,6 +29,11 @@ from .errors import (
 )
 from .gaussian import GaussianBelief
 from .oracle import ehvi_monte_carlo
+
+if TYPE_CHECKING:
+    from .bo import BoRunRecord
+
+DEFAULT_NS = (10, 50, 100, 150, 200, 250, 300)  # `bench --n` default front sizes
 
 
 def _load_json(path: str) -> Any:
@@ -114,6 +118,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_front(args: argparse.Namespace) -> int:
+    from .bench import generate_front
+
     points = generate_front(args.m, args.n, args.seed)
     payload = {
         "m": args.m,
@@ -131,6 +137,10 @@ def cmd_gen_front(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv
+
+    from .bench import run_benchmark, summarize
+
     ms = _int_list(args.m)
     ns = _int_list(args.n)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -177,6 +187,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _write_run_csv(path: Path, seed: int, records: Sequence[BoRunRecord], d: int, m: int) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -195,6 +207,11 @@ def _write_run_csv(path: Path, seed: int, records: Sequence[BoRunRecord], d: int
 
 
 def cmd_bo_demo(args: argparse.Namespace) -> int:
+    import csv
+    import statistics
+
+    from .bo import DEFAULT_RESOLUTION, run_bo, run_random, synthetic_problem
+
     resolution = args.resolution or DEFAULT_RESOLUTION.get(args.problem, 16)
     problem = synthetic_problem(args.problem, resolution)
     out_dir = Path(args.out_dir)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -31,9 +32,10 @@ from .errors import (
 
 Vector = tuple[float, ...]
 
-# Above this set size the nondominated pass switches to numpy comparisons,
-# made in blocks of at most _FILTER_BLOCK elements. On mutually nondominated
-# sets the Python pass is faster at 8 points and numpy at 16, for m = 2 to 6.
+# At m >= 4, above this set size the nondominated pass switches to numpy
+# comparisons, made in blocks of at most _FILTER_BLOCK elements. On mutually
+# nondominated sets the Python pass is faster at 8 points and numpy at 16,
+# for m = 4 to 6. At m = 2 and 3 a staircase pass decides instead.
 _NUMPY_FILTER_MIN = 12
 _FILTER_BLOCK = 1 << 22
 
@@ -126,13 +128,44 @@ def nondominated_sorted(pts: list[tuple]) -> list[tuple]:
     """The points of a lex-sorted, deduplicated list that no other point weakly dominates.
 
     Every potential dominator of a point sits strictly earlier in such a
-    list. Up to _NUMPY_FILTER_MIN points, one forward pass against the
+    list, so a point survives when no earlier point is <= it on the axes
+    after the first. At m = 2 that is a running minimum of the second
+    coordinate. At m = 3 it is the (y, z) staircase of the points so far
+    (Kung, Luccio & Preparata, J. ACM 1975), y strictly increasing and z
+    strictly decreasing in two bisect-ordered lists: the entry with the
+    largest y <= the point's has the least z of all such entries, and the
+    point goes when that z is <= its own. Both take O(n log n) time. At
+    m >= 4, up to _NUMPY_FILTER_MIN points, one forward pass against the
     survivors decides; above it, numpy compares each block of points with
-    everything before it. Either way the survivors are returned as the input
-    tuples themselves, in input order, so their elements stay plain Python
-    scalars.
+    everything before it. In every case the survivors are returned as the
+    input tuples themselves, in input order, so their elements stay plain
+    Python scalars.
     """
     n = len(pts)
+    m = len(pts[0]) if pts else 0
+    if m == 2:
+        out = pts[:1]
+        for p in pts[1:]:
+            if p[1] < out[-1][1]:
+                out.append(p)
+        return out
+    if m == 3:
+        out, ys, zs = [], [], []
+        for p in pts:
+            _, y, z = p
+            i = bisect_right(ys, y)
+            if i and zs[i - 1] <= z:
+                continue
+            # the point is kept, and takes the place of the staircase run it
+            # covers: an entry at its own y, then the entries after it with z >= its z
+            start = i - 1 if i and ys[i - 1] == y else i
+            end = i
+            while end < len(zs) and zs[end] >= z:
+                end += 1
+            ys[start:end] = [y]
+            zs[start:end] = [z]
+            out.append(p)
+        return out
     if n > _NUMPY_FILTER_MIN:
         cols = np.asarray(pts).T
         keep = np.empty(n, dtype=bool)

@@ -454,15 +454,20 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
-def scipy_modules(proc, expected):
-    """The scipy modules a `python -X importtime` child imported.
+def imported_modules(proc, expected):
+    """The modules a `python -X importtime` child imported.
 
-    `expected` must be among its imports, so an empty listing cannot pass.
+    `expected` must be among them, so an empty listing cannot pass.
     """
     # -X importtime lists every module the child imports, one per stderr line
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert expected in imported
-    return [name for name in imported if name.split(".")[0] == "scipy"]
+    return imported
+
+
+def scipy_modules(proc, expected):
+    """The scipy modules a `python -X importtime` child imported, `expected` among its imports."""
+    return [name for name in imported_modules(proc, expected) if name.split(".")[0] == "scipy"]
 
 
 def test_compute_imports_no_scipy(tmp_path):
@@ -476,6 +481,31 @@ def test_import_ehvi_imports_no_scipy():
     proc = run_python("-X", "importtime", "-c", "import ehvi")
     assert proc.returncode == 0
     assert scipy_modules(proc, "ehvi") == []
+
+
+# modules that `ehvi compute` and `import ehvi` do not use, and so must not load
+COLD_MODULES = {"ehvi.bench", "ehvi.bo", "ehvi.gp", "statistics", "csv"}
+
+
+def test_compute_and_import_load_only_the_compute_path(tmp_path):
+    path = write_request(tmp_path / "req.json", **BASIC)
+    proc = run_python("-X", "importtime", "-m", "ehvi", "compute", "--input", str(path))
+    assert_compute_succeeds(proc)
+    assert imported_modules(proc, "ehvi.dispatch") & COLD_MODULES == set()
+    proc = run_python("-X", "importtime", "-c", "import ehvi")
+    assert proc.returncode == 0
+    assert imported_modules(proc, "ehvi.dispatch") & COLD_MODULES == set()
+
+
+def test_lazy_names_resolve_on_first_use():
+    code = (
+        "import sys, ehvi\n"
+        "assert 'ehvi.bo' not in sys.modules\n"
+        "assert set(ehvi.__all__) <= set(dir(ehvi))\n"
+        "assert ehvi.run_bo is ehvi.bo.run_bo\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("algorithm", ["grid", "wfg", "sweep"])

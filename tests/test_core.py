@@ -76,7 +76,9 @@ def test_filter_matches_brute_force(monkeypatch):
     # the 50-point sets take the Python pass with the threshold above them;
     # the default threshold comes last and stays set for the rest
     thresholds = (64, ehvi.core._NUMPY_FILTER_MIN)
-    for m in (2, 3, 4):
+    # m = 2 and 3 take the staircase pass whatever the threshold, so m = 4
+    # and 5 test the Python and numpy passes
+    for m in (2, 3, 4, 5):
         for threshold in thresholds:
             monkeypatch.setattr(ehvi.core, "_NUMPY_FILTER_MIN", threshold)
             for seed in range(5):
@@ -98,6 +100,24 @@ def test_filter_matches_brute_force(monkeypatch):
                 out = nondominated_filter(pts)
                 assert out == brute_nondominated(pts)
                 assert all(type(x) is float for p in out for x in p)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_staircase_filter_matches_pairwise_on_many_ties(m):
+    # 3000 integer points in 0..40 near a plane of constant coordinate sum,
+    # the last coordinate at half slope so that neighbours share it: a large
+    # front, many shared coordinates and many copies
+    rng = np.random.default_rng([m, 3000])
+    pts = rng.integers(0, 41, size=(3000, m))
+    last = (40 * (m - 1) - pts[:, :-1].sum(axis=1)) // 2 + rng.integers(0, 5, size=3000)
+    pts[:, -1] = np.clip(last, 0, 40)
+    # pairwise oracle over the distinct points, lex-sorted: a point survives
+    # when the only distinct point <= it on every axis is itself
+    distinct = np.unique(pts, axis=0)
+    leq = (distinct[:, None, :] <= distinct[None, :, :]).all(axis=2)
+    expected = [tuple(map(float, row)) for row in distinct[leq.sum(axis=0) == 1]]
+    assert len(expected) > 20
+    assert nondominated_filter(map(tuple, pts.tolist())) == expected
 
 
 def test_filter_output_sorted_and_mutually_nondominated():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the set-up work of the benchmark and of bo-demo: import, BO problem, score fronts.
+"""Time the set-up work of the benchmark and of bo-demo, and the cold start of the CLI.
 
     python3 tools/setup_profile.py [--src DIR] [--repeats K] [--problem NAME:RES ...]
 
@@ -13,7 +13,13 @@ It prints the best of K repeats, in milliseconds, of:
   total may read more than their sum. A problem the revision refuses prints
   the refusal and how long it took;
 - bench.generate_front(m, n, seed) and core.validate_front on its points,
-  for each score shape of perfbench/inputs.py, at the seed perfbench uses.
+  for each score shape of perfbench/inputs.py, at the seed perfbench uses;
+- the cold start: the median wall time of COLD_RUNS fresh processes each of
+  `python -c "import numpy"`, `python -c "import ehvi"` and `python -m ehvi
+  compute` on perfbench's README request and its m3_n1000 request (at its
+  fixed seed), the commands taking turns in every round, and whether
+  those processes cache bytecode. With caching off every process compiles
+  the ehvi modules it imports.
 
 BLAS is pinned to one thread and ehvi is imported from --src (default src/
 of this checkout), so
@@ -26,14 +32,18 @@ profiles another revision on the same inputs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORT_PROBE = "import time, numpy; t = time.perf_counter_ns(); import ehvi; print(time.perf_counter_ns() - t)"
+COLD_RUNS = 11
 
 
 def _best_ms(fn, repeats: int) -> float:
@@ -81,6 +91,26 @@ def _problem_ms(bo, name: str, resolution: int, repeats: int) -> tuple[list[floa
     return best, None
 
 
+def _cold_start(src: Path, requests: dict) -> tuple[dict[str, float], bool]:
+    """Median wall ms per command over COLD_RUNS alternating rounds, and whether bytecode is cached."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    caching = subprocess.run([sys.executable, "-c", "import sys; print(not sys.dont_write_bytecode)"],
+                             env=env, check=True, capture_output=True, text=True).stdout.strip() == "True"
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = {"import numpy": ["-c", "import numpy"], "import ehvi": ["-c", "import ehvi"]}
+        for name, request in requests.items():
+            path = Path(tmp) / f"request-{name}.json"
+            path.write_text(json.dumps(request), encoding="utf-8")
+            commands[f"compute {name}"] = ["-m", "ehvi", "compute", "--input", str(path)]
+        times: dict[str, list[float]] = {label: [] for label in commands}
+        for _ in range(COLD_RUNS):
+            for label, args in commands.items():
+                start = time.perf_counter_ns()
+                subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True)
+                times[label].append((time.perf_counter_ns() - start) / 1e6)
+    return {label: statistics.median(t) for label, t in times.items()}, caching
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the ehvi package")
@@ -95,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     src = args.src.resolve()
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import numpy as np
-    from inputs import FIXED_SEED, SHAPES
+    from inputs import FIXED_SEED, SHAPES, make_inputs
+    from spans import import_ehvi
 
     import ehvi.bench
     import ehvi.bo
@@ -121,6 +152,10 @@ def main(argv: list[str] | None = None) -> int:
             _best_ms(lambda: ehvi.core.validate_front(frame, points), k),
         )
         print(f"{f'm{m}_n{n}':<14}" + "".join(f"{t:>16.1f}" for t in times))
+    cold, caching = _cold_start(src, make_inputs(import_ehvi(src), FIXED_SEED).requests)
+    print(f"cold start, median of {COLD_RUNS} fresh processes; bytecode caching {'on' if caching else 'off'}")
+    for label, ms in cold.items():
+        print(f"{label:<24}{ms:>12.1f}")
     return 0
 
 
