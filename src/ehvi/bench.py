@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _FILTER_BLOCK, Orientation, ProblemFrame, Vector, validate_front
+from .core import _FILTER_BLOCK, Front, Orientation, ProblemFrame, Vector, validate_front
 from .dispatch import BACKENDS
 from .errors import ParameterError, UnsupportedDimensionError
 from .gaussian import GaussianBelief
@@ -129,10 +129,13 @@ def run_benchmark(
     """Time every (algorithm, m, n, seed) cell reps times.
 
     Each cell gets one untimed warm-up call per algorithm, then reps timed
-    calls. All algorithms must agree on each cell's value to 1e-10 relative;
-    disagreement aborts the run rather than reporting timings for wrong
-    answers. ParameterError if ms, ns or algorithms is empty or repeats a
-    value, which would time a cell twice and fold both runs into one row.
+    calls. Every call gets a fresh Front of the cell's points, built outside
+    the timed interval, so that each timed sweep call decomposes the front
+    rather than reuse the boxes an earlier call kept on it. All algorithms
+    must agree on each cell's value to 1e-10 relative; disagreement aborts
+    the run rather than reporting timings for wrong answers. ParameterError
+    if ms, ns or algorithms is empty or repeats a value, which would time a
+    cell twice and fold both runs into one row.
     """
     for label, values in (("ms", ms), ("ns", ns), ("algorithms", algorithms)):
         if not len(values):
@@ -156,7 +159,7 @@ def run_benchmark(
                 values: dict[str, float] = {}
                 for name in algorithms:
                     backend = BACKENDS[name]
-                    backend(front, belief)  # warm-up, untimed
+                    backend(Front(frame, front.points), belief)  # warm-up, untimed
                     # pause the cyclic collector while timing (as timeit
                     # does) so allocation debt from unrelated code does not
                     # bill a random rep; nothing here creates cycles
@@ -165,8 +168,9 @@ def run_benchmark(
                     gc.disable()
                     try:
                         for rep in range(reps):
+                            fresh = Front(frame, front.points)
                             start = time.perf_counter_ns()
-                            result = backend(front, belief)
+                            result = backend(fresh, belief)
                             elapsed = time.perf_counter_ns() - start
                             records.append(
                                 BenchmarkRecord(

@@ -97,13 +97,17 @@ class Front:
     Construct through validate_front, which establishes the invariants
     (mutual nondominance, no duplicates, strictly inside the reference bound).
     coords is the same points as a read-only (n, m) float array, built once
-    here so that no decomposition converts the tuples again; it takes no
-    part in == or hash.
+    here so that no decomposition converts the tuples again. _boxes is unset
+    until sweep.sweep_boxes first decomposes the front, which then keeps its
+    read-only boxes here for the front's lifetime: 16 m bytes per box, about
+    84 MB at the sweep's 2^19-box budget at m = 10. Neither takes part in ==
+    or hash.
     """
 
     frame: ProblemFrame
     points: tuple[Vector, ...]
     coords: np.ndarray = field(init=False, compare=False, repr=False)
+    _boxes: BoxDecomposition | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         m, n = self.frame.m, len(self.points)
@@ -242,22 +246,30 @@ class BoxDecomposition(NamedTuple):
 
 
 def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Front:
-    """Convert points to the internal convention and check every Front invariant."""
+    """Convert points to the internal convention and check every Front invariant.
+
+    The finiteness, negation and reference-bound checks are numpy passes
+    over the (n, m) array; each error names the first offending point in
+    input order, in user coordinates.
+    """
     raw = [as_vector(p) for p in points]
-    for p in raw:
-        if len(p) != frame.m:
-            raise DimensionError(f"point {p} has {len(p)} coordinates, expected m={frame.m}")
-        if not all(math.isfinite(x) for x in p):
-            raise InvalidFrontError(f"point {p} has non-finite coordinates")
+    # the points before the first one of another length make an (n, m) array
+    n = next((k for k, p in enumerate(raw) if len(p) != frame.m), len(raw))
+    coords = np.array(raw[:n], dtype=float).reshape(n, frame.m)
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        raise InvalidFrontError(f"point {raw[bad[0]]} has non-finite coordinates")
+    if n < len(raw):
+        raise DimensionError(f"point {raw[n]} has {len(raw[n])} coordinates, expected m={frame.m}")
     internal = raw
     if frame.orientation is Orientation.MAXIMIZE:
-        internal = [tuple(-x for x in p) for p in raw]
-    ref = frame.internal_reference
-    for p, q in zip(raw, internal):
-        if not all(x < r for x, r in zip(q, ref)):
-            raise ReferenceBoundError(
-                f"point {p} is not strictly inside the reference bound {frame.reference}"
-            )
+        coords = -coords
+        internal = list(map(tuple, coords.tolist()))
+    bad = np.flatnonzero(~(coords < frame.internal_reference).all(axis=1))
+    if bad.size:
+        raise ReferenceBoundError(
+            f"point {raw[bad[0]]} is not strictly inside the reference bound {frame.reference}"
+        )
     # lex order puts copies next to each other and every dominator first
     order = sorted(range(len(internal)), key=internal.__getitem__)
     pts = [internal[i] for i in order]

@@ -139,13 +139,22 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
 
     n+1 boxes at m = 2, at most 2n+1 at m = 3 and at most (n+1)^m beyond.
     Raises ParameterError at m >= 4 once the sweep makes more than
-    _MAX_BOXES boxes.
+    _MAX_BOXES boxes. The boxes do not depend on any belief and a Front is
+    immutable, so the first call on a front keeps its boxes, read-only, in
+    Front._boxes and every later call returns them; a refused front keeps
+    nothing.
     """
-    if front.m == 2:
-        return _staircase_boxes(front)
-    if front.m == 3:
-        return nondominated_boxes(front)
-    return _sweep_boxes(front)
+    if front._boxes is None:
+        if front.m == 2:
+            boxes = _staircase_boxes(front)
+        elif front.m == 3:
+            boxes = nondominated_boxes(front)
+        else:
+            boxes = _sweep_boxes(front)
+        for a in boxes:
+            a.flags.writeable = False
+        object.__setattr__(front, "_boxes", boxes)
+    return front._boxes
 
 
 def ehvi_sweep(front: Front, belief: GaussianBelief) -> EhviResult:

@@ -15,6 +15,7 @@ from ehvi import (
     validate_front,
 )
 import ehvi.bench
+import ehvi.sweep
 from ehvi.bench import GEN_HIGH, GEN_LOW, benchmark_belief, benchmark_frame, summarize
 from oracles import sequential_front
 
@@ -130,6 +131,21 @@ def test_run_benchmark_record_grid():
     for cell, vals in by_cell.items():
         lo, hi = min(vals), max(vals)
         assert math.isclose(lo, hi, rel_tol=1e-10), cell
+
+
+def test_run_benchmark_decomposes_the_front_in_every_call(monkeypatch):
+    # a Front keeps its sweep boxes, so reusing one would time cache hits
+    calls = []
+    producer = ehvi.sweep.nondominated_boxes
+
+    def counted(front):
+        calls.append(front)
+        return producer(front)
+
+    monkeypatch.setattr(ehvi.sweep, "nondominated_boxes", counted)
+    records = run_benchmark(ms=[3], ns=[5], seeds=1, reps=3, algorithms=("sweep",))
+    assert len(records) == 3
+    assert len(calls) == 3 + 1  # the reps and the warm-up
 
 
 def test_summarize_shapes():

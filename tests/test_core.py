@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,26 @@ def test_validate_front_maximize_negates():
     for f in (frame, ProblemFrame(2, (4.0, 4.0))):
         mixed = validate_front(f, [(1, np.float32(3.5)), (np.float32(3.25), 2)]).points
         assert [[type(x) for x in p] for p in mixed] == [[float, float]] * 2
+
+
+@pytest.mark.parametrize(
+    "frame, inside, outside",
+    [
+        (ProblemFrame(2, (4.0, 4.0)), [(1.0, 3.0), (3.0, 1.0)], [(5.0, 1.0), (1.0, 6.0)]),
+        (ProblemFrame(2, (0.0, 0.0), Orientation.MAXIMIZE), [(1.0, 3.0), (3.0, 1.0)], [(-1.0, 2.0), (2.0, -3.0)]),
+    ],
+)
+def test_validate_front_names_the_first_offending_point(frame, inside, outside):
+    # checked in input order, point by point: length, then finiteness, then the bound
+    nan, long = (1.0, math.nan), (1.0, 2.0, 3.0)
+    with pytest.raises(InvalidFrontError, match=re.escape(f"point {nan} has non-finite")):
+        validate_front(frame, [inside[0], nan, long, (math.inf, 1.0)])
+    with pytest.raises(DimensionError, match=re.escape(f"point {long} has 3 coordinates")):
+        validate_front(frame, [inside[0], long, nan])
+    with pytest.raises(ReferenceBoundError, match=re.escape(f"point {outside[0]} is not strictly inside")):
+        validate_front(frame, [inside[0], outside[0], inside[1], outside[1]])
+    with pytest.raises(InvalidFrontError, match="non-finite"):  # finiteness is checked before any bound
+        validate_front(frame, [outside[0], nan])
 
 
 def test_hvi_worked_example():

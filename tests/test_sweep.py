@@ -1,6 +1,8 @@
 """Sweep backend: nondominated boxes for every m, deep-tail agreement with grid, and the hypervolume."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from ehvi import (
     ehvi_grid,
     ehvi_sweep,
     hypervolume,
+    hypervolume_improvement,
 )
-from ehvi.core import rank_form
+from ehvi.core import Front, rank_form
 from ehvi.gaussian import integrate_boxes
 from ehvi.grid import grid_decompose
 from ehvi.sweep import sweep_boxes
@@ -146,6 +149,62 @@ def test_empty_front_is_one_full_box():
         assert res.value == pytest.approx((2.0 * np.pi) ** (-m / 2), rel=1e-15)
 
 
+PRODUCERS = {2: "_staircase_boxes", 3: "nondominated_boxes", 4: "_sweep_boxes"}
+
+
+@pytest.mark.parametrize("m", sorted(PRODUCERS))
+def test_front_is_decomposed_once(monkeypatch, m):
+    """Every sweep_boxes caller on one Front shares one decomposition, with the values of a fresh Front's."""
+    calls = []
+    producer = getattr(ehvi.sweep, PRODUCERS[m])
+
+    def counted(front):
+        calls.append(front.n)
+        return producer(front)
+
+    monkeypatch.setattr(ehvi.sweep, PRODUCERS[m], counted)
+    front = random_front(m, 12, 40 + m)
+    rng = np.random.default_rng([41, m])
+    means = rng.uniform(-10.0, -0.2, (5, m))
+    stds = rng.uniform(0.1, 2.5, (5, m))
+    belief = GaussianBelief(tuple(means[0]), tuple(stds[0]))
+    y = tuple(-x for x in rng.uniform(0.1, 10.0, m))
+
+    def values(f):
+        return (
+            compute_ehvi(f, belief),
+            compute_ehvi(f, belief),
+            compute_ehvi_batch(f, means, stds).tolist(),
+            hypervolume(f),
+            hypervolume_improvement(y, f),
+        )
+
+    undecomposed = Front(front.frame, front.points)
+    got = values(front)
+    assert calls == [front.n]
+    assert front == undecomposed and hash(front) == hash(undecomposed)
+    assert got == values(undecomposed)  # bit-identical to a fresh Front's
+    assert len(calls) == 2
+    for array in sweep_boxes(front):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
+@pytest.mark.skipif(np.dtype(np.intp) != np.dtype("<i8"), reason="the digests hash 64-bit little-endian ranks")
+def test_sweep_digest_lines_are_pinned():
+    """tools/sweep_digest.py's two lines, as the sweep printed them before any Front kept its boxes."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "sweep_digest.py"
+    spec = importlib.util.spec_from_file_location("sweep_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.digest_line(tool.fronts(range(4, 8), range(4, 7))) == (
+        "99 fronts, 347768 boxes, sha256 52b2a3466fc74f9f6863472b250bc6172b119459c8308526bf5a41ad253b5be6"
+    )
+    assert tool.digest_line(tool.fronts(range(2, 4), range(3, 4))) == (
+        "45 fronts, 1727 boxes, sha256 f3a831ab45edd8b1cb7376d6f3f47ab8427e7359ec031fee27c4a06a043f1c5c"
+    )
+
+
 @pytest.mark.parametrize("m, sizes", [(2, (5, 20, 60)), (4, (5, 12, 20)), (5, (5, 8, 12))])
 def test_deep_tail_agreement_with_grid(m, sizes):
     """Beliefs in or behind the front: auto, single and batched, matches grid at 1e-10.
@@ -187,10 +246,14 @@ def test_hypervolume_refuses_a_front_over_the_sweep_budget(monkeypatch, m):
     front = random_front(m, 8, m)
     count = len(sweep_boxes(front).lower)
     assert math.isfinite(hypervolume(front))
-    # the budget counts open plus closed boxes, at least the boxes kept
+    # the budget counts open plus closed boxes, at least the boxes kept; front
+    # keeps its boxes, so the lowered budget is put to a fresh Front
     monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", count - 1)
+    fresh = Front(front.frame, front.points)
     with pytest.raises(ParameterError, match="budget"):
-        hypervolume(front)
+        hypervolume(fresh)
+    with pytest.raises(ParameterError, match="budget"):  # a refusal keeps no partial boxes
+        hypervolume(fresh)
     with pytest.raises(ParameterError, match="budget"):
         dominated_volume(front.points, front.reference)
 

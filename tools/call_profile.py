@@ -10,14 +10,18 @@ front it prints the best of REPEATS repeats of the mean microseconds per
 call of the following, each called once per belief of the front in a
 repeat:
 
-- compute_ehvi(front, belief);
+- first call: compute_ehvi on a fresh Front of the front's points, which
+  decomposes it;
+- compute_ehvi(front, belief) on the one front, which keeps its sweep boxes
+  after the first call, so this is the cost per belief of a decomposed front;
 - rank_form on Front.coords, as the m >= 3 decompositions call it;
-- sweep_boxes(front);
+- sweep_boxes on a fresh Front;
 - integrate_boxes(boxes, [mean], [stddev]) over the front's sweep boxes;
 - psi on the breakpoints (all but the first -inf column) for the belief;
 
-and the number of sweep boxes. BLAS is pinned to one thread and ehvi is
-imported from --src (default src/ of this checkout), so
+and the number of sweep boxes. The fresh Fronts are built outside the timed
+interval. BLAS is pinned to one thread and ehvi is imported from --src
+(default src/ of this checkout), so
 
     python3 tools/call_profile.py --src /path/to/other/checkout/src
 
@@ -40,13 +44,17 @@ SEED = 7  # make_inputs' seed, which draws the improving beliefs
 REPEATS = 15
 
 
-def _best_us(fn, calls: int, repeats: int) -> float:
-    """Best over repeats of the mean microseconds per call of fn(), which makes `calls` calls."""
-    fn()  # warm-up
+def _best_us(fn, calls: int, repeats: int, setup=lambda: None) -> float:
+    """Best over repeats of the mean microseconds per call of fn(setup()), which makes `calls` calls.
+
+    setup runs before each repeat, outside the timed interval.
+    """
+    fn(setup())  # warm-up
     best = float("inf")
     for _ in range(repeats):
+        arg = setup()
         start = time.perf_counter_ns()
-        fn()
+        fn(arg)
         best = min(best, (time.perf_counter_ns() - start) / calls / 1e3)
     return best
 
@@ -64,13 +72,13 @@ def main(argv: list[str] | None = None) -> int:
 
     ehvi = SimpleNamespace(**{name: importlib.import_module(f"ehvi.{name}")
                               for name in ("bench", "bo", "core", "dispatch", "gaussian", "sweep")})
-    compute, rank_form = ehvi.dispatch.compute_ehvi, ehvi.core.rank_form
+    compute, rank_form, Front = ehvi.dispatch.compute_ehvi, ehvi.core.rank_form, ehvi.core.Front
     sweep_boxes, integrate_boxes, psi = ehvi.sweep.sweep_boxes, ehvi.gaussian.integrate_boxes, ehvi.gaussian.psi
 
     shapes: dict = {}
     for s in make_inputs(ehvi, SEED).score:
         shapes.setdefault(s.shape, (s.front, []))[1].extend(s.beliefs)
-    header = ("shape", "compute_ehvi", "rank_form", "sweep_boxes", "integrate_boxes", "psi", "boxes")
+    header = ("shape", "first call", "compute_ehvi", "rank_form", "sweep_boxes", "integrate_boxes", "psi", "boxes")
     print(f"{header[0]:<9}" + "".join(f"{h:>16}" for h in header[1:]))
     for shape, (front, beliefs) in shapes.items():
         k, r = len(beliefs), REPEATS
@@ -79,12 +87,17 @@ def main(argv: list[str] | None = None) -> int:
         rows = [(b.mean, b.stddev) for b in beliefs]
         cols = [(np.array(mu)[:, None, None], np.array(sd)[:, None, None]) for mu, sd in rows]
         breaks = boxes.breaks[:, 1:, None]
+
+        def fresh():
+            return [Front(front.frame, front.points) for _ in beliefs]
+
         times = (
-            _best_us(lambda: [compute(front, b) for b in beliefs], k, r),
-            _best_us(lambda: [rank_form(points, front.reference) for _ in beliefs], k, r),
-            _best_us(lambda: [sweep_boxes(front) for _ in beliefs], k, r),
-            _best_us(lambda: [integrate_boxes(boxes, [mu], [sd]) for mu, sd in rows], k, r),
-            _best_us(lambda: [psi(breaks, mu, sd) for mu, sd in cols], k, r),
+            _best_us(lambda fronts: [compute(f, b) for f, b in zip(fronts, beliefs)], k, r, fresh),
+            _best_us(lambda _: [compute(front, b) for b in beliefs], k, r),
+            _best_us(lambda _: [rank_form(points, front.reference) for _ in beliefs], k, r),
+            _best_us(lambda fronts: [sweep_boxes(f) for f in fronts], k, r, fresh),
+            _best_us(lambda _: [integrate_boxes(boxes, [mu], [sd]) for mu, sd in rows], k, r),
+            _best_us(lambda _: [psi(breaks, mu, sd) for mu, sd in cols], k, r),
         )
         print(f"{shape:<9}" + "".join(f"{t:>16.1f}" for t in times) + f"{len(boxes.lower):>16}")
     return 0
