@@ -192,7 +192,7 @@ def test_front_is_decomposed_once(monkeypatch, m):
 
 @pytest.mark.skipif(np.dtype(np.intp) != np.dtype("<i8"), reason="the digests hash 64-bit little-endian ranks")
 def test_sweep_digest_lines_are_pinned():
-    """tools/sweep_digest.py's two lines, as the sweep printed them before any Front kept its boxes."""
+    """tools/sweep_digest.py's two lines: the producers' boxes, bit for bit, whether or not a Front keeps them."""
     path = Path(__file__).resolve().parent.parent / "tools" / "sweep_digest.py"
     spec = importlib.util.spec_from_file_location("sweep_digest", path)
     tool = importlib.util.module_from_spec(spec)

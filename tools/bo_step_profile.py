@@ -12,9 +12,10 @@ set-up and the heap's first growth are not counted.
 
 It prints the median microseconds per step of the GP fit, the GP
 posterior, the acquisition (EHVI scoring and argmax, as bo_step times it),
-the observation (hypervolume update, dominance check of the new point and
-the new front's boxes) and the whole step, and this process's minor page faults per step,
-from resource.getrusage around each bo_step call.
+the observation (hypervolume update and dominance check of the new point)
+and the whole step, which also decomposes a front new since the last step,
+and this process's minor page faults per step, from resource.getrusage
+around each bo_step call.
 """
 
 from __future__ import annotations
