@@ -19,9 +19,9 @@ import numpy as np
 
 from .core import BoxDecomposition, Front, Orientation, ProblemFrame, Vector, nondominated_filter, validate_front
 from .errors import CandidatesExhaustedError, ParameterError
-from .gaussian import integrate_boxes
+from .gaussian import check_beliefs, integrate_boxes
 from .gp import fit_gp, gp_posterior_batch
-from .sweep import clipped_volumes, hypervolume, sweep_boxes
+from .sweep import clipped_volumes, hypervolume, sweep_boxes, sweep_plan
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
 # get this floor instead of 0.
@@ -176,8 +176,9 @@ def bo_step(state: BoState) -> BoRunRecord:
     """Fit one GP over all objectives, score EHVI on every unexplored candidate, query the argmax.
 
     The GP sees the objectives in the front's internal convention, so its
-    means are internal too. Every belief is integrated over the state's
-    sweep boxes, as compute_ehvi_batch would. Ties (and the all-zero case)
+    means are internal too. The posterior is checked once, with the
+    stddevs floored, and every belief is integrated from the plan of the
+    state's sweep boxes, as compute_ehvi_batch would. Ties (and the all-zero case)
     go to the lowest candidate index. The GP timer covers fit and posterior,
     the acquisition timer EHVI scoring and the argmax scan.
     """
@@ -189,16 +190,16 @@ def bo_step(state: BoState) -> BoRunRecord:
         raise CandidatesExhaustedError("every candidate has been queried")
 
     design = problem.candidates.design_points
-    boxes = state.boxes  # a front new since the last step is decomposed here, outside both timers
+    plan = sweep_plan(state.front)  # a front new since the last step is decomposed here, outside both timers
     sign = -1.0 if problem.frame.orientation is Orientation.MAXIMIZE else 1.0
     seen_f = sign * problem.candidates.objectives[state.observed]
     start = time.perf_counter_ns()
     means, stds = gp_posterior_batch(fit_gp(design[state.observed], seen_f), design[unexplored])
     gp_elapsed = time.perf_counter_ns() - start
-    stds = np.maximum(stds, _STDDEV_FLOOR)
+    means, stds = check_beliefs(means, np.maximum(stds, _STDDEV_FLOOR), problem.frame.m)
 
     start = time.perf_counter_ns()
-    scores = integrate_boxes(boxes, means, stds)
+    scores = integrate_boxes(plan, means, stds)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed, gp_elapsed)

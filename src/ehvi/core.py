@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .errors import (
     ReferenceBoundError,
     UnsupportedDimensionError,
 )
+
+if TYPE_CHECKING:
+    from .gaussian import IntegrationPlan
 
 Vector = tuple[float, ...]
 
@@ -97,17 +100,19 @@ class Front:
     Construct through validate_front, which establishes the invariants
     (mutual nondominance, no duplicates, strictly inside the reference bound).
     coords is the same points as a read-only (n, m) float array, built once
-    here so that no decomposition converts the tuples again. _boxes is unset
-    until sweep.sweep_boxes first decomposes the front, which then keeps its
-    read-only boxes here for the front's lifetime: 16 m bytes per box, about
-    84 MB at the sweep's 2^19-box budget at m = 10. Neither takes part in ==
-    or hash.
+    here so that no decomposition converts the tuples again. _boxes and
+    _plan are unset until sweep.sweep_boxes first decomposes the front,
+    which then keeps its read-only boxes and their gaussian.IntegrationPlan
+    here for the front's lifetime: the boxes' index arrays take 16 m bytes
+    per box and the plan's index rows up to 16 m more, about 168 MB at the
+    sweep's 2^19-box budget at m = 10. None of them takes part in == or hash.
     """
 
     frame: ProblemFrame
     points: tuple[Vector, ...]
     coords: np.ndarray = field(init=False, compare=False, repr=False)
     _boxes: BoxDecomposition | None = field(init=False, compare=False, repr=False, default=None)
+    _plan: IntegrationPlan | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         m, n = self.frame.m, len(self.points)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import EhviResult, Front
-from .errors import DimensionError, ParameterError
-from .gaussian import GaussianBelief, integrate_boxes
+from .errors import ParameterError
+from .gaussian import GaussianBelief, check_beliefs, integrate_boxes, integration_plan
 from .grid import ehvi_grid
-from .sweep import ehvi_sweep, sweep_boxes
+from .sweep import ehvi_sweep, sweep_plan
 from .wfg import ehvi_wfg, wfg_boxes
 
 BACKENDS = {
@@ -45,19 +45,10 @@ def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np
     Returns the q values.
     """
     name = resolve_algorithm(algorithm)
-    means = np.asarray(means, dtype=float)
-    stds = np.asarray(stds, dtype=float)
-    if means.ndim != 2 or means.shape[1] != front.m or stds.shape != means.shape:
-        raise DimensionError(
-            f"means and stds must both have shape (q, {front.m}), got {means.shape} and {stds.shape}"
-        )
-    if not np.isfinite(means).all():
-        raise ParameterError("belief means must be finite")
-    if not ((stds > 0.0) & np.isfinite(stds)).all():
-        raise ParameterError("belief stddevs must be positive and finite")
+    means, stds = check_beliefs(means, stds, front.m)
     if name == "sweep":
-        return integrate_boxes(sweep_boxes(front), means, stds)
+        return integrate_boxes(sweep_plan(front), means, stds)
     if name == "wfg":
-        boxes, signs = wfg_boxes(front.coords, front.reference)
-        return np.maximum(integrate_boxes(boxes, means, stds, signs), 0.0)
+        plan = integration_plan(*wfg_boxes(front.coords, front.reference))
+        return np.maximum(integrate_boxes(plan, means, stds), 0.0)
     return np.array([ehvi_grid(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)

@@ -9,7 +9,11 @@ The probability that a Gaussian candidate improves on every coordinate of a
 box corner factorizes over objectives, so the integral of that probability
 over a half-open box is a product of per-axis psi differences, and
 integrate_boxes sums it over the boxes of a decomposition for a batch of
-beliefs at once.
+beliefs at once. It reads the decomposition's IntegrationPlan, made once
+(a Front keeps its sweep boxes' plan), so no call tests the breakpoints or
+copies index arrays, and an open-below axis takes psi(upper) as its factor.
+Stddevs are checked where beliefs enter (GaussianBelief,
+compute_ehvi_batch, bo_step), not again in the kernel.
 
 Far below the mean the two terms of the direct formula nearly cancel. psi
 instead uses the reflection identity
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,9 +75,8 @@ class GaussianBelief:
             )
         if not all(math.isfinite(x) for x in self.mean):
             raise ParameterError(f"belief means must be finite, got {self.mean}")
-        for s in self.stddev:
-            if not (s > 0.0) or not math.isfinite(s):
-                raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
+        if not all(0.0 < s < math.inf for s in self.stddev):  # NaN fails both comparisons
+            raise ParameterError(f"belief stddevs must be positive and finite, got {self.stddev}")
 
     @property
     def m(self) -> int:
@@ -99,6 +103,11 @@ def psi(a, mu, sigma):
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0.0) & np.isfinite(sigma)).all():
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
+    return _psi(a, mu, sigma)[()]
+
+
+def _psi(a, mu, sigma, out=None):
+    """psi without the check of sigma, into out if given: the kernel integrate_boxes calls."""
     # d and x are reused in place: on belief batches fresh temporaries cost
     # about as much as the arithmetic
     shape = np.broadcast(a, mu, sigma).shape
@@ -113,78 +122,133 @@ def psi(a, mu, sigma):
     x *= -0.5
     g *= np.exp(x, out=x)
     g *= sigma * _INV_SQRT_2PI
-    g += np.maximum(d, 0.0, out=d)
-    return g[()]
+    return np.add(g, np.maximum(d, 0.0, out=d), out=g if out is None else out)
 
 
-def _box_factors(p: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """Per axis j, the (boxes, beliefs) psi differences max(p[j][upper[j]] - p[j][lower[j]], 0)."""
-    for pj, lo, up in zip(p, lower, upper):
+class IntegrationPlan(NamedTuple):
+    """What integrate_boxes reads of a decomposition, none of it depending on a belief.
+
+    breaks are the (m, width - first, 1) breakpoints that need psi, first
+    being 1 when column 0 is -inf on every axis. lower and upper hold one
+    contiguous index row per axis; an upper row is one entry long where
+    every box ends at the same breakpoint (wfg's, at the reference). A lower
+    row is None on an open-below axis, where every box starts at a -inf
+    first breakpoint: psi(-inf) is 0 and psi >= 0, so the factor is
+    psi(upper) as it stands.
+    """
+
+    breaks: np.ndarray
+    first: int
+    lower: tuple
+    upper: tuple
+    signs: np.ndarray | None
+    count: int
+
+    @property
+    def open_below(self) -> tuple[int, ...]:
+        return tuple(j for j, row in enumerate(self.lower) if row is None)
+
+
+def integration_plan(boxes: BoxDecomposition, signs=None) -> IntegrationPlan:
+    """The plan of a decomposition, box b taken with signs[b] (+1 or -1) if given.
+
+    lower is copied once, a broadcast upper not at all.
+    """
+    breaks, count = boxes.breaks, len(boxes.lower)
+    neginf = breaks[:, 0] == -np.inf if breaks.shape[1] else np.zeros(len(breaks), dtype=bool)
+    first = int(neginf.all())
+    lower, upper = np.ascontiguousarray(boxes.lower.T), boxes.upper.T
+    upper = upper[:, :1] if count and not upper.strides[1] else np.ascontiguousarray(upper)
+    open_below = neginf & ~lower.any(axis=1) & (upper.shape[1] == count)
+    lower = tuple(None if o else row for o, row in zip(open_below.tolist(), lower))
+    return IntegrationPlan(np.ascontiguousarray(breaks[:, first:, None]), first, lower, tuple(upper), signs, count)
+
+
+def _factors(p: np.ndarray, plan: IntegrationPlan):
+    """Per axis j, the (boxes, beliefs) factors max(p[j][upper] - p[j][lower], 0), or p[j][upper] if open below."""
+    for pj, lo, up in zip(p, plan.lower, plan.upper):
         f = pj.take(up, axis=0)
-        f -= pj.take(lo, axis=0)
-        yield np.maximum(f, 0.0, out=f)
+        if lo is not None:
+            g = pj.take(lo, axis=0)
+            # in place in f, or in g where f is the one entry of a broadcast upper row
+            f = np.subtract(f, g, out=f if len(f) == len(g) else g)
+            np.maximum(f, 0.0, out=f)
+        yield f
 
 
-def integrate_boxes(boxes: BoxDecomposition, means: np.ndarray, stds: np.ndarray, signs=None) -> np.ndarray:
+def check_beliefs(means, stds, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, m) means and stds as float arrays, checked where beliefs enter the program.
+
+    DimensionError unless both are (q, m); ParameterError unless every mean
+    is finite and every stddev positive and finite.
+    """
+    means, stds = np.asarray(means, dtype=float), np.asarray(stds, dtype=float)
+    if means.ndim != 2 or means.shape[1] != m or stds.shape != means.shape:
+        raise DimensionError(f"means and stds must both have shape (q, {m}), got {means.shape} and {stds.shape}")
+    if not np.isfinite(means).all():
+        raise ParameterError("belief means must be finite")
+    if not ((stds > 0.0) & np.isfinite(stds)).all():
+        raise ParameterError("belief stddevs must be positive and finite")
+    return means, stds
+
+
+def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> np.ndarray:
     """Integral over the disjoint boxes of a decomposition for each of q beliefs.
 
     means and stds are (q, m), one belief per row, for the decomposition's
-    m; DimensionError otherwise. psi is evaluated once per breakpoint and
-    belief; each box contributes the product of its per-axis psi
-    differences, times signs[b] (+1 or -1) for the overlapping boxes of a
-    signed decomposition such as wfg's. Returns the q sums.
+    m. boxes is a BoxDecomposition, whose beliefs check_beliefs checks and
+    which gets a plan for this call with signs[b] (+1 or -1) on box b if
+    given, as for wfg's overlapping boxes; or an IntegrationPlan from one of
+    the library's backends (sweep.sweep_plan keeps one on a Front), whose
+    callers have checked the beliefs where they entered: GaussianBelief,
+    compute_ehvi_batch and bo_step. psi is evaluated once per breakpoint and
+    belief, and each box contributes the product of its per-axis factors.
+    Returns the q sums.
 
     The beliefs go in blocks of about _BLOCK elements, evenly filled, so a
     block's temporaries stay cache-sized and glibc reuses them from its
-    heap: one block for a whole BO batch made (boxes, m, q) temporaries
-    that were trimmed from the heap and page-faulted back in, about 265
-    minor faults and 1.1 ms per sphere3 step, against about 1 and 0.8 ms
-    now. Without signs, a block of one belief sums its boxes pairwise, wider
-    blocks in box order, so a value can depend on the blocking in its last
-    digits (up to 1.8e-14 relative on q = 1000 batches of 21163 boxes). A
-    signed sum cancels, so each belief's terms are summed exactly (math.fsum)
-    and rounded once, whatever the blocking, unless fsum meets inf - inf or
-    a partial sum past the float range; the plain sum then stands.
+    heap, where one block for a whole BO batch had its (boxes, m, q)
+    temporaries page-faulted back in on every step. Without signs, a block
+    of one belief sums its boxes pairwise, wider blocks in box order, so a
+    value can depend on the blocking in its last digits (up to 1.8e-14
+    relative on q = 1000 batches of 21163 boxes). A signed sum cancels, so
+    each belief's terms are summed exactly (math.fsum) and rounded once,
+    whatever the blocking, unless fsum meets inf - inf or a partial sum past
+    the float range; the plain sum then stands.
     """
-    means = np.asarray(means, dtype=float)
-    stds = np.asarray(stds, dtype=float)
-    m, width = boxes.breaks.shape
-    if means.ndim != 2 or means.shape[1] != m or stds.shape != means.shape:
-        raise DimensionError(
-            f"means and stds must both have shape (q, {m}), got {means.shape} and {stds.shape}"
-        )
-    q, count = len(means), len(boxes.lower)
+    if not isinstance(boxes, IntegrationPlan):
+        means, stds = check_beliefs(means, stds, len(boxes.breaks))
+        boxes = integration_plan(boxes, signs)
+    plan, means, stds = boxes, np.asarray(means, dtype=float), np.asarray(stds, dtype=float)
+    m, first, q, count = len(plan.lower), plan.first, len(means), plan.count
+    width = first + plan.breaks.shape[1]
     out = np.zeros(q)
     if q == 0 or count == 0:
         return out
-    # psi(-inf) is exactly 0, so a first breakpoint column that is -inf on
-    # every axis (rank_form's) needs no psi
-    first = 1 if np.isneginf(boxes.breaks[:, 0]).all() else 0
-    lower, upper = boxes.lower.T.copy(), boxes.upper.T.copy()
     blocks = min(q, -(-q * (count + m * width) // _BLOCK))
     edges = [q * i // blocks for i in range(blocks + 1)]  # blocks of even size
     for s, e in zip(edges, edges[1:]):
-        mu, sd = means[s:e].T[:, None], stds[s:e].T[:, None]
         # the psi table is (axes, breakpoints, beliefs): a box corner is one
         # row of its axis, and a block's beliefs stay contiguous
-        p = np.zeros((m, width, mu.shape[2]))
-        p[:, first:] = psi(boxes.breaks[:, first:, None], mu, sd)
-        factors = _box_factors(p, lower, upper)
+        p = np.empty((m, width, e - s))
+        p[:, :first] = 0.0
+        _psi(plan.breaks, means[s:e].T[:, None], stds[s:e].T[:, None], out=p[:, first:])
+        factors = _factors(p, plan)
         volume = next(factors)
         # overflowing products are inf and signed sums of infs nan: ehvi compute exits 2
         with np.errstate(invalid="ignore", over="ignore"):
             for f in factors:
                 volume *= f
-            if signs is not None:
-                volume *= signs[:, None]
+            if plan.signs is not None:
+                volume *= plan.signs[:, None]
             total = volume.sum(axis=0)
             if np.isnan(total).any():
                 # a zero factor zeroes the box even when another factor
                 # overflowed to inf (inf * 0 is nan)
-                nonzero = np.logical_and.reduce([f != 0.0 for f in _box_factors(p, lower, upper)])
+                nonzero = np.logical_and.reduce([f != 0.0 for f in _factors(p, plan)])
                 volume = np.where(nonzero, volume, 0.0)
                 total = volume.sum(axis=0)
-        if signs is not None:
+        if plan.signs is not None:
             with contextlib.suppress(OverflowError, ValueError):
                 total = np.array([math.fsum(terms) for terms in volume.T.tolist()])
         out[s:e] = total

@@ -54,7 +54,7 @@ import numpy as np
 from .clm3 import nondominated_boxes
 from .core import BoxDecomposition, EhviResult, Front, ProblemFrame, as_vector, nondominated_filter, rank_form
 from .errors import DimensionError, ParameterError, ReferenceBoundError
-from .gaussian import GaussianBelief, integrate_boxes
+from .gaussian import GaussianBelief, IntegrationPlan, integrate_boxes, integration_plan
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 # Most open plus closed boxes the m >= 4 sweep may make. Producing and
@@ -140,9 +140,11 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
     n+1 boxes at m = 2, at most 2n+1 at m = 3 and at most (n+1)^m beyond.
     Raises ParameterError at m >= 4 once the sweep makes more than
     _MAX_BOXES boxes. The boxes do not depend on any belief and a Front is
-    immutable, so the first call on a front keeps its boxes, read-only, in
-    Front._boxes and every later call returns them; a refused front keeps
-    nothing.
+    immutable, so the first call on a front keeps its boxes in Front._boxes
+    and their integration plan in Front._plan, all arrays read-only, and
+    every later call returns them; a refused front keeps nothing. Axis 1 is
+    open below at m = 2 and 3, and so is the last split axis order[m-2] of
+    the m >= 4 sweep, which no piece raises.
     """
     if front._boxes is None:
         if front.m == 2:
@@ -151,19 +153,29 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
             boxes = nondominated_boxes(front)
         else:
             boxes = _sweep_boxes(front)
-        for a in boxes:
-            a.flags.writeable = False
+        plan = integration_plan(boxes)
+        for a in (*boxes, plan.breaks, *plan.lower, *plan.upper):
+            if a is not None:
+                a.flags.writeable = False
+        object.__setattr__(front, "_plan", plan)
         object.__setattr__(front, "_boxes", boxes)
     return front._boxes
 
 
+def sweep_plan(front: Front) -> IntegrationPlan:
+    """The integration plan of sweep_boxes(front), which the Front keeps beside its boxes."""
+    if front._plan is None:
+        sweep_boxes(front)
+    return front._plan
+
+
 def ehvi_sweep(front: Front, belief: GaussianBelief) -> EhviResult:
-    """EHVI over the nondominated boxes of sweep_boxes; reports the boxes integrated."""
+    """EHVI over the nondominated boxes of sweep_boxes, from their kept plan; reports the boxes integrated."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    boxes = sweep_boxes(front)
-    value = integrate_boxes(boxes, [belief.mean], [belief.stddev])
-    return EhviResult(value=float(value[0]), boxes=len(boxes.lower))
+    plan = sweep_plan(front)
+    value = integrate_boxes(plan, (belief.mean,), (belief.stddev,))[0]
+    return EhviResult(value=float(value), boxes=plan.count)
 
 
 def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:

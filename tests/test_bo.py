@@ -149,6 +149,23 @@ def test_step_requires_observations():
         bo_step(BoState(problem=problem))
 
 
+def test_step_rejects_a_nan_posterior_stddev(monkeypatch):
+    # the integral runs from the front's plan and does not check stddevs, so bo_step does
+    problem = synthetic_problem("sphere2", resolution=4)
+    state = BoState(problem=problem, observed=[0, 5, 15])
+    posterior = ehvi.bo.gp_posterior_batch
+
+    def nan_stddev(gp, design):
+        means, stds = posterior(gp, design)
+        stds[1, 0] = np.nan
+        return means, stds
+
+    monkeypatch.setattr(ehvi.bo, "gp_posterior_batch", nan_stddev)
+    with pytest.raises(ParameterError, match="stddev"):
+        bo_step(state)
+    assert state.observed == [0, 5, 15]
+
+
 def test_argmax_breaks_ties_toward_lowest_index():
     # candidates 0 and 1 mirror each other, so their EHVI scores coincide
     design = np.array([[0.0], [2.0], [1.0]])

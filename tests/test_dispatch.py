@@ -78,7 +78,7 @@ def test_boxes_counts_the_boxes_integrated(m):
 
 @pytest.mark.parametrize("algorithm", ["sweep", "wfg"])
 def test_batch_decomposes_the_front_once(monkeypatch, algorithm):
-    producer = f"{algorithm}_boxes"
+    producer = {"sweep": "sweep_plan", "wfg": "wfg_boxes"}[algorithm]  # sweep integrates the kept plan
     decompose = getattr(dispatch, producer)
     calls = []
     monkeypatch.setattr(dispatch, producer, lambda *args: calls.append(args) or decompose(*args))

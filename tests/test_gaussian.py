@@ -165,10 +165,10 @@ def test_integrate_boxes_worked_examples():
 
 
 def _count_blocks(patch):
-    """Patch integrate_boxes' psi to count its calls, one per block; returns the running count."""
+    """Patch integrate_boxes' psi kernel to count its calls, one per block; returns the running count."""
     calls = []
-    real = ehvi.gaussian.psi
-    patch.setattr(ehvi.gaussian, "psi", lambda *args: calls.append(1) or real(*args))
+    real = ehvi.gaussian._psi
+    patch.setattr(ehvi.gaussian, "_psi", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
 
 

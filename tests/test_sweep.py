@@ -22,10 +22,11 @@ from ehvi import (
     hypervolume_improvement,
 )
 from ehvi.core import Front, rank_form
-from ehvi.gaussian import integrate_boxes
+from ehvi.gaussian import integrate_boxes, integration_plan
 from ehvi.grid import grid_decompose
 from ehvi.sweep import sweep_boxes
-from helpers import lattice_front, min_front, random_front
+from ehvi.wfg import wfg_boxes
+from helpers import box_decomposition, lattice_front, min_front, random_front
 from oracles import wfg_volume
 
 SIZES = {2: 12, 4: 10, 5: 8, 6: 6}
@@ -188,6 +189,60 @@ def test_front_is_decomposed_once(monkeypatch, m):
     for array in sweep_boxes(front):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
+
+
+def _expected_open_below(front):
+    """Axis 1 at m = 2 and 3; the m >= 4 sweep's last split axis, order[m-2], which no piece raises."""
+    if front.m <= 3:
+        return (1,)
+    ranks = rank_form(front.coords, front.reference)[1]
+    return (int((ranks.sum(axis=1) @ ranks).argsort(kind="stable")[front.m - 2]),)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_kept_plan_invariants(m):
+    """The plan a Front keeps: one open-below axis, contiguous read-only rows of the boxes, reused."""
+    for front in (random_front(m, 3 * SIZES.get(m, 10), 50 + m), lattice_front(m, 1, 12)):
+        boxes = sweep_boxes(front)
+        plan = ehvi.sweep.sweep_plan(front)
+        assert plan is front._plan and ehvi.sweep.sweep_plan(front) is plan
+        compute_ehvi(front, GaussianBelief((-1.0,) * m, (1.0,) * m))
+        assert front._plan is plan and front._boxes is boxes  # a second call reuses both
+        assert plan.open_below == _expected_open_below(front), m
+        assert (boxes.lower[:, plan.open_below] == 0).all() and np.isneginf(boxes.breaks[:, 0]).all()
+        assert plan.first == 1 and np.array_equal(plan.breaks[:, :, 0], boxes.breaks[:, 1:])
+        assert plan.count == len(boxes.lower)
+        for j in range(m):
+            rows = [plan.upper[j]] + ([] if j in plan.open_below else [plan.lower[j]])
+            for row, want in zip(rows, (boxes.upper[:, j], boxes.lower[:, j])):
+                assert row.flags.c_contiguous and not row.flags.writeable
+                assert np.array_equal(row, want)
+
+
+def test_plan_of_finite_first_breakpoints_is_not_open_below():
+    inf = math.inf
+    for lower, open_below in [((0.0, 0.0), ()), ((-inf, 0.0), (0,)), ((0.0, -inf), (1,)), ((-inf, -inf), (0, 1))]:
+        plan = integration_plan(box_decomposition([(lower, (1.0, 1.5))]))
+        assert plan.open_below == open_below, lower
+        assert plan.first == int(open_below == (0, 1))
+    # grid cells start at -inf on every axis, but some cell starts above it on each
+    front = random_front(3, 6, 2)
+    cells = grid_decompose(front)
+    assert np.isneginf(cells.breaks[:, 0]).all() and integration_plan(cells).open_below == ()
+    # wfg's boxes all end at the reference: upper stays one entry per axis
+    boxes, signs = wfg_boxes(front.coords, front.reference)
+    plan = integration_plan(boxes, signs)
+    assert plan.open_below == () and all(row.tolist() == [front.n + 1] for row in plan.upper)
+    assert np.array_equal(np.stack(plan.lower), boxes.lower.T) and plan.signs is signs
+
+
+def test_refused_front_keeps_neither_boxes_nor_plan(monkeypatch):
+    front = random_front(4, 8, 4)
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", len(sweep_boxes(front).lower) - 1)
+    fresh = Front(front.frame, front.points)
+    with pytest.raises(ParameterError, match="budget"):
+        ehvi.sweep.sweep_plan(fresh)
+    assert fresh._boxes is None and fresh._plan is None
 
 
 @pytest.mark.skipif(np.dtype(np.intp) != np.dtype("<i8"), reason="the digests hash 64-bit little-endian ranks")

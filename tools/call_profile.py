@@ -16,8 +16,10 @@ repeat:
   after the first call, so this is the cost per belief of a decomposed front;
 - rank_form on Front.coords, as the m >= 3 decompositions call it;
 - sweep_boxes on a fresh Front;
-- integrate_boxes(boxes, [mean], [stddev]) over the front's sweep boxes;
-- psi on the breakpoints (all but the first -inf column) for the belief;
+- integrate_boxes(plan, [mean], [stddev]) on the integration plan the front
+  keeps beside its sweep boxes (sweep_plan), as compute_ehvi calls it;
+- psi's unchecked kernel gaussian._psi on the breakpoints (all but the
+  first -inf column) for the belief, as integrate_boxes calls it;
 
 and the number of sweep boxes. The fresh Fronts are built outside the timed
 interval. BLAS is pinned to one thread and ehvi is imported from --src
@@ -26,7 +28,10 @@ interval. BLAS is pinned to one thread and ehvi is imported from --src
     python3 tools/call_profile.py --src /path/to/other/checkout/src
 
 profiles another revision with the same fronts. A revision whose Front has
-no coords array gets rank_form timed on its point tuples, as it used them.
+no coords array gets rank_form timed on its point tuples, as it used them;
+one with no sweep_plan gets integrate_boxes timed on the sweep boxes
+themselves, and one with no _psi gets psi, which checks sigma: each as that
+revision's compute_ehvi called them.
 """
 
 from __future__ import annotations
@@ -73,7 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     ehvi = SimpleNamespace(**{name: importlib.import_module(f"ehvi.{name}")
                               for name in ("bench", "bo", "core", "dispatch", "gaussian", "sweep")})
     compute, rank_form, Front = ehvi.dispatch.compute_ehvi, ehvi.core.rank_form, ehvi.core.Front
-    sweep_boxes, integrate_boxes, psi = ehvi.sweep.sweep_boxes, ehvi.gaussian.integrate_boxes, ehvi.gaussian.psi
+    sweep_boxes, integrate_boxes = ehvi.sweep.sweep_boxes, ehvi.gaussian.integrate_boxes
+    sweep_plan = getattr(ehvi.sweep, "sweep_plan", sweep_boxes)
+    psi = getattr(ehvi.gaussian, "_psi", ehvi.gaussian.psi)
 
     shapes: dict = {}
     for s in make_inputs(ehvi, SEED).score:
@@ -83,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     for shape, (front, beliefs) in shapes.items():
         k, r = len(beliefs), REPEATS
         points = getattr(front, "coords", front.points)
-        boxes = sweep_boxes(front)
+        boxes, plan = sweep_boxes(front), sweep_plan(front)
         rows = [(b.mean, b.stddev) for b in beliefs]
         cols = [(np.array(mu)[:, None, None], np.array(sd)[:, None, None]) for mu, sd in rows]
         breaks = boxes.breaks[:, 1:, None]
@@ -96,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             _best_us(lambda _: [compute(front, b) for b in beliefs], k, r),
             _best_us(lambda _: [rank_form(points, front.reference) for _ in beliefs], k, r),
             _best_us(lambda fronts: [sweep_boxes(f) for f in fronts], k, r, fresh),
-            _best_us(lambda _: [integrate_boxes(boxes, [mu], [sd]) for mu, sd in rows], k, r),
+            _best_us(lambda _: [integrate_boxes(plan, [mu], [sd]) for mu, sd in rows], k, r),
             _best_us(lambda _: [psi(breaks, mu, sd) for mu, sd in cols], k, r),
         )
         print(f"{shape:<9}" + "".join(f"{t:>16.1f}" for t in times) + f"{len(boxes.lower):>16}")
