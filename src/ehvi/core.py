@@ -104,7 +104,7 @@ class Front:
     _plan are unset until sweep.sweep_boxes first decomposes the front,
     which then keeps its read-only boxes and their gaussian.IntegrationPlan
     here for the front's lifetime: the boxes' index arrays take 16 m bytes
-    per box and the plan's index rows up to 16 m more, about 168 MB at the
+    per box and the plan's flat index arrays 16 m more, about 168 MB at the
     sweep's 2^19-box budget at m = 10. None of them takes part in == or hash.
     """
 
@@ -253,40 +253,43 @@ class BoxDecomposition(NamedTuple):
 def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Front:
     """Convert points to the internal convention and check every Front invariant.
 
-    The finiteness, negation and reference-bound checks are numpy passes
-    over the (n, m) array; each error names the first offending point in
-    input order, in user coordinates.
+    The points become one (n, m) float array, and the finiteness, negation
+    and reference-bound checks are numpy passes over it; each error names
+    the first offending point in input order, in user coordinates.
     """
-    raw = [as_vector(p) for p in points]
-    # the points before the first one of another length make an (n, m) array
-    n = next((k for k, p in enumerate(raw) if len(p) != frame.m), len(raw))
-    coords = np.array(raw[:n], dtype=float).reshape(n, frame.m)
-    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-    if bad.size:
-        raise InvalidFrontError(f"point {raw[bad[0]]} has non-finite coordinates")
-    if n < len(raw):
-        raise DimensionError(f"point {raw[n]} has {len(raw[n])} coordinates, expected m={frame.m}")
-    internal = raw
-    if frame.orientation is Orientation.MAXIMIZE:
-        coords = -coords
-        internal = list(map(tuple, coords.tolist()))
+    try:
+        user = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, an iterator, or a coordinate numpy refuses
+        user = None
+    if user is None or user.shape != (len(points), frame.m) or not np.isfinite(user).all():
+        # point by point, for float()'s errors (numpy reads None as nan) and the first point of another length
+        raw = [as_vector(p) for p in points]
+        n = next((k for k, p in enumerate(raw) if len(p) != frame.m), len(raw))
+        user = np.array(raw[:n], dtype=float).reshape(n, frame.m)
+        bad = np.flatnonzero(~np.isfinite(user).all(axis=1))
+        if bad.size:
+            raise InvalidFrontError(f"point {raw[bad[0]]} has non-finite coordinates")
+        if n < len(raw):
+            raise DimensionError(f"point {raw[n]} has {len(raw[n])} coordinates, expected m={frame.m}")
+    coords = -user if frame.orientation is Orientation.MAXIMIZE else user
     bad = np.flatnonzero(~(coords < frame.internal_reference).all(axis=1))
     if bad.size:
         raise ReferenceBoundError(
-            f"point {raw[bad[0]]} is not strictly inside the reference bound {frame.reference}"
+            f"point {tuple(user[bad[0]].tolist())} is not strictly inside the reference bound {frame.reference}"
         )
+    internal = list(map(tuple, coords.tolist()))
     # lex order puts copies next to each other and every dominator first
     order = sorted(range(len(internal)), key=internal.__getitem__)
     pts = [internal[i] for i in order]
     for k in range(1, len(pts)):
         if pts[k - 1] == pts[k]:
-            raise InvalidFrontError(f"duplicate points: {raw[order[k - 1]]} and {raw[order[k]]}")
+            a, b = user[order[k - 1 : k + 1]].tolist()
+            raise InvalidFrontError(f"duplicate points: {tuple(a)} and {tuple(b)}")
     kept = nondominated_sorted(pts)
     if len(kept) < len(pts):
         # kept is a subsequence of pts, so the first mismatch is the first point dropped
         k = next(k for k, p in enumerate(kept + [None]) if p is not pts[k])
         d = next(d for d in range(k) if all(x <= y for x, y in zip(pts[d], pts[k])))
-        raise InvalidFrontError(
-            f"front is not mutually nondominated: {raw[order[d]]} dominates {raw[order[k]]}"
-        )
+        a, b = user[[order[d], order[k]]].tolist()
+        raise InvalidFrontError(f"front is not mutually nondominated: {tuple(a)} dominates {tuple(b)}")
     return Front(frame=frame, points=tuple(internal))

@@ -10,8 +10,8 @@ box corner factorizes over objectives, so the integral of that probability
 over a half-open box is a product of per-axis psi differences, and
 integrate_boxes sums it over the boxes of a decomposition for a batch of
 beliefs at once. It reads the decomposition's IntegrationPlan, made once
-(a Front keeps its sweep boxes' plan), so no call tests the breakpoints or
-copies index arrays, and an open-below axis takes psi(upper) as its factor.
+(a Front keeps its sweep boxes' plan): flat index arrays into one psi table
+of all axes, so no call tests the breakpoints or copies index arrays.
 Stddevs are checked where beliefs enter (GaussianBelief,
 compute_ehvi_batch, bo_step), not again in the kernel.
 
@@ -39,9 +39,10 @@ import numpy as np
 from .core import BoxDecomposition, Vector, as_vector
 from .errors import DimensionError, ParameterError
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# psi's constants are 0-d arrays, which ufuncs take without converting a float
+_ZERO, _MINUS_HALF, _INV_SQRT_2PI = np.array(0.0), np.array(-0.5), np.array(1.0 / math.sqrt(2.0 * math.pi))
 # |t| beyond which exp(-t**2 / 2) underflows: clamped there, g(inf) is exactly 0
-_X_MAX = 40.0
+_X_MAX = np.array(40.0)
 # h = P / R on [0, _X_MAX], lowest degree first, from tools/fit_psi_rational.py
 _H_NUM = (1.0, 1.2890640760678707, 0.8443212378454432, 0.3586378651208238, 0.1074908225529906,
           0.023432130664177972, 0.003710052035821059, 0.0004126075641151957, 2.948506147899126e-05,
@@ -57,6 +58,12 @@ _H_DEN = (1.0, 2.5423782133833814, 3.030719795081328, 2.241360685818707, 1.14576
 # 2^14, 0.90 ms at 2^13, 0.87 ms at 2^15 and 1.12 ms in one 2^20 block, and
 # 2^15 already page-faulted about 110 times a step where 2^14 did not.
 _BLOCK = 1 << 14
+# Most elements of a block's two gathered (axes, boxes, beliefs) bound arrays
+# for which integrate_boxes gathers all axes at once; wider blocks (BO batches)
+# go an axis at a time, so that their temporaries stay under _BLOCK's bound.
+_GATHER = 1 << 14
+# rational_h's Horner coefficients, highest degree first
+_HORNER = tuple(tuple(map(np.array, coeffs[::-1])) for coeffs in (_H_NUM, _H_DEN))
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,13 @@ class GaussianBelief:
 
 def rational_h(x: np.ndarray) -> np.ndarray:
     """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX], P and R by Horner's rule."""
-    p, r = np.full(x.shape, _H_NUM[-1]), np.full(x.shape, _H_DEN[-1])
-    for acc, coeffs in ((p, _H_NUM), (r, _H_DEN)):
-        for c in coeffs[-2::-1]:
-            acc *= x
-            acc += c
-    return np.divide(p, r, out=p)
+    p, r = (np.multiply(x, coeffs[0], np.empty(x.shape)) for coeffs in _HORNER)
+    for acc, coeffs in zip((p, r), _HORNER):
+        np.add(acc, coeffs[1], acc)
+        for c in coeffs[2:]:
+            np.multiply(acc, x, acc)
+            np.add(acc, c, acc)
+    return np.divide(p, r, p)
 
 
 def psi(a, mu, sigma):
@@ -108,72 +116,59 @@ def psi(a, mu, sigma):
 
 def _psi(a, mu, sigma, out=None):
     """psi without the check of sigma, into out if given: the kernel integrate_boxes calls."""
-    # d and x are reused in place: on belief batches fresh temporaries cost
-    # about as much as the arithmetic
-    shape = np.broadcast(a, mu, sigma).shape
-    d = np.subtract(a, mu, out=np.empty(shape))
-    x = np.abs(d, out=np.empty(shape))
+    # d and x are reused in place (fresh temporaries cost about as much as the
+    # arithmetic); outputs go positionally, but for np.maximum and np.minimum
+    shape = np.broadcast(a, mu, sigma).shape if out is None else out.shape
+    d = np.subtract(a, mu, np.empty(shape))
+    x = np.abs(d, np.empty(shape))
     # a subnormal sigma overflows the ratio to inf, which the clamp mends
     with np.errstate(over="ignore"):
-        x /= sigma
+        np.divide(x, sigma, x)
     np.minimum(x, _X_MAX, out=x)
     g = rational_h(x)
-    np.square(x, out=x)
-    x *= -0.5
-    g *= np.exp(x, out=x)
-    g *= sigma * _INV_SQRT_2PI
-    return np.add(g, np.maximum(d, 0.0, out=d), out=g if out is None else out)
+    np.square(x, x)
+    np.multiply(x, _MINUS_HALF, x)
+    np.multiply(g, np.exp(x, x), g)
+    np.multiply(g, np.multiply(sigma, _INV_SQRT_2PI), g)
+    return np.add(g, np.maximum(d, _ZERO, out=d), g if out is None else out)
 
 
 class IntegrationPlan(NamedTuple):
     """What integrate_boxes reads of a decomposition, none of it depending on a belief.
 
     breaks are the (m, width - first, 1) breakpoints that need psi, first
-    being 1 when column 0 is -inf on every axis. lower and upper hold one
-    contiguous index row per axis; an upper row is one entry long where
-    every box ends at the same breakpoint (wfg's, at the reference). A lower
-    row is None on an open-below axis, where every box starts at a -inf
-    first breakpoint: psi(-inf) is 0 and psi >= 0, so the factor is
-    psi(upper) as it stands.
+    being 1 when column 0 is -inf on every axis. lower and upper are
+    C-contiguous (m, boxes) indices into the flat (m * width, beliefs) psi
+    table: row j is the boxes' column j plus j * width. upper is (m, 1)
+    where every box ends at one breakpoint (wfg's, at the reference). An
+    axis where every box starts at -inf indexes that row, whose psi is
+    exactly 0, so the factor psi(upper) - 0 is exact.
     """
 
     breaks: np.ndarray
     first: int
-    lower: tuple
-    upper: tuple
+    lower: np.ndarray
+    upper: np.ndarray
     signs: np.ndarray | None
     count: int
 
-    @property
-    def open_below(self) -> tuple[int, ...]:
-        return tuple(j for j, row in enumerate(self.lower) if row is None)
-
 
 def integration_plan(boxes: BoxDecomposition, signs=None) -> IntegrationPlan:
-    """The plan of a decomposition, box b taken with signs[b] (+1 or -1) if given.
-
-    lower is copied once, a broadcast upper not at all.
-    """
+    """The plan of a decomposition, box b taken with signs[b] (+1 or -1) if given."""
     breaks, count = boxes.breaks, len(boxes.lower)
-    neginf = breaks[:, 0] == -np.inf if breaks.shape[1] else np.zeros(len(breaks), dtype=bool)
-    first = int(neginf.all())
-    lower, upper = np.ascontiguousarray(boxes.lower.T), boxes.upper.T
-    upper = upper[:, :1] if count and not upper.strides[1] else np.ascontiguousarray(upper)
-    open_below = neginf & ~lower.any(axis=1) & (upper.shape[1] == count)
-    lower = tuple(None if o else row for o, row in zip(open_below.tolist(), lower))
-    return IntegrationPlan(np.ascontiguousarray(breaks[:, first:, None]), first, lower, tuple(upper), signs, count)
+    m, width = breaks.shape
+    first = int(width > 0 and np.isneginf(breaks[:, 0]).all())
+    offsets = np.arange(m)[:, None] * width
+    upper = boxes.upper[:1].T if count and not boxes.upper.strides[0] else boxes.upper.T
+    lower, upper = (np.add(a, offsets, order="C") for a in (boxes.lower.T, upper))
+    return IntegrationPlan(np.ascontiguousarray(breaks[:, first:, None]), first, lower, upper, signs, count)
 
 
-def _factors(p: np.ndarray, plan: IntegrationPlan):
-    """Per axis j, the (boxes, beliefs) factors max(p[j][upper] - p[j][lower], 0), or p[j][upper] if open below."""
-    for pj, lo, up in zip(p, plan.lower, plan.upper):
-        f = pj.take(up, axis=0)
-        if lo is not None:
-            g = pj.take(lo, axis=0)
-            # in place in f, or in g where f is the one entry of a broadcast upper row
-            f = np.subtract(f, g, out=f if len(f) == len(g) else g)
-            np.maximum(f, 0.0, out=f)
-        yield f
+def _gather(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The box factors max(p[upper] - p[lower], 0) of the flat psi table p, for index arrays of any shape."""
+    f = p.take(lower, axis=0)
+    np.subtract(p.take(upper, axis=0), f, f)
+    return np.maximum(f, _ZERO, out=f)
 
 
 def check_beliefs(means, stds, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +197,21 @@ def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> n
     the library's backends (sweep.sweep_plan keeps one on a Front), whose
     callers have checked the beliefs where they entered: GaussianBelief,
     compute_ehvi_batch and bo_step. psi is evaluated once per breakpoint and
-    belief, and each box contributes the product of its per-axis factors.
-    Returns the q sums.
+    belief, and each box contributes the product of its per-axis factors,
+    multiplied from axis 0 to axis m-1. Returns the q sums.
 
     The beliefs go in blocks of about _BLOCK elements, evenly filled, so a
     block's temporaries stay cache-sized and glibc reuses them from its
     heap, where one block for a whole BO batch had its (boxes, m, q)
-    temporaries page-faulted back in on every step. Without signs, a block
-    of one belief sums its boxes pairwise, wider blocks in box order, so a
-    value can depend on the blocking in its last digits (up to 1.8e-14
-    relative on q = 1000 batches of 21163 boxes). A signed sum cancels, so
-    each belief's terms are summed exactly (math.fsum) and rounded once,
-    whatever the blocking, unless fsum meets inf - inf or a partial sum past
-    the float range; the plain sum then stands.
+    temporaries page-faulted back in on every step. A block gathers all
+    axes' factors at once while they fit in _GATHER elements, else one axis
+    at a time; the bits are the same. Without signs, a block of one belief
+    sums its boxes pairwise, wider blocks in box order, so a value can
+    depend on the blocking in its last digits (up to 1.8e-14 relative on
+    q = 1000 batches of 21163 boxes). A signed sum cancels, so each belief's
+    terms are summed exactly (math.fsum) and rounded once, whatever the
+    blocking, unless fsum meets inf - inf or a partial sum past the float
+    range; the plain sum then stands.
     """
     if not isinstance(boxes, IntegrationPlan):
         means, stds = check_beliefs(means, stds, len(boxes.breaks))
@@ -228,24 +225,25 @@ def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> n
     blocks = min(q, -(-q * (count + m * width) // _BLOCK))
     edges = [q * i // blocks for i in range(blocks + 1)]  # blocks of even size
     for s, e in zip(edges, edges[1:]):
-        # the psi table is (axes, breakpoints, beliefs): a box corner is one
-        # row of its axis, and a block's beliefs stay contiguous
+        # the psi table is (axes, breakpoints, beliefs), a block's beliefs contiguous
         p = np.empty((m, width, e - s))
         p[:, :first] = 0.0
         _psi(plan.breaks, means[s:e].T[:, None], stds[s:e].T[:, None], out=p[:, first:])
-        factors = _factors(p, plan)
-        volume = next(factors)
+        p = p.reshape(m * width, e - s)
         # overflowing products are inf and signed sums of infs nan: ehvi compute exits 2
         with np.errstate(invalid="ignore", over="ignore"):
-            for f in factors:
-                volume *= f
+            if 2 * m * count * (e - s) <= _GATHER:
+                volume = np.multiply.reduce(_gather(p, plan.lower, plan.upper), axis=0)
+            else:
+                volume = _gather(p, plan.lower[0], plan.upper[0])
+                for lo, up in zip(plan.lower[1:], plan.upper[1:]):
+                    volume *= _gather(p, lo, up)
             if plan.signs is not None:
                 volume *= plan.signs[:, None]
             total = volume.sum(axis=0)
             if np.isnan(total).any():
-                # a zero factor zeroes the box even when another factor
-                # overflowed to inf (inf * 0 is nan)
-                nonzero = np.logical_and.reduce([f != 0.0 for f in _factors(p, plan)])
+                # a zero factor zeroes the box even beside an inf one (inf * 0 is nan)
+                nonzero = np.logical_and.reduce([_gather(p, *rows) != 0.0 for rows in zip(plan.lower, plan.upper)])
                 volume = np.where(nonzero, volume, 0.0)
                 total = volume.sum(axis=0)
         if plan.signs is not None:

@@ -154,9 +154,8 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
         else:
             boxes = _sweep_boxes(front)
         plan = integration_plan(boxes)
-        for a in (*boxes, plan.breaks, *plan.lower, *plan.upper):
-            if a is not None:
-                a.flags.writeable = False
+        for a in (*boxes, plan.breaks, plan.lower, plan.upper):
+            a.flags.writeable = False
         object.__setattr__(front, "_plan", plan)
         object.__setattr__(front, "_boxes", boxes)
     return front._boxes

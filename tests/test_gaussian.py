@@ -7,8 +7,8 @@ import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
 import ehvi.gaussian
-from ehvi.gaussian import integrate_boxes, rational_h
-from ehvi.sweep import sweep_boxes
+from ehvi.gaussian import integrate_boxes, integration_plan, rational_h
+from ehvi.sweep import sweep_boxes, sweep_plan
 from ehvi.wfg import wfg_boxes
 from helpers import box_decomposition, box_sum, min_front, random_front
 from oracles import (
@@ -225,6 +225,52 @@ def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypat
         assert np.isfinite(finite).all()
         np.testing.assert_allclose(batch[1::3], finite[0], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(batch[2::3], finite[1], rtol=1e-13, atol=0.0)
+
+
+def _integrals_in_one_order(patch, gather, plan, means, stds):
+    """integrate_boxes on the plan with _GATHER set to gather, as one batch and one belief at a time.
+
+    Also returns the ndim of every lower index array gathered: 2 when a
+    block gathers all axes at once, 1 when it goes one axis at a time.
+    """
+    patch.setattr(ehvi.gaussian, "_GATHER", gather)
+    ndims = []
+    real = ehvi.gaussian._gather
+    patch.setattr(ehvi.gaussian, "_gather", lambda p, lo, up: ndims.append(lo.ndim) or real(p, lo, up))
+    batch = integrate_boxes(plan, means, stds).tolist()
+    single = [integrate_boxes(plan, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
+    return batch, single, set(ndims)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_all_axes_and_one_axis_orders_give_the_same_bits(monkeypatch, m):
+    # unsigned sweep plans and signed wfg plans, beliefs in and far behind
+    # the front, and the overflowing fronts whose inf * 0 products are mended
+    rng = np.random.default_rng(27 + m)
+    front = random_front(m, {2: 40, 3: 40, 4: 20, 5: 10, 6: 8}[m], m)
+    plans = [sweep_plan(front), integration_plan(*wfg_boxes(front.coords, front.reference))]
+    means, stds = -rng.uniform(0.2, 12.0, (40, m)), rng.uniform(0.05, 3.0, (40, m))
+    cases = [(plan, means, stds) for plan in plans]
+    if m <= 4:
+        points = [
+            [(-1.0, -2.0), (-2.0, -1.0)],
+            [(-1.0, -2.0, -3.0), (-3.0, -1.0, -2.0)],
+            [(-1.0, -2.0, -3.0, -4.0), (-4.0, -3.0, -1.0, -2.0), (-2.0, -4.0, -1.0, -3.0)],
+        ][m - 2]
+        overflowing = min_front((0.0,) * m, points)
+        boxes, signs = wfg_boxes(overflowing.coords, overflowing.reference)
+        means = np.tile([[-1e308] * m, [-1.5] * m], (3, 1))
+        stds = np.tile([[1e308] * m, [1.0] * m], (3, 1))
+        cases += [(plan, means, stds) for plan in (sweep_plan(overflowing), integration_plan(boxes, signs))]
+    for plan, means, stds in cases:
+        with monkeypatch.context() as patch:
+            *all_axes, ndims = _integrals_in_one_order(patch, 1 << 60, plan, means, stds)
+            assert 2 in ndims  # the inf * 0 repair gathers one axis at a time in either order
+            *one_axis, ndims = _integrals_in_one_order(patch, 0, plan, means, stds)
+            assert ndims == {1}
+        assert all_axes == one_axis, (m, plan.signs is None)
+        if means[0, 0] == -1e308 and plan.signs is None:
+            assert all_axes[0][0] == math.inf and all_axes[1][0] == math.inf
 
 
 def test_integrate_boxes_psi_on_finite_first_breakpoints():

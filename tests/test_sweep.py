@@ -199,41 +199,63 @@ def _expected_open_below(front):
     return (int((ranks.sum(axis=1) @ ranks).argsort(kind="stable")[front.m - 2]),)
 
 
+def _flat_breaks(plan):
+    """The breakpoint behind each row of the flat psi table: -inf in the first columns, whose psi is 0, then plan.breaks."""
+    m = len(plan.breaks)
+    return np.hstack([np.full((m, plan.first), -math.inf), plan.breaks[:, :, 0]]).ravel()
+
+
+def _open_below(plan):
+    """The axes on which every box's lower index is that axis's -inf row of the flat psi table."""
+    return tuple(np.flatnonzero(np.isneginf(_flat_breaks(plan)[plan.lower]).all(axis=1)).tolist())
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_kept_plan_invariants(m):
-    """The plan a Front keeps: one open-below axis, contiguous read-only rows of the boxes, reused."""
+    """The plan a Front keeps: the boxes' columns offset into the flat psi table, contiguous, read-only, reused."""
     for front in (random_front(m, 3 * SIZES.get(m, 10), 50 + m), lattice_front(m, 1, 12)):
         boxes = sweep_boxes(front)
         plan = ehvi.sweep.sweep_plan(front)
         assert plan is front._plan and ehvi.sweep.sweep_plan(front) is plan
         compute_ehvi(front, GaussianBelief((-1.0,) * m, (1.0,) * m))
         assert front._plan is plan and front._boxes is boxes  # a second call reuses both
-        assert plan.open_below == _expected_open_below(front), m
-        assert (boxes.lower[:, plan.open_below] == 0).all() and np.isneginf(boxes.breaks[:, 0]).all()
+        width = boxes.breaks.shape[1]
         assert plan.first == 1 and np.array_equal(plan.breaks[:, :, 0], boxes.breaks[:, 1:])
-        assert plan.count == len(boxes.lower)
-        for j in range(m):
-            rows = [plan.upper[j]] + ([] if j in plan.open_below else [plan.lower[j]])
-            for row, want in zip(rows, (boxes.upper[:, j], boxes.lower[:, j])):
-                assert row.flags.c_contiguous and not row.flags.writeable
-                assert np.array_equal(row, want)
+        assert plan.count == len(boxes.lower) and plan.signs is None
+        for rows, columns in ((plan.lower, boxes.lower), (plan.upper, boxes.upper)):
+            assert rows.shape == (m, plan.count) and rows.flags.c_contiguous and not rows.flags.writeable
+            assert np.array_equal(rows, columns.T + np.arange(m)[:, None] * width)
+        # the one open-below axis indexes its -inf row, the first of the axis
+        assert _open_below(plan) == _expected_open_below(front), m
+        (j,) = _open_below(plan)
+        assert (plan.lower[j] == j * width).all() and np.isneginf(boxes.breaks[:, 0]).all()
+        assert np.array_equal(_flat_breaks(plan).reshape(m, width), boxes.breaks)
 
 
 def test_plan_of_finite_first_breakpoints_is_not_open_below():
     inf = math.inf
     for lower, open_below in [((0.0, 0.0), ()), ((-inf, 0.0), (0,)), ((0.0, -inf), (1,)), ((-inf, -inf), (0, 1))]:
-        plan = integration_plan(box_decomposition([(lower, (1.0, 1.5))]))
-        assert plan.open_below == open_below, lower
+        boxes = box_decomposition([(lower, (1.0, 1.5))])
+        plan = integration_plan(boxes)
         assert plan.first == int(open_below == (0, 1))
+        # a finite first breakpoint gets its psi; a -inf one is the 0 row
+        assert _open_below(plan) == open_below, lower
+        width = boxes.breaks.shape[1]
+        assert plan.lower.tolist() == [[0], [width]] and plan.upper.tolist() == [[1], [width + 1]]
+        assert _flat_breaks(plan)[plan.lower[:, 0]].tolist() == list(lower)
     # grid cells start at -inf on every axis, but some cell starts above it on each
     front = random_front(3, 6, 2)
     cells = grid_decompose(front)
-    assert np.isneginf(cells.breaks[:, 0]).all() and integration_plan(cells).open_below == ()
+    plan = integration_plan(cells)
+    assert np.isneginf(cells.breaks[:, 0]).all() and plan.first == 1 and _open_below(plan) == ()
     # wfg's boxes all end at the reference: upper stays one entry per axis
     boxes, signs = wfg_boxes(front.coords, front.reference)
     plan = integration_plan(boxes, signs)
-    assert plan.open_below == () and all(row.tolist() == [front.n + 1] for row in plan.upper)
-    assert np.array_equal(np.stack(plan.lower), boxes.lower.T) and plan.signs is signs
+    width = boxes.breaks.shape[1]
+    assert _open_below(plan) == () and plan.count == len(boxes.lower)
+    assert plan.upper.tolist() == [[j * width + front.n + 1] for j in range(3)]
+    assert plan.lower.flags.c_contiguous and np.array_equal(plan.lower, boxes.lower.T + np.arange(3)[:, None] * width)
+    assert plan.signs is signs
 
 
 def test_refused_front_keeps_neither_boxes_nor_plan(monkeypatch):
