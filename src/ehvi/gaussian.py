@@ -50,6 +50,7 @@ _H_NUM = (1.0, 1.2890640760678707, 0.8443212378454432, 0.3586378651208238, 0.107
 _H_DEN = (1.0, 2.5423782133833814, 3.030719795081328, 2.241360685818707, 1.145766007071475,
           0.42650302517374467, 0.1184440539045065, 0.024663655644703634, 0.0037985072086227116,
           0.00041575666039234046, 2.94850614770901e-05, 1.0496986952377794e-06)
+_HORNER = tuple(tuple(map(np.array, c[::-1])) for c in (_H_NUM, _H_DEN))  # 0-d, highest degree first
 # Elements per block of integrate_boxes, counted per belief as boxes plus
 # psi-table entries (axes x breakpoints), so no temporary of a block passes
 # 128 KiB (glibc's default mmap threshold) unless one belief alone needs
@@ -62,8 +63,6 @@ _BLOCK = 1 << 14
 # for which integrate_boxes gathers all axes at once; wider blocks (BO batches)
 # go an axis at a time, so that their temporaries stay under _BLOCK's bound.
 _GATHER = 1 << 14
-# rational_h's Horner coefficients, highest degree first
-_HORNER = tuple(tuple(map(np.array, coeffs[::-1])) for coeffs in (_H_NUM, _H_DEN))
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ def psi(a, mu, sigma):
 def _psi(a, mu, sigma, out=None):
     """psi without the check of sigma, into out if given: the kernel integrate_boxes calls."""
     # d and x are reused in place (fresh temporaries cost about as much as the
-    # arithmetic); outputs go positionally, but for np.maximum and np.minimum
+    # arithmetic); outputs go positionally but to np.maximum and np.minimum,
+    # where numpy 2.4 deprecates a third positional argument
     shape = np.broadcast(a, mu, sigma).shape if out is None else out.shape
     d = np.subtract(a, mu, np.empty(shape))
     x = np.abs(d, np.empty(shape))
