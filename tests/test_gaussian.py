@@ -263,11 +263,14 @@ def test_all_axes_and_one_axis_orders_give_the_same_bits(monkeypatch, m):
         stds = np.tile([[1e308] * m, [1.0] * m], (3, 1))
         cases += [(plan, means, stds) for plan in (sweep_plan(overflowing), integration_plan(boxes, signs))]
     for plan, means, stds in cases:
-        with monkeypatch.context() as patch:
-            *all_axes, ndims = _integrals_in_one_order(patch, 1 << 60, plan, means, stds)
-            assert 2 in ndims  # the inf * 0 repair gathers one axis at a time in either order
-            *one_axis, ndims = _integrals_in_one_order(patch, 0, plan, means, stds)
-            assert ndims == {1}
+        orders = []
+        for gather, ndim in ((1 << 60, 2), (0, 1)):
+            with monkeypatch.context() as patch:
+                *integrals, ndims = _integrals_in_one_order(patch, gather, plan, means, stds)
+            # the inf * 0 repair gathers one axis at a time in either order
+            assert ndim in ndims and ndims <= {1, ndim}
+            orders.append(integrals)
+        all_axes, one_axis = orders
         assert all_axes == one_axis, (m, plan.signs is None)
         if means[0, 0] == -1e308 and plan.signs is None:
             assert all_axes[0][0] == math.inf and all_axes[1][0] == math.inf
