@@ -21,7 +21,7 @@ from .core import BoxDecomposition, Front, Orientation, ProblemFrame, Vector, no
 from .errors import CandidatesExhaustedError, ParameterError
 from .gaussian import check_beliefs, integrate_boxes
 from .gp import fit_gp, gp_posterior_batch
-from .sweep import clipped_volumes, hypervolume, sweep_boxes, sweep_plan
+from .sweep import clipped_volumes, hypervolume, sweep_boxes
 
 # EHVI needs a positive stddev; candidates the GP considers fully resolved
 # get this floor instead of 0.
@@ -177,10 +177,10 @@ def bo_step(state: BoState) -> BoRunRecord:
 
     The GP sees the objectives in the front's internal convention, so its
     means are internal too. The posterior is checked once, with the
-    stddevs floored, and every belief is integrated from the plan of the
-    state's sweep boxes, as compute_ehvi_batch would. Ties (and the all-zero case)
-    go to the lowest candidate index. The GP timer covers fit and posterior,
-    the acquisition timer EHVI scoring and the argmax scan.
+    stddevs floored, and every belief is integrated over the sweep boxes
+    the state's front keeps, as compute_ehvi_batch would. Ties (and the
+    all-zero case) go to the lowest candidate index. The GP timer covers fit
+    and posterior, the acquisition timer EHVI scoring and the argmax scan.
     """
     if not state.observed:
         raise ParameterError("bo_step needs at least one prior observation")
@@ -190,7 +190,7 @@ def bo_step(state: BoState) -> BoRunRecord:
         raise CandidatesExhaustedError("every candidate has been queried")
 
     design = problem.candidates.design_points
-    plan = sweep_plan(state.front)  # a front new since the last step is decomposed here, outside both timers
+    boxes = sweep_boxes(state.front)  # a front new since the last step is decomposed here, outside both timers
     sign = -1.0 if problem.frame.orientation is Orientation.MAXIMIZE else 1.0
     seen_f = sign * problem.candidates.objectives[state.observed]
     start = time.perf_counter_ns()
@@ -199,7 +199,7 @@ def bo_step(state: BoState) -> BoRunRecord:
     means, stds = check_beliefs(means, np.maximum(stds, _STDDEV_FLOOR), problem.frame.m)
 
     start = time.perf_counter_ns()
-    scores = integrate_boxes(plan, means, stds)
+    scores = integrate_boxes(boxes, means, stds)
     best_pos = int(np.argmax(scores))  # first index on ties
     elapsed = time.perf_counter_ns() - start
     return _observe(state, int(unexplored[best_pos]), elapsed, gp_elapsed)
@@ -220,7 +220,12 @@ def run_bo(
     n_init: int = 20,
     iterations: int = 100,
 ) -> list[BoRunRecord]:
-    """Random initialization followed by EHVI-driven queries; returns all records."""
+    """Random initialization followed by EHVI-driven queries; returns all records.
+
+    ParameterError, before anything is queried, for a negative iteration count.
+    """
+    if iterations < 0:
+        raise ParameterError(f"iterations must be at least 0, got {iterations}")
     state = BoState(problem=problem)
     _initialize(state, seed, n_init)
     for _ in range(iterations):

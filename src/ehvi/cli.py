@@ -212,10 +212,11 @@ def cmd_bo_demo(args: argparse.Namespace) -> int:
 
     from .bo import DEFAULT_RESOLUTION, run_bo, run_random, synthetic_problem
 
+    if args.seeds < 1:
+        raise ParameterError(f"--seeds must be at least 1, got {args.seeds}")
     resolution = args.resolution or DEFAULT_RESOLUTION.get(args.problem, 16)
     problem = synthetic_problem(args.problem, resolution)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     d = problem.candidates.design_points.shape[1]
     m = problem.frame.m
     bo_runs: list[list[BoRunRecord]] = []
@@ -223,6 +224,7 @@ def cmd_bo_demo(args: argparse.Namespace) -> int:
     for seed in range(args.seeds):
         bo = run_bo(problem, seed, n_init=args.init, iterations=args.iters)
         rnd = run_random(problem, seed, evaluations=args.init + args.iters, n_init=args.init)
+        out_dir.mkdir(parents=True, exist_ok=True)  # after the first run, so a refused one writes nothing
         _write_run_csv(out_dir / f"bo_seed{seed}.csv", seed, bo, d, m)
         _write_run_csv(out_dir / f"random_seed{seed}.csv", seed, rnd, d, m)
         bo_runs.append(bo)

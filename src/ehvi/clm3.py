@@ -76,7 +76,8 @@ def nondominated_boxes(front: Front) -> BoxDecomposition:
         vals[start:end] = [y]
     for t in range(len(births)):  # close every open strip at n+1
         flat += (keys[t], keys[t + 1], vals[t], births[t], top)
-    boxes = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 5)
-    lower = boxes[:, [0, 0, 3]]
-    lower[:, 1] = 0  # every box is open to -inf, breakpoint 0, on axis 2
-    return BoxDecomposition(breaks, lower, boxes[:, [1, 2, 4]])
+    boxes = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 5).T
+    offsets = np.arange(3)[:, None] * (top + 1)  # row j indexes breaks.ravel() from j * (n+2)
+    lower, upper = (np.add(boxes[rows], offsets, order="C") for rows in ([0, 0, 3], [1, 2, 4]))
+    lower[1] = top + 1  # every box is open to -inf on axis 2, breakpoint 0 of row 1
+    return BoxDecomposition(breaks, lower, upper)

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .errors import (
     ReferenceBoundError,
     UnsupportedDimensionError,
 )
-
-if TYPE_CHECKING:
-    from .gaussian import IntegrationPlan
 
 Vector = tuple[float, ...]
 
@@ -100,19 +97,17 @@ class Front:
     Construct through validate_front, which establishes the invariants
     (mutual nondominance, no duplicates, strictly inside the reference bound).
     coords is the same points as a read-only (n, m) float array, built once
-    here so that no decomposition converts the tuples again. _boxes and
-    _plan are unset until sweep.sweep_boxes first decomposes the front,
-    which then keeps its read-only boxes and their gaussian.IntegrationPlan
-    here for the front's lifetime: the boxes' index arrays take 16 m bytes
-    per box and the plan's flat index arrays 16 m more, about 168 MB at the
-    sweep's 2^19-box budget at m = 10. None of them takes part in == or hash.
+    here so that no decomposition converts the tuples again. _boxes is unset
+    until sweep.sweep_boxes first decomposes the front, which then keeps its
+    read-only BoxDecomposition here for the front's lifetime: its lower and
+    upper index rows take 16 m bytes per box, about 84 MB at the sweep's
+    2^19-box budget at m = 10. Neither takes part in == or hash.
     """
 
     frame: ProblemFrame
     points: tuple[Vector, ...]
     coords: np.ndarray = field(init=False, compare=False, repr=False)
     _boxes: BoxDecomposition | None = field(init=False, compare=False, repr=False, default=None)
-    _plan: IntegrationPlan | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         m, n = self.frame.m, len(self.points)
@@ -239,15 +234,22 @@ def rank_form(
 
 
 class BoxDecomposition(NamedTuple):
-    """Disjoint half-open boxes as index arrays into per-axis breakpoints.
+    """Half-open boxes as index rows into the flattened per-axis breakpoints, the layout integrate_boxes reads.
 
-    The breakpoints are rank_form's, or grid's own sorted axes. Box b spans
-    (breaks[j, lower[b, j]], breaks[j, upper[b, j]]] on axis j.
+    breaks is (m, width), rank_form's breakpoints or grid's own sorted axes,
+    with column 0 -inf on every axis. lower and upper are C-contiguous
+    (m, boxes) indices into breaks.ravel(), row j offset by j * width: box
+    b spans (flat[lower[j, b]], flat[upper[j, b]]] on axis j, flat being
+    breaks.ravel(). An axis open below indexes its -inf entry, j * width.
+    upper is (m, 1) where every box ends at one breakpoint (wfg's, at the
+    reference). signs is None for disjoint boxes, else the +1 or -1 each
+    box is taken with (wfg's overlapping ones).
     """
 
-    breaks: np.ndarray  # (m, n+2) float
-    lower: np.ndarray  # (boxes, m) int
-    upper: np.ndarray  # (boxes, m) int
+    breaks: np.ndarray  # (m, width) float
+    lower: np.ndarray  # (m, boxes) int
+    upper: np.ndarray  # (m, boxes) or (m, 1) int
+    signs: np.ndarray | None = None  # (boxes,) float
 
 
 def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Front:

@@ -6,9 +6,9 @@ import numpy as np
 
 from .core import EhviResult, Front
 from .errors import ParameterError
-from .gaussian import GaussianBelief, check_beliefs, integrate_boxes, integration_plan
+from .gaussian import GaussianBelief, check_beliefs, integrate_boxes
 from .grid import ehvi_grid
-from .sweep import ehvi_sweep, sweep_plan
+from .sweep import ehvi_sweep, sweep_boxes
 from .wfg import ehvi_wfg, wfg_boxes
 
 BACKENDS = {
@@ -47,8 +47,7 @@ def compute_ehvi_batch(front: Front, means, stds, algorithm: str = "auto") -> np
     name = resolve_algorithm(algorithm)
     means, stds = check_beliefs(means, stds, front.m)
     if name == "sweep":
-        return integrate_boxes(sweep_plan(front), means, stds)
+        return integrate_boxes(sweep_boxes(front), means, stds)
     if name == "wfg":
-        plan = integration_plan(*wfg_boxes(front.coords, front.reference))
-        return np.maximum(integrate_boxes(plan, means, stds), 0.0)
+        return np.maximum(integrate_boxes(wfg_boxes(front.coords, front.reference), means, stds), 0.0)
     return np.array([ehvi_grid(front, GaussianBelief(mu, sd)).value for mu, sd in zip(means, stds)], dtype=float)

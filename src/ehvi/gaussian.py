@@ -8,12 +8,12 @@ The whole exact-EHVI machinery reduces to one primitive:
 The probability that a Gaussian candidate improves on every coordinate of a
 box corner factorizes over objectives, so the integral of that probability
 over a half-open box is a product of per-axis psi differences, and
-integrate_boxes sums it over the boxes of a decomposition for a batch of
-beliefs at once. It reads the decomposition's IntegrationPlan, made once
-(a Front keeps its sweep boxes' plan): flat index arrays into one psi table
-of all axes, so no call tests the breakpoints or copies index arrays.
-Stddevs are checked where beliefs enter (GaussianBelief,
-compute_ehvi_batch, bo_step), not again in the kernel.
+integrate_boxes sums it over the boxes of a core.BoxDecomposition for a
+batch of beliefs at once. The decomposition's index rows already point into
+one flat psi table of all axes (a Front keeps its sweep decomposition), so
+no call tests the breakpoints or copies index arrays. Beliefs are checked
+where they enter (GaussianBelief, compute_ehvi_batch, bo_step), not again
+in the kernel.
 
 Far below the mean the two terms of the direct formula nearly cancel. psi
 instead uses the reflection identity
@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,37 +132,6 @@ def _psi(a, mu, sigma, out=None):
     return np.add(g, np.maximum(d, _ZERO, out=d), g if out is None else out)
 
 
-class IntegrationPlan(NamedTuple):
-    """What integrate_boxes reads of a decomposition, none of it depending on a belief.
-
-    breaks are the (m, width - first, 1) breakpoints that need psi, first
-    being 1 when column 0 is -inf on every axis. lower and upper are
-    C-contiguous (m, boxes) indices into the flat (m * width, beliefs) psi
-    table: row j is the boxes' column j plus j * width. upper is (m, 1)
-    where every box ends at one breakpoint (wfg's, at the reference). An
-    axis where every box starts at -inf indexes that row, whose psi is
-    exactly 0, so the factor psi(upper) - 0 is exact.
-    """
-
-    breaks: np.ndarray
-    first: int
-    lower: np.ndarray
-    upper: np.ndarray
-    signs: np.ndarray | None
-    count: int
-
-
-def integration_plan(boxes: BoxDecomposition, signs=None) -> IntegrationPlan:
-    """The plan of a decomposition, box b taken with signs[b] (+1 or -1) if given."""
-    breaks, count = boxes.breaks, len(boxes.lower)
-    m, width = breaks.shape
-    first = int(width > 0 and np.isneginf(breaks[:, 0]).all())
-    offsets = np.arange(m)[:, None] * width
-    upper = boxes.upper[:1].T if count and not boxes.upper.strides[0] else boxes.upper.T
-    lower, upper = (np.add(a, offsets, order="C") for a in (boxes.lower.T, upper))
-    return IntegrationPlan(np.ascontiguousarray(breaks[:, first:, None]), first, lower, upper, signs, count)
-
-
 def _gather(p: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The box factors max(p[upper] - p[lower], 0) of the flat psi table p, for index arrays of any shape."""
     f = p.take(lower, axis=0)
@@ -187,17 +155,15 @@ def check_beliefs(means, stds, m: int) -> tuple[np.ndarray, np.ndarray]:
     return means, stds
 
 
-def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> np.ndarray:
-    """Integral over the disjoint boxes of a decomposition for each of q beliefs.
+def integrate_boxes(boxes: BoxDecomposition, means, stds) -> np.ndarray:
+    """Integral over the boxes of a decomposition for each of q beliefs.
 
     means and stds are (q, m), one belief per row, for the decomposition's
-    m. boxes is a BoxDecomposition, whose beliefs check_beliefs checks and
-    which gets a plan for this call with signs[b] (+1 or -1) on box b if
-    given, as for wfg's overlapping boxes; or an IntegrationPlan from one of
-    the library's backends (sweep.sweep_plan keeps one on a Front), whose
-    callers have checked the beliefs where they entered: GaussianBelief,
-    compute_ehvi_batch and bo_step. psi is evaluated once per breakpoint and
-    belief, and each box contributes the product of its per-axis factors,
+    m, checked where they entered the program (check_beliefs). Box b is
+    taken with boxes.signs[b] (+1 or -1) if there are signs, as for wfg's
+    overlapping boxes. psi is evaluated once per finite breakpoint and
+    belief into one flat (m * width, beliefs) table, whose -inf column is
+    0, and each box contributes the product of its per-axis factors,
     multiplied from axis 0 to axis m-1. Returns the q sums.
 
     The beliefs go in blocks of about _BLOCK elements, evenly filled, so a
@@ -213,12 +179,9 @@ def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> n
     blocking, unless fsum meets inf - inf or a partial sum past the float
     range; the plain sum then stands.
     """
-    if not isinstance(boxes, IntegrationPlan):
-        means, stds = check_beliefs(means, stds, len(boxes.breaks))
-        boxes = integration_plan(boxes, signs)
-    plan, means, stds = boxes, np.asarray(means, dtype=float), np.asarray(stds, dtype=float)
-    m, first, q, count = len(plan.lower), plan.first, len(means), plan.count
-    width = first + plan.breaks.shape[1]
+    breaks, lower, upper, signs = boxes
+    means, stds = np.asarray(means, dtype=float), np.asarray(stds, dtype=float)
+    (m, width), count, q = breaks.shape, lower.shape[1], len(means)
     out = np.zeros(q)
     if q == 0 or count == 0:
         return out
@@ -227,26 +190,26 @@ def integrate_boxes(boxes, means: np.ndarray, stds: np.ndarray, signs=None) -> n
     for s, e in zip(edges, edges[1:]):
         # the psi table is (axes, breakpoints, beliefs), a block's beliefs contiguous
         p = np.empty((m, width, e - s))
-        p[:, :first] = 0.0
-        _psi(plan.breaks, means[s:e].T[:, None], stds[s:e].T[:, None], out=p[:, first:])
+        p[:, 0] = 0.0
+        _psi(breaks[:, 1:, None], means[s:e].T[:, None], stds[s:e].T[:, None], out=p[:, 1:])
         p = p.reshape(m * width, e - s)
         # overflowing products are inf and signed sums of infs nan: ehvi compute exits 2
         with np.errstate(invalid="ignore", over="ignore"):
             if 2 * m * count * (e - s) <= _GATHER:
-                volume = np.multiply.reduce(_gather(p, plan.lower, plan.upper), axis=0)
+                volume = np.multiply.reduce(_gather(p, lower, upper), axis=0)
             else:
-                volume = _gather(p, plan.lower[0], plan.upper[0])
-                for lo, up in zip(plan.lower[1:], plan.upper[1:]):
+                volume = _gather(p, lower[0], upper[0])
+                for lo, up in zip(lower[1:], upper[1:]):
                     volume *= _gather(p, lo, up)
-            if plan.signs is not None:
-                volume *= plan.signs[:, None]
+            if signs is not None:
+                volume *= signs[:, None]
             total = volume.sum(axis=0)
             if np.isnan(total).any():
                 # a zero factor zeroes the box even beside an inf one (inf * 0 is nan)
-                nonzero = np.logical_and.reduce([_gather(p, *rows) != 0.0 for rows in zip(plan.lower, plan.upper)])
+                nonzero = np.logical_and.reduce([_gather(p, *rows) != 0.0 for rows in zip(lower, upper)])
                 volume = np.where(nonzero, volume, 0.0)
                 total = volume.sum(axis=0)
-        if plan.signs is not None:
+        if signs is not None:
             with contextlib.suppress(OverflowError, ValueError):
                 total = np.array([math.fsum(terms) for terms in volume.T.tolist()])
         out[s:e] = total

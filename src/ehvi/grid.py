@@ -87,7 +87,8 @@ def grid_decompose(front: Front) -> BoxDecomposition:
     breaks = np.stack(g.axes)
     wide = breaks[:, 1:] > breaks[:, :-1]
     cells = (breaks[-1, :-1] < g.h_array[..., None]) & functools.reduce(np.logical_and.outer, wide)
-    lower = np.argwhere(cells)
+    offsets = np.arange(front.m)[:, None] * breaks.shape[1]  # row j indexes breaks.ravel() from j * (n+2)
+    lower = np.add(np.argwhere(cells).T, offsets, order="C")
     return BoxDecomposition(breaks, lower, lower + 1)
 
 

@@ -4,9 +4,9 @@ The nondominated region of a front (the part of the region below the
 reference that no front point weakly dominates) is cut into disjoint
 half-open boxes, and EHVI is the Gaussian integral over those boxes
 (Yang, Emmerich, Deutz & Bäck, J. Glob. Optim. 2019), never the full region
-minus the dominated one. Every producer returns a core.BoxDecomposition:
-boxes as index arrays into the per-axis breakpoints [-inf, sorted
-coordinates, r_j] of core.rank_form.
+minus the dominated one. Every producer returns a core.BoxDecomposition in
+the layout the integrator reads: (m, boxes) index rows into the flattened
+per-axis breakpoints [-inf, sorted coordinates, r_j] of core.rank_form.
 
 - m = 2: the staircase. With the points in ascending first coordinate x
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
@@ -54,7 +54,7 @@ import numpy as np
 from .clm3 import nondominated_boxes
 from .core import BoxDecomposition, EhviResult, Front, ProblemFrame, as_vector, nondominated_filter, rank_form
 from .errors import DimensionError, ParameterError, ReferenceBoundError
-from .gaussian import GaussianBelief, IntegrationPlan, integrate_boxes, integration_plan
+from .gaussian import GaussianBelief, integrate_boxes
 
 _CLIP_BLOCK = 1 << 22  # max elements in the rows x boxes x axes product
 # Most open plus closed boxes the m >= 4 sweep may make. Producing and
@@ -75,13 +75,11 @@ def _staircase_boxes(front: Front) -> BoxDecomposition:
     breaks[:, 1:-1] = np.sort(front.coords.T, axis=1)
     breaks[:, -1] = front.reference
     # no two points of an m = 2 front share a coordinate: in ascending first
-    # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2
+    # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2, whose
+    # row starts at n+2, its -inf entry
     i = np.arange(n + 1)
-    lower = np.zeros((n + 1, 2), dtype=np.intp)
-    lower[:, 0] = i
-    upper = np.empty((n + 1, 2), dtype=np.intp)
-    upper[:, 0] = i + 1
-    upper[:, 1] = n + 1 - i
+    lower = np.stack([i, np.full(n + 1, n + 2)])
+    upper = np.stack([i + 1, 2 * n + 3 - i])
     return BoxDecomposition(breaks, lower, upper)
 
 
@@ -126,11 +124,12 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     top = np.repeat(levels, [c.shape[1] for c in closed])
     grown = rows[2 * k] < top  # a box born and cut at one level has no height
     rows, top = rows.compress(grown, axis=1), top[grown]
-    lower, upper = np.empty((2, len(top), m), dtype=np.intp)
-    lower[:, order[:k]] = rows[:k].T
-    lower[:, order[k]] = rows[2 * k]
-    upper[:, order[:k]] = -rows[k : 2 * k].T
-    upper[:, order[k]] = top
+    lower, upper = bounds = np.empty((2, m, len(top)), dtype=np.intp)
+    lower[order[:k]] = rows[:k]
+    lower[order[k]] = rows[2 * k]
+    upper[order[:k]] = -rows[k : 2 * k]
+    upper[order[k]] = top
+    bounds += np.arange(m)[:, None] * (n + 2)  # row j indexes breaks.ravel() from j * (n+2)
     return BoxDecomposition(breaks, lower, upper)
 
 
@@ -140,11 +139,11 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
     n+1 boxes at m = 2, at most 2n+1 at m = 3 and at most (n+1)^m beyond.
     Raises ParameterError at m >= 4 once the sweep makes more than
     _MAX_BOXES boxes. The boxes do not depend on any belief and a Front is
-    immutable, so the first call on a front keeps its boxes in Front._boxes
-    and their integration plan in Front._plan, all arrays read-only, and
-    every later call returns them; a refused front keeps nothing. Axis 1 is
-    open below at m = 2 and 3, and so is the last split axis order[m-2] of
-    the m >= 4 sweep, which no piece raises.
+    immutable, so the first call on a front keeps its decomposition in
+    Front._boxes, every array read-only, and every later call returns it;
+    a refused front keeps nothing. Axis 1 is open below at m = 2 and 3,
+    and so is the last split axis order[m-2] of the m >= 4 sweep, which no
+    piece raises.
     """
     if front._boxes is None:
         if front.m == 2:
@@ -153,28 +152,19 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
             boxes = nondominated_boxes(front)
         else:
             boxes = _sweep_boxes(front)
-        plan = integration_plan(boxes)
-        for a in (*boxes, plan.breaks, plan.lower, plan.upper):
+        for a in boxes[:3]:
             a.flags.writeable = False
-        object.__setattr__(front, "_plan", plan)
         object.__setattr__(front, "_boxes", boxes)
     return front._boxes
 
 
-def sweep_plan(front: Front) -> IntegrationPlan:
-    """The integration plan of sweep_boxes(front), which the Front keeps beside its boxes."""
-    if front._plan is None:
-        sweep_boxes(front)
-    return front._plan
-
-
 def ehvi_sweep(front: Front, belief: GaussianBelief) -> EhviResult:
-    """EHVI over the nondominated boxes of sweep_boxes, from their kept plan; reports the boxes integrated."""
+    """EHVI over the nondominated boxes of sweep_boxes, which the front keeps; reports the boxes integrated."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    plan = sweep_plan(front)
-    value = integrate_boxes(plan, (belief.mean,), (belief.stddev,))[0]
-    return EhviResult(value=float(value), boxes=plan.count)
+    boxes = sweep_boxes(front)
+    value = integrate_boxes(boxes, (belief.mean,), (belief.stddev,))[0]
+    return EhviResult(value=float(value), boxes=boxes.lower.shape[1])
 
 
 def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
@@ -186,9 +176,8 @@ def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
     reference overlaps no box on some axis, so its value is exactly 0.0.
     Rows are taken in blocks of at most _CLIP_BLOCK elements of the product.
     """
-    axes = np.arange(len(boxes.breaks))
-    lowers = boxes.breaks[axes, boxes.lower]
-    uppers = boxes.breaks[axes, boxes.upper]
+    flat = boxes.breaks.ravel()
+    lowers, uppers = flat[boxes.lower.T], flat[boxes.upper.T]  # (boxes, m)
     step = max(1, _CLIP_BLOCK // lowers.size)
     out = np.empty(len(ys))
     for s in range(0, len(ys), step):

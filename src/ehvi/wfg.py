@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import BoxDecomposition, EhviResult, Front, Vector, nondominated_sorted, rank_form
 from .errors import DimensionError, ParameterError
-from .gaussian import GaussianBelief, integrate_boxes, integration_plan
+from .gaussian import GaussianBelief, integrate_boxes
 
 # Most point tuples the recursion may limit in one run. Time tracks this
 # count, at 2-4.5 us per tuple for m = 3 to 10 on a 2-core x86-64 host,
@@ -73,29 +73,30 @@ def _rank_tuples(ranks: np.ndarray) -> list[tuple]:
     return nondominated_sorted(sorted(set(map(tuple, ranks.tolist()))))
 
 
-def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> tuple[BoxDecomposition, np.ndarray]:
+def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> BoxDecomposition:
     """The full box (-inf, r] with sign +1, then each WFG term's box (corner, r] with its sign negated.
 
     A measure summed over the boxes with these signs is the measure of the
     region below r that no point weakly dominates. The recursion appends
     each corner's ranks to one flat list, 8 m bytes per corner, as the ranks
-    are the rank tuples' own int objects.
+    are the rank tuples' own int objects. Every box ends at the reference,
+    the last breakpoint, so upper is (m, 1).
     """
     m = len(reference)
     breaks, ranks = rank_form(points, reference)
     corners, signs = [0] * m, [1]
     if len(ranks):
         _wfg_rec(_rank_tuples(ranks), -1, corners, signs, [0])
-    lower = np.array(corners, dtype=np.intp).reshape(-1, m)
-    # every box ends at the reference, the last breakpoint
-    upper = np.broadcast_to(np.intp(breaks.shape[1] - 1), lower.shape)
-    return BoxDecomposition(breaks, lower, upper), np.array(signs, dtype=float)
+    width = breaks.shape[1]
+    offsets = np.arange(m)[:, None] * width  # row j indexes breaks.ravel() from j * width
+    lower = np.add(np.array(corners, dtype=np.intp).reshape(-1, m).T, offsets, order="C")
+    return BoxDecomposition(breaks, lower, offsets + (width - 1), np.array(signs, dtype=float))
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:
     """EHVI over the full box and the signed WFG corners, clamped at 0; reports the corners."""
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    plan = integration_plan(*wfg_boxes(front.coords, front.reference))
-    value = integrate_boxes(plan, (belief.mean,), (belief.stddev,))[0]
-    return EhviResult(value=max(float(value), 0.0), boxes=plan.count - 1)
+    boxes = wfg_boxes(front.coords, front.reference)
+    value = integrate_boxes(boxes, (belief.mean,), (belief.stddev,))[0]
+    return EhviResult(value=max(float(value), 0.0), boxes=boxes.lower.shape[1] - 1)

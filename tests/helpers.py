@@ -11,7 +11,7 @@ from ehvi.clm3 import nondominated_boxes
 from ehvi.core import BoxDecomposition
 from ehvi.gaussian import integrate_boxes
 from ehvi.grid import grid_decompose
-from oracles import brute_nondominated
+from oracles import box_ranks, brute_nondominated
 
 
 def random_front(m, n, seed):
@@ -53,14 +53,16 @@ def random_belief(m, seed, mean_lo=-12.0, mean_hi=-2.0, sd_lo=0.5, sd_hi=4.0):
 def box_decomposition(bounds, m=2):
     """A core.BoxDecomposition of the given (lower, upper) float bound pairs.
 
-    Each box gets breakpoints of its own: breaks[:, b] are its lower and
-    breaks[:, B + b] its upper bounds, for B boxes.
+    After the -inf column each box gets breakpoints of its own:
+    breaks[:, 1 + b] are its lower and breaks[:, 1 + B + b] its upper
+    bounds, for B boxes.
     """
     lowers = np.array([lo for lo, _ in bounds], dtype=float).reshape(-1, m)
     uppers = np.array([up for _, up in bounds], dtype=float).reshape(-1, m)
     count = len(lowers)
-    index = np.repeat(np.arange(count)[:, None], m, axis=1)
-    return BoxDecomposition(np.concatenate([lowers, uppers]).T, index, index + count)
+    breaks = np.hstack([np.full((m, 1), -math.inf), lowers.T, uppers.T])
+    index = np.arange(1, count + 1) + np.arange(m)[:, None] * breaks.shape[1]
+    return BoxDecomposition(breaks, index, index + count)
 
 
 def decomposition_boxes(boxes):
@@ -68,7 +70,7 @@ def decomposition_boxes(boxes):
     axes = np.arange(len(boxes.breaks))
     return [
         (tuple(boxes.breaks[axes, lo].tolist()), tuple(boxes.breaks[axes, up].tolist()))
-        for lo, up in zip(boxes.lower, boxes.upper)
+        for lo, up in zip(*box_ranks(boxes))
     ]
 
 
@@ -87,8 +89,9 @@ def slab_integral(keys, vals, reference, belief2):
 
 def cross_section(boxes, level):
     """Axes 1-2 of the m=3 boxes whose third-axis range holds the slab just below breakpoint `level`."""
-    keep = (boxes.lower[:, 2] < level) & (boxes.upper[:, 2] >= level)
-    return BoxDecomposition(boxes.breaks[:2], boxes.lower[keep, :2], boxes.upper[keep, :2])
+    lower, upper = box_ranks(boxes)
+    keep = (lower[:, 2] < level) & (upper[:, 2] >= level)
+    return BoxDecomposition(boxes.breaks[:2], *(rows[:2].compress(keep, axis=1) for rows in boxes[1:3]))
 
 
 def check_cross_sections(front, belief2):
@@ -100,13 +103,13 @@ def check_cross_sections(front, belief2):
     most 2n+1 boxes, none of zero width.
     """
     boxes = nondominated_boxes(front)
-    assert len(boxes.lower) <= 2 * front.n + 1
+    assert boxes.lower.shape[1] <= 2 * front.n + 1
     assert (boxes.lower < boxes.upper).all()  # ties never give a box of zero width
     r = front.reference[:2]
     full = math.prod(psi(r[j], belief2.mean[j], belief2.stddev[j]) for j in range(2))
     for level in range(1, front.n + 2):
         section = cross_section(boxes, level)
-        lo, up = section.lower, section.upper
+        lo, up = box_ranks(section)
         overlap = (np.maximum(lo[:, None], lo[None]) < np.minimum(up[:, None], up[None])).all(axis=2)
         assert overlap.sum() == len(lo)  # each box overlaps itself only
         height = boxes.breaks[2, level - 1]

@@ -28,6 +28,17 @@ SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 
+def box_ranks(boxes):
+    """A core.BoxDecomposition's lower and upper index rows read back as (boxes, m) breakpoint ranks.
+
+    Rank lower[b, j] indexes breaks[j]; wfg's one upper entry per axis is
+    broadcast to every box.
+    """
+    offsets = np.arange(len(boxes.breaks))[:, None] * boxes.breaks.shape[1]
+    lower = (boxes.lower - offsets).T
+    return lower, np.broadcast_to((boxes.upper - offsets).T, lower.shape)
+
+
 def brute_dominates(a, b):
     """Weak dominance (minimization), identity excluded."""
     a = tuple(a)
@@ -125,10 +136,10 @@ def wfg_volume(points, reference):
     each with its term's sign, summed with math.fsum. Any finite points
     strictly inside the reference; exponential in the front size.
     """
-    boxes, signs = wfg_boxes(points, reference)
+    boxes = wfg_boxes(points, reference)
     widths = boxes.breaks[:, -1:] - boxes.breaks
-    terms = widths[np.arange(len(widths)), boxes.lower[1:]].prod(axis=1)
-    return math.fsum((terms * -signs[1:]).tolist())
+    terms = widths[np.arange(len(widths)), box_ranks(boxes)[0][1:]].prod(axis=1)
+    return math.fsum((terms * -boxes.signs[1:]).tolist())
 
 
 def brute_hvi(y, points, reference):
@@ -299,8 +310,7 @@ def ehvi_quadrature_2d(front, belief, tolerance):
 
     eps = tolerance / 4.0
     boxes = grid_decompose(front)
-    lowers = boxes.breaks[[0, 1], boxes.lower].tolist()
-    uppers = boxes.breaks[[0, 1], boxes.upper].tolist()
+    lowers, uppers = (boxes.breaks[[0, 1], ranks].tolist() for ranks in box_ranks(boxes))
     total = 0.0
     for lower, upper in zip(lowers, uppers):
         term = 1.0

@@ -217,7 +217,7 @@ def test_exit_code_2_sweep_over_budget(tmp_path, capsys, monkeypatch):
     path = write_request(tmp_path / "req.json", **request)
     args = ["compute", "--input", str(path)]
     front = validate_front(ProblemFrame(4, request["reference"]), request["front"])
-    count = len(ehvi.sweep.sweep_boxes(front).lower)
+    count = ehvi.sweep.sweep_boxes(front).lower.shape[1]
     assert count == 11  # the m = 4 sweep makes exactly the boxes it returns here
     monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", count)
     assert main(args) == 0
@@ -418,6 +418,21 @@ def test_bo_demo_resolution_over_the_candidate_budget_exits_2(
     argv = ["bo-demo", "--problem", problem, "--seeds", "1", "--iters", "0", "--init", "2"]
     assert main(argv + ["--resolution", str(resolution), "--out-dir", str(out_dir)]) == 2
     assert "budget" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [(["--seeds", "1", "--iters", "-1"], "iterations must be at least 0, got -1"),
+     (["--seeds", "0", "--iters", "1"], "--seeds must be at least 1, got 0")],
+)
+def test_bo_demo_negative_iterations_or_no_seeds_exit_2_writing_nothing(tmp_path, capsys, budget, message):
+    # -1 iterations compared BO after 2 evaluations with random search after 1;
+    # 0 seeds wrote a header-only summary.csv before failing on its empty mean
+    out_dir = tmp_path / "refused"
+    argv = ["bo-demo", "--problem", "sphere2", "--init", "2", "--resolution", "4", "--out-dir", str(out_dir)]
+    assert main(argv + budget) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
 

@@ -22,7 +22,7 @@ from ehvi import (
 )
 from ehvi import ProblemFrame
 from ehvi.clm3 import nondominated_boxes
-from ehvi.core import BoxDecomposition, Front
+from ehvi.core import Front
 from helpers import (
     box_sum,
     check_cross_sections,
@@ -153,11 +153,11 @@ def test_emitted_boxes_integrate_to_full_minus_dominated():
         front = random_front(3, 12, seed)
         belief = random_belief(3, seed + 70)
         boxes = nondominated_boxes(front)
-        assert len(boxes.lower) <= 2 * front.n + 1
+        assert boxes.lower.shape[1] <= 2 * front.n + 1
         assert all(lo < up for b in decomposition_boxes(boxes) for lo, up in zip(*b))
         parts = [
-            box_sum(BoxDecomposition(boxes.breaks, boxes.lower[[b]], boxes.upper[[b]]), belief)
-            for b in range(len(boxes.lower))
+            box_sum(boxes._replace(lower=boxes.lower[:, [b]], upper=boxes.upper[:, [b]]), belief)
+            for b in range(boxes.lower.shape[1])
         ]
         assert all(v >= 0.0 for v in parts)
         dominated = union_box_integral(front.points, front.reference, belief.mean, belief.stddev)
@@ -183,12 +183,12 @@ def test_box_count_bound():
     for n, seed in [(10, 0), (50, 1), (120, 2)]:
         front = random_front(3, n, seed)
         assert all(len({p[j] for p in front.points}) == n for j in range(3))
-        boxes = len(nondominated_boxes(front).lower)
+        boxes = nondominated_boxes(front).lower.shape[1]
         assert boxes == 2 * n + 1  # distinct coordinates: every point closes one strip more than it removes
         assert ehvi_sweep(front, random_belief(3, seed + 80)).boxes == boxes
     # shared coordinates: fewer boxes, and a staircase that kept the entries a
     # point weakly dominates (a shared value) would split more strips than these
-    counts = [len(nondominated_boxes(lattice_front(3, seed)).lower) for seed in range(6)]
+    counts = [nondominated_boxes(lattice_front(3, seed)).lower.shape[1] for seed in range(6)]
     assert counts == [32, 32, 32, 34, 31, 30]
     assert max(counts) <= 2 * 25 + 1
 
@@ -231,7 +231,7 @@ def test_deep_tail_agreement_with_grid():
     for k, front in enumerate(fronts):
         if k >= 3:
             assert all(len({p[j] for p in front.points}) < front.n for j in range(3))
-        assert len(nondominated_boxes(front).lower) <= 2 * front.n + 1
+        assert nondominated_boxes(front).lower.shape[1] <= 2 * front.n + 1
         rng = np.random.default_rng([32, k])
         means = rng.uniform(-10.0, -0.2, (50, 3))
         stds = rng.uniform(0.1, 2.5, (50, 3))

@@ -68,7 +68,7 @@ def test_boxes_counts_the_boxes_integrated(m):
     belief = random_belief(m, m)
     randoms = [random_front(m, n, seed) for n, seed in [(1, 0), (6, 1), (12, 2)]]
     for front in randoms + [lattice_front(m, 0, n=12)]:
-        count = len(sweep_boxes(front).lower)
+        count = sweep_boxes(front).lower.shape[1]
         assert compute_ehvi(front, belief).boxes == compute_ehvi(front, belief, "sweep").boxes == count
         if m == 3 and front in randoms:
             # each insertion opens two strips, plus the first strip
@@ -78,7 +78,7 @@ def test_boxes_counts_the_boxes_integrated(m):
 
 @pytest.mark.parametrize("algorithm", ["sweep", "wfg"])
 def test_batch_decomposes_the_front_once(monkeypatch, algorithm):
-    producer = {"sweep": "sweep_plan", "wfg": "wfg_boxes"}[algorithm]  # sweep integrates the kept plan
+    producer = {"sweep": "sweep_boxes", "wfg": "wfg_boxes"}[algorithm]  # sweep integrates the kept boxes
     decompose = getattr(dispatch, producer)
     calls = []
     monkeypatch.setattr(dispatch, producer, lambda *args: calls.append(args) or decompose(*args))

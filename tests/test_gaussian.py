@@ -7,8 +7,8 @@ import pytest
 
 from ehvi import DimensionError, GaussianBelief, ParameterError, ProblemFrame, psi
 import ehvi.gaussian
-from ehvi.gaussian import integrate_boxes, integration_plan, rational_h
-from ehvi.sweep import sweep_boxes, sweep_plan
+from ehvi.gaussian import check_beliefs, integrate_boxes, rational_h
+from ehvi.sweep import sweep_boxes
 from ehvi.wfg import wfg_boxes
 from helpers import box_decomposition, box_sum, min_front, random_front
 from oracles import (
@@ -135,16 +135,19 @@ def test_psi_arrays_strictly_increasing_in_tail():
 
 
 def test_integrate_boxes_checks_belief_width():
+    # integrate_boxes reads beliefs checked where they enter the program:
+    # check_beliefs, at the decomposition's m
     boxes = sweep_boxes(random_front(3, 6, 0))
+    m = len(boxes.breaks)
     for width in (2, 4):
         with pytest.raises(DimensionError):
-            integrate_boxes(boxes, np.full((1, width), -1.0), np.ones((1, width)))
+            check_beliefs(np.full((1, width), -1.0), np.ones((1, width)), m)
     with pytest.raises(DimensionError):
-        integrate_boxes(boxes, np.full((1, 3), -1.0), np.ones((2, 3)))
+        check_beliefs(np.full((1, 3), -1.0), np.ones((2, 3)), m)
     with pytest.raises(DimensionError):
-        integrate_boxes(boxes, np.full(3, -1.0), np.ones(3))
+        check_beliefs(np.full(3, -1.0), np.ones(3), m)
     with pytest.raises(ParameterError):
-        integrate_boxes(boxes, np.full((1, 3), -1.0), np.array([[1.0, 0.0, 1.0]]))
+        check_beliefs(np.full((1, 3), -1.0), np.array([[1.0, 0.0, 1.0]]), m)
 
 
 def test_integrate_boxes_worked_examples():
@@ -191,14 +194,14 @@ def test_signed_batch_across_blocks_equals_one_row_at_a_time(monkeypatch):
     rng = np.random.default_rng(9)
     for m, n, q in [(3, 30, 130), (4, 20, 101), (6, 15, 130)]:
         front = random_front(m, n, m)
-        boxes, signs = wfg_boxes(front.coords, front.reference)
+        boxes = wfg_boxes(front.coords, front.reference)
         means = -rng.uniform(0.2, 12.0, (q, m))
         stds = rng.uniform(0.05, 3.0, (q, m))
         with monkeypatch.context() as patch:
             blocks = _count_blocks(patch)
-            batch = integrate_boxes(boxes, means, stds, signs)
+            batch = integrate_boxes(boxes, means, stds)
         assert len(blocks) >= 3, m
-        single = [integrate_boxes(boxes, mu[None], sd[None], signs)[0] for mu, sd in zip(means, stds)]
+        single = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
         assert batch.tolist() == single
 
 
@@ -216,7 +219,7 @@ def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypat
         means = np.tile([[-1e308] * m, [-1.5] * m, [-0.5] * m], (4, 1))
         stds = np.tile([[1e308] * m, [1.0] * m, [0.5] * m], (4, 1))
         with monkeypatch.context() as patch:
-            patch.setattr(ehvi.gaussian, "_BLOCK", 2 * (len(boxes.lower) + boxes.breaks.size))
+            patch.setattr(ehvi.gaussian, "_BLOCK", 2 * (boxes.lower.shape[1] + boxes.breaks.size))
             blocks = _count_blocks(patch)
             batch = integrate_boxes(boxes, means, stds)
         assert len(blocks) >= 3, m
@@ -227,8 +230,8 @@ def test_overflowing_boxes_give_inf_not_nan_inside_a_multi_block_batch(monkeypat
         np.testing.assert_allclose(batch[2::3], finite[1], rtol=1e-13, atol=0.0)
 
 
-def _integrals_in_one_order(patch, gather, plan, means, stds):
-    """integrate_boxes on the plan with _GATHER set to gather, as one batch and one belief at a time.
+def _integrals_in_one_order(patch, gather, boxes, means, stds):
+    """integrate_boxes on the boxes with _GATHER set to gather, as one batch and one belief at a time.
 
     Also returns the ndim of every lower index array gathered: 2 when a
     block gathers all axes at once, 1 when it goes one axis at a time.
@@ -237,20 +240,20 @@ def _integrals_in_one_order(patch, gather, plan, means, stds):
     ndims = []
     real = ehvi.gaussian._gather
     patch.setattr(ehvi.gaussian, "_gather", lambda p, lo, up: ndims.append(lo.ndim) or real(p, lo, up))
-    batch = integrate_boxes(plan, means, stds).tolist()
-    single = [integrate_boxes(plan, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
+    batch = integrate_boxes(boxes, means, stds).tolist()
+    single = [integrate_boxes(boxes, mu[None], sd[None])[0] for mu, sd in zip(means, stds)]
     return batch, single, set(ndims)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_all_axes_and_one_axis_orders_give_the_same_bits(monkeypatch, m):
-    # unsigned sweep plans and signed wfg plans, beliefs in and far behind
+    # unsigned sweep boxes and signed wfg boxes, beliefs in and far behind
     # the front, and the overflowing fronts whose inf * 0 products are mended
     rng = np.random.default_rng(27 + m)
     front = random_front(m, {2: 40, 3: 40, 4: 20, 5: 10, 6: 8}[m], m)
-    plans = [sweep_plan(front), integration_plan(*wfg_boxes(front.coords, front.reference))]
+    decompositions = [sweep_boxes(front), wfg_boxes(front.coords, front.reference)]
     means, stds = -rng.uniform(0.2, 12.0, (40, m)), rng.uniform(0.05, 3.0, (40, m))
-    cases = [(plan, means, stds) for plan in plans]
+    cases = [(boxes, means, stds) for boxes in decompositions]
     if m <= 4:
         points = [
             [(-1.0, -2.0), (-2.0, -1.0)],
@@ -258,27 +261,27 @@ def test_all_axes_and_one_axis_orders_give_the_same_bits(monkeypatch, m):
             [(-1.0, -2.0, -3.0, -4.0), (-4.0, -3.0, -1.0, -2.0), (-2.0, -4.0, -1.0, -3.0)],
         ][m - 2]
         overflowing = min_front((0.0,) * m, points)
-        boxes, signs = wfg_boxes(overflowing.coords, overflowing.reference)
         means = np.tile([[-1e308] * m, [-1.5] * m], (3, 1))
         stds = np.tile([[1e308] * m, [1.0] * m], (3, 1))
-        cases += [(plan, means, stds) for plan in (sweep_plan(overflowing), integration_plan(boxes, signs))]
-    for plan, means, stds in cases:
+        decompositions = (sweep_boxes(overflowing), wfg_boxes(overflowing.coords, overflowing.reference))
+        cases += [(boxes, means, stds) for boxes in decompositions]
+    for boxes, means, stds in cases:
         orders = []
         for gather, ndim in ((1 << 60, 2), (0, 1)):
             with monkeypatch.context() as patch:
-                *integrals, ndims = _integrals_in_one_order(patch, gather, plan, means, stds)
+                *integrals, ndims = _integrals_in_one_order(patch, gather, boxes, means, stds)
             # the inf * 0 repair gathers one axis at a time in either order
             assert ndim in ndims and ndims <= {1, ndim}
             orders.append(integrals)
         all_axes, one_axis = orders
-        assert all_axes == one_axis, (m, plan.signs is None)
-        if means[0, 0] == -1e308 and plan.signs is None:
+        assert all_axes == one_axis, (m, boxes.signs is None)
+        if means[0, 0] == -1e308 and boxes.signs is None:
             assert all_axes[0][0] == math.inf and all_axes[1][0] == math.inf
 
 
 def test_integrate_boxes_psi_on_finite_first_breakpoints():
-    # helpers.box_decomposition's first breakpoint column is the first box's
-    # lower corner, so it is finite on some or all axes and needs psi
+    # helpers.box_decomposition's lower corners follow its -inf column, so a
+    # finite one gets its own psi and a -inf one psi(-inf), exactly 0
     mean, std = np.array([[0.0, 0.5], [-1.0, 0.0]]), np.array([[1.0, 2.0], [0.5, 1.0]])
     inf = math.inf
     for lower in [(0.0, 0.0), (-inf, 0.0), (0.0, -inf), (-inf, -inf)]:

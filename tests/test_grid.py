@@ -121,7 +121,7 @@ def test_ehvi_grid_equals_decomposition_sum():
         boxes = grid_decompose(front)
         total = box_sum(boxes, belief)
         assert res.value == pytest.approx(total, rel=1e-12)
-        assert res.boxes == len(boxes.lower)
+        assert res.boxes == boxes.lower.shape[1]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

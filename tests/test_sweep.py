@@ -1,5 +1,6 @@
 """Sweep backend: nondominated boxes for every m, deep-tail agreement with grid, and the hypervolume."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -21,12 +22,13 @@ from ehvi import (
     hypervolume,
     hypervolume_improvement,
 )
+from ehvi.clm3 import nondominated_boxes
 from ehvi.core import Front, rank_form
-from ehvi.gaussian import integrate_boxes, integration_plan
+from ehvi.gaussian import integrate_boxes
 from ehvi.grid import grid_decompose
 from ehvi.sweep import sweep_boxes
 from ehvi.wfg import wfg_boxes
-from helpers import box_decomposition, lattice_front, min_front, random_front
+from helpers import box_ranks, lattice_front, min_front, random_front
 from oracles import wfg_volume
 
 SIZES = {2: 12, 4: 10, 5: 8, 6: 6}
@@ -42,7 +44,7 @@ def _fronts(m):
 def _cover_counts(boxes, n, m):
     """How many boxes hold each rank cell; cell c spans (breaks[c], breaks[c+1]] per axis."""
     counts = np.zeros((n + 1,) * m, dtype=np.int64)
-    for lo, up in zip(boxes.lower, boxes.upper):
+    for lo, up in zip(*box_ranks(boxes)):
         counts[tuple(slice(a, b) for a, b in zip(lo, up))] += 1
     return counts
 
@@ -63,12 +65,13 @@ def _dominated_cells(front, breaks):
 def _assert_disjoint_cover(front):
     boxes = sweep_boxes(front)
     m, n = front.m, front.n
-    assert boxes.lower.shape == boxes.upper.shape == (len(boxes.lower), m)
+    lower, upper = box_ranks(boxes)
+    assert boxes.lower.shape == boxes.upper.shape == (m, len(lower))
     if m == 2:
-        assert len(boxes.lower) == n + 1
-    assert len(boxes.lower) <= (n + 1) ** m
+        assert len(lower) == n + 1
+    assert len(lower) <= (n + 1) ** m
     for j in range(m):  # no box has zero width on any axis
-        assert (boxes.breaks[j][boxes.upper[:, j]] > boxes.breaks[j][boxes.lower[:, j]]).all()
+        assert (boxes.breaks[j][upper[:, j]] > boxes.breaks[j][lower[:, j]]).all()
     # every cell of positive width lies in exactly one box if no point
     # dominates it and in none otherwise
     counts = _cover_counts(boxes, n, m)
@@ -91,8 +94,9 @@ def _permuted(front, perm):
     return min_front(tuple(front.reference[j] for j in perm), [tuple(p[j] for j in perm) for p in front.points])
 
 
-def _box_rows(boxes):
-    return {tuple(lo) + tuple(up) for lo, up in zip(boxes.lower.tolist(), boxes.upper.tolist())}
+def _box_rows(lower, upper):
+    """The boxes of (boxes, m) rank arrays as a set of lower + upper rank tuples."""
+    return {tuple(lo) + tuple(up) for lo, up in zip(lower.tolist(), upper.tolist())}
 
 
 @pytest.mark.parametrize("m, n", [(4, 12), (5, 10), (6, 8)])
@@ -104,24 +108,25 @@ def test_boxes_do_not_depend_on_objective_order(m, n):
         _, ranks = rank_form(front.points, front.reference)
         assert len(set((ranks.T @ ranks.sum(axis=1)).tolist())) == m  # distinct scores
         boxes = sweep_boxes(front)
+        lower, upper = box_ranks(boxes)
         for perm in [list(range(m))[::-1]] + [rng.permutation(m).tolist() for _ in range(4)]:
             got = sweep_boxes(_permuted(front, perm))
             np.testing.assert_array_equal(got.breaks, boxes.breaks[perm])
-            assert _box_rows(got) == _box_rows(boxes._replace(lower=boxes.lower[:, perm], upper=boxes.upper[:, perm]))
+            assert _box_rows(*box_ranks(got)) == _box_rows(lower[:, perm], upper[:, perm])
 
 
 def test_benchmark_front_box_counts():
     # generate_front's fronts for perfbench's score shapes m6_n15 and m4_n40; in
     # the order the objectives are listed, the sweep made 1448 and 563 boxes
-    assert len(sweep_boxes(random_front(6, 15, 1443265020)).lower) <= 343
-    assert len(sweep_boxes(random_front(4, 40, 1771253958)).lower) <= 563
+    assert sweep_boxes(random_front(6, 15, 1443265020)).lower.shape[1] <= 343
+    assert sweep_boxes(random_front(4, 40, 1771253958)).lower.shape[1] <= 563
     # a front the rank-sum order serves worse than the listed order (2931 boxes);
     # pinned exactly so a change to the split order shows whether it mends it
-    assert len(sweep_boxes(random_front(5, 50, 7004)).lower) == 4839
+    assert sweep_boxes(random_front(5, 50, 7004)).lower.shape[1] == 4839
     # fronts large enough that thousands of boxes are open at once
-    assert len(sweep_boxes(random_front(5, 100, 5)).lower) == 11541
-    assert len(sweep_boxes(random_front(4, 200, 5)).lower) == 6960
-    assert len(sweep_boxes(random_front(6, 60, 5)).lower) == 11480
+    assert sweep_boxes(random_front(5, 100, 5)).lower.shape[1] == 11541
+    assert sweep_boxes(random_front(4, 200, 5)).lower.shape[1] == 6960
+    assert sweep_boxes(random_front(6, 60, 5)).lower.shape[1] == 11480
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -144,7 +149,7 @@ def test_empty_front_is_one_full_box():
     for m in (2, 4, 5):
         front = min_front((0.0,) * m, [])
         boxes = sweep_boxes(front)
-        assert len(boxes.lower) == 1
+        assert boxes.lower.shape[1] == 1
         res = ehvi_sweep(front, GaussianBelief((0.0,) * m, (1.0,) * m))
         assert res.boxes == 1
         assert res.value == pytest.approx((2.0 * np.pi) ** (-m / 2), rel=1e-15)
@@ -186,7 +191,7 @@ def test_front_is_decomposed_once(monkeypatch, m):
     assert front == undecomposed and hash(front) == hash(undecomposed)
     assert got == values(undecomposed)  # bit-identical to a fresh Front's
     assert len(calls) == 2
-    for array in sweep_boxes(front):
+    for array in sweep_boxes(front)[:3]:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
 
@@ -199,72 +204,83 @@ def _expected_open_below(front):
     return (int((ranks.sum(axis=1) @ ranks).argsort(kind="stable")[front.m - 2]),)
 
 
-def _flat_breaks(plan):
-    """The breakpoint behind each row of the flat psi table: -inf in the first columns, whose psi is 0, then plan.breaks."""
-    m = len(plan.breaks)
-    return np.hstack([np.full((m, plan.first), -math.inf), plan.breaks[:, :, 0]]).ravel()
+def _assert_layout(boxes, m, open_below):
+    """Assert the layout integrate_boxes reads.
+
+    breaks is (m, width) with a -inf column 0; lower and upper are
+    C-contiguous (m, boxes) rows, or (m, 1) for upper, row j within
+    [j * width, (j+1) * width); exactly the axes open_below index their
+    -inf entry, j * width, in every box.
+    """
+    breaks, lower, upper, signs = boxes
+    width, count = breaks.shape[1], lower.shape[1]
+    assert breaks.shape == (m, width) and np.isneginf(breaks[:, 0]).all()
+    assert upper.shape in ((m, count), (m, 1))
+    offsets = np.arange(m)[:, None] * width
+    for rows in (lower, upper):
+        assert rows.dtype == np.intp and rows.flags.c_contiguous
+        assert ((offsets <= rows) & (rows < offsets + width)).all()
+    assert (breaks.ravel()[upper] > breaks.ravel()[lower]).all()  # no box of zero width
+    assert tuple(j for j in range(m) if (lower[j] == j * width).all()) == open_below
+    assert signs is None or signs.shape == (count,)
 
 
-def _open_below(plan):
-    """The axes on which every box's lower index is that axis's -inf row of the flat psi table."""
-    return tuple(np.flatnonzero(np.isneginf(_flat_breaks(plan)[plan.lower]).all(axis=1)).tolist())
+PRODUCERS_OF = {
+    "staircase": ([2], ehvi.sweep._staircase_boxes),
+    "clm3": ([3], nondominated_boxes),
+    "sweep": ([4, 5, 6], ehvi.sweep._sweep_boxes),
+    "wfg": ([2, 3, 4, 5], lambda f: wfg_boxes(f.coords, f.reference)),
+    "grid": ([2, 3, 4], grid_decompose),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS_OF))
+def test_producers_emit_the_integrator_layout(producer):
+    """Each producer builds the one box type in the layout integrate_boxes reads, and only wfg's has signs."""
+    ms, produce = PRODUCERS_OF[producer]
+    for m in ms:
+        for front in (random_front(m, 6, 60 + m), lattice_front(m, 2, 8)):
+            boxes = produce(front)
+            if producer == "wfg":
+                # the full box (-inf, r] then one (corner, r] per term, every box ending at the reference
+                open_below, width = (), boxes.breaks.shape[1]
+                assert boxes.upper.tolist() == [[j * width + width - 1] for j in range(m)]
+                assert boxes.signs[0] == 1.0 and set(boxes.signs[1:].tolist()) <= {-1.0, 1.0}
+                assert boxes.lower[:, 0].tolist() == [j * width for j in range(m)]
+            elif producer == "grid":
+                # grid cells start at -inf on every axis, but some cell starts above it on each
+                open_below = ()
+                assert boxes.signs is None
+            else:
+                open_below = _expected_open_below(front)
+                assert boxes.signs is None
+            _assert_layout(boxes, m, open_below)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_kept_plan_invariants(m):
-    """The plan a Front keeps: the boxes' columns offset into the flat psi table, contiguous, read-only, reused."""
+def test_kept_decomposition(m):
+    """The one decomposition a Front keeps: read-only, reused by every call, 16 m bytes of indices per box."""
+    assert [f.name for f in dataclasses.fields(Front)] == ["frame", "points", "coords", "_boxes"]
     for front in (random_front(m, 3 * SIZES.get(m, 10), 50 + m), lattice_front(m, 1, 12)):
         boxes = sweep_boxes(front)
-        plan = ehvi.sweep.sweep_plan(front)
-        assert plan is front._plan and ehvi.sweep.sweep_plan(front) is plan
+        assert front._boxes is boxes and sweep_boxes(front) is boxes
         compute_ehvi(front, GaussianBelief((-1.0,) * m, (1.0,) * m))
-        assert front._plan is plan and front._boxes is boxes  # a second call reuses both
-        width = boxes.breaks.shape[1]
-        assert plan.first == 1 and np.array_equal(plan.breaks[:, :, 0], boxes.breaks[:, 1:])
-        assert plan.count == len(boxes.lower) and plan.signs is None
-        for rows, columns in ((plan.lower, boxes.lower), (plan.upper, boxes.upper)):
-            assert rows.shape == (m, plan.count) and rows.flags.c_contiguous and not rows.flags.writeable
-            assert np.array_equal(rows, columns.T + np.arange(m)[:, None] * width)
-        # the one open-below axis indexes its -inf row, the first of the axis
-        assert _open_below(plan) == _expected_open_below(front), m
-        (j,) = _open_below(plan)
-        assert (plan.lower[j] == j * width).all() and np.isneginf(boxes.breaks[:, 0]).all()
-        assert np.array_equal(_flat_breaks(plan).reshape(m, width), boxes.breaks)
+        compute_ehvi_batch(front, np.full((3, m), -1.0), np.ones((3, m)))
+        assert front._boxes is boxes  # a second call reuses it
+        _assert_layout(boxes, m, _expected_open_below(front))
+        assert boxes.signs is None
+        assert boxes.lower.nbytes + boxes.upper.nbytes == 16 * m * boxes.lower.shape[1]
+        for array in boxes[:3]:
+            assert not array.flags.writeable
 
 
-def test_plan_of_finite_first_breakpoints_is_not_open_below():
-    inf = math.inf
-    for lower, open_below in [((0.0, 0.0), ()), ((-inf, 0.0), (0,)), ((0.0, -inf), (1,)), ((-inf, -inf), (0, 1))]:
-        boxes = box_decomposition([(lower, (1.0, 1.5))])
-        plan = integration_plan(boxes)
-        assert plan.first == int(open_below == (0, 1))
-        # a finite first breakpoint gets its psi; a -inf one is the 0 row
-        assert _open_below(plan) == open_below, lower
-        width = boxes.breaks.shape[1]
-        assert plan.lower.tolist() == [[0], [width]] and plan.upper.tolist() == [[1], [width + 1]]
-        assert _flat_breaks(plan)[plan.lower[:, 0]].tolist() == list(lower)
-    # grid cells start at -inf on every axis, but some cell starts above it on each
-    front = random_front(3, 6, 2)
-    cells = grid_decompose(front)
-    plan = integration_plan(cells)
-    assert np.isneginf(cells.breaks[:, 0]).all() and plan.first == 1 and _open_below(plan) == ()
-    # wfg's boxes all end at the reference: upper stays one entry per axis
-    boxes, signs = wfg_boxes(front.coords, front.reference)
-    plan = integration_plan(boxes, signs)
-    width = boxes.breaks.shape[1]
-    assert _open_below(plan) == () and plan.count == len(boxes.lower)
-    assert plan.upper.tolist() == [[j * width + front.n + 1] for j in range(3)]
-    assert plan.lower.flags.c_contiguous and np.array_equal(plan.lower, boxes.lower.T + np.arange(3)[:, None] * width)
-    assert plan.signs is signs
-
-
-def test_refused_front_keeps_neither_boxes_nor_plan(monkeypatch):
+def test_refused_front_keeps_nothing(monkeypatch):
     front = random_front(4, 8, 4)
-    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", len(sweep_boxes(front).lower) - 1)
+    monkeypatch.setattr(ehvi.sweep, "_MAX_BOXES", sweep_boxes(front).lower.shape[1] - 1)
     fresh = Front(front.frame, front.points)
     with pytest.raises(ParameterError, match="budget"):
-        ehvi.sweep.sweep_plan(fresh)
-    assert fresh._boxes is None and fresh._plan is None
+        sweep_boxes(fresh)
+    assert fresh._boxes is None
 
 
 @pytest.mark.skipif(np.dtype(np.intp) != np.dtype("<i8"), reason="the digests hash 64-bit little-endian ranks")
@@ -321,7 +337,7 @@ def test_dominated_volume_needs_two_objectives():
 @pytest.mark.parametrize("m", [4, 5])
 def test_hypervolume_refuses_a_front_over_the_sweep_budget(monkeypatch, m):
     front = random_front(m, 8, m)
-    count = len(sweep_boxes(front).lower)
+    count = sweep_boxes(front).lower.shape[1]
     assert math.isfinite(hypervolume(front))
     # the budget counts open plus closed boxes, at least the boxes kept; front
     # keeps its boxes, so the lowered budget is put to a fresh Front

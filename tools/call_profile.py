@@ -16,22 +16,22 @@ repeat:
   after the first call, so this is the cost per belief of a decomposed front;
 - rank_form on Front.coords, as the m >= 3 decompositions call it;
 - sweep_boxes on a fresh Front;
-- integrate_boxes(plan, [mean], [stddev]) on the integration plan the front
-  keeps beside its sweep boxes (sweep_plan), as compute_ehvi calls it;
+- integrate_boxes(boxes, [mean], [stddev]) on the sweep boxes the front
+  keeps, as compute_ehvi calls it;
 - psi's unchecked kernel gaussian._psi on the breakpoints (all but the
   first -inf column) for the belief, as integrate_boxes calls it;
 
-and the number of sweep boxes. The fresh Fronts are built outside the timed
-interval. BLAS is pinned to one thread and ehvi is imported from --src
-(default src/ of this checkout), so
+and the number of sweep boxes, as compute_ehvi reports it. The fresh Fronts
+are built outside the timed interval. BLAS is pinned to one thread and ehvi
+is imported from --src (default src/ of this checkout), so
 
     python3 tools/call_profile.py --src /path/to/other/checkout/src
 
 profiles another revision with the same fronts. A revision whose Front has
 no coords array gets rank_form timed on its point tuples, as it used them;
-one with no sweep_plan gets integrate_boxes timed on the sweep boxes
-themselves, and one with no _psi gets psi, which checks sigma: each as that
-revision's compute_ehvi called them.
+one whose Front kept an integration plan beside its boxes (sweep_plan) gets
+integrate_boxes timed on that plan, and one with no _psi gets psi, which
+checks sigma: each as that revision's compute_ehvi called them.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
             _best_us(lambda _: [integrate_boxes(plan, [mu], [sd]) for mu, sd in rows], k, r),
             _best_us(lambda _: [psi(breaks, mu, sd) for mu, sd in cols], k, r),
         )
-        print(f"{shape:<9}" + "".join(f"{t:>16.1f}" for t in times) + f"{len(boxes.lower):>16}")
+        count = compute(front, beliefs[0]).boxes
+        print(f"{shape:<9}" + "".join(f"{t:>16.1f}" for t in times) + f"{count:>16}")
     return 0
 
 

@@ -8,10 +8,13 @@ benchmark_frame(m) for m = 4-7, n in SIZES and seeds 0-1, plus the tests'
 lattice_front(m, seed) for m = 4-6 and seeds 0-8: 99 fronts, the lattice ones
 tied on every axis. The second line covers the m = 2 staircase and the m = 3
 CLM sweep: the same generate_front fronts for m = 2 and 3, plus
-lattice_front(3, seed) for seeds 0-8: 45 fronts. Each front adds its breaks,
-lower and upper arrays (dtype, shape and bytes) to its line's digest, or the
-refusal message if the sweep's box budget refuses it. Two revisions that
-print the same digests produce the same boxes in the same order.
+lattice_front(3, seed) for seeds 0-8: 45 fronts. Each front adds its breaks
+and its lower and upper breakpoint ranks as (boxes, m) arrays (dtype, shape
+and bytes) to its line's digest, or the refusal message if the sweep's box
+budget refuses it. A revision whose decomposition holds (m, boxes) index rows
+into the flattened breakpoints (one with a signs field) has them read back as
+ranks by tests/helpers.py's box_ranks, so two revisions that print the same
+digests produce the same boxes in the same order, whichever layout each keeps.
 
 To compare two revisions, run it on a `git archive` export of each, with
 PYTHONDONTWRITEBYTECODE=1 so that no __pycache__ is left behind:
@@ -31,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import lattice_front, random_front  # noqa: E402
+from helpers import box_ranks, lattice_front, random_front  # noqa: E402
 
 from ehvi.errors import ParameterError  # noqa: E402
 from ehvi.sweep import sweep_boxes  # noqa: E402
@@ -59,10 +62,11 @@ def digest_line(named_fronts) -> str:
         except ParameterError as exc:
             digest.update(str(exc).encode())
         else:
-            for a in got:
+            arrays = (got.breaks, *box_ranks(got)) if "signs" in got._fields else got
+            for a in arrays:
                 digest.update(f"{a.dtype}{a.shape}".encode())
                 digest.update(a.tobytes())
-            boxes += len(got.lower)
+            boxes += len(arrays[1])
         count += 1
     return f"{count} fronts, {boxes} boxes, sha256 {digest.hexdigest()}"
 
