@@ -89,7 +89,9 @@ def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> BoxDecomp
         _wfg_rec(_rank_tuples(ranks), -1, corners, signs, [0])
     width = breaks.shape[1]
     offsets = np.arange(m)[:, None] * width  # row j indexes breaks.ravel() from j * width
-    lower = np.add(np.array(corners, dtype=np.intp).reshape(-1, m).T, offsets, order="C")
+    lower = np.array(corners, dtype=np.intp).reshape(-1, m).T
+    del corners  # the list is as large as the array: freed before the contiguous copy
+    lower = np.add(lower, offsets, order="C")
     return BoxDecomposition(breaks, lower, offsets + (width - 1), np.array(signs, dtype=float))
 
 
