@@ -24,7 +24,17 @@ instead uses the reflection identity
 with h, which falls from 1 to about 1/x**2, one rational function with
 positive coefficients fitted by tools/fit_psi_rational.py (after Cody, Math.
 Comp. 1969), so nothing cancels: psi is within 3e-13 of mpmath for t in
-[-37, 38]. x is clamped to 40, where phi underflows, so psi(-inf) is 0.
+[-37, 38]. x is clamped to 152, where phi underflows in float and in long
+double, so psi(-inf) is 0.
+
+Each rounding of the float evaluation can break the order of neighbouring
+inputs by an ulp: about 0.4 % of neighbouring float pairs with |t| <= 3
+come out decreasing. The public psi therefore runs the same kernel in long
+double and rounds once to float, which keeps them in order where long
+double is wider than float (80 bits on x86-64; elsewhere it may equal
+float). integrate_boxes keeps float for speed, about 10 times faster on
+large tables; its box factors are clamped at 0, so the order of
+neighbouring breakpoints never makes a factor negative.
 """
 
 from __future__ import annotations
@@ -40,9 +50,11 @@ from .errors import DimensionError, ParameterError
 
 # psi's constants are 0-d arrays, which ufuncs take without converting a float
 _ZERO, _MINUS_HALF, _INV_SQRT_2PI = np.array(0.0), np.array(-0.5), np.array(1.0 / math.sqrt(2.0 * math.pi))
-# |t| beyond which exp(-t**2 / 2) underflows: clamped there, g(inf) is exactly 0
-_X_MAX = np.array(40.0)
-# h = P / R on [0, _X_MAX], lowest degree first, from tools/fit_psi_rational.py
+# |t| beyond which exp(-t**2 / 2) underflows in float (38.6) and in long
+# double (151.0 for 80 and 128 bits): clamped there, g(inf) is exactly 0
+_X_MAX = np.array(152.0)
+# h = P / R, fitted on [0, 40], lowest degree first, from tools/fit_psi_rational.py;
+# beyond 40 it stays within 1.4e-12 of h up to _X_MAX, and in float exp has underflowed
 _H_NUM = (1.0, 1.2890640760678707, 0.8443212378454432, 0.3586378651208238, 0.1074908225529906,
           0.023432130664177972, 0.003710052035821059, 0.0004126075641151957, 2.948506147899126e-05,
           1.0496986952292329e-06)
@@ -89,8 +101,8 @@ class GaussianBelief:
 
 
 def rational_h(x: np.ndarray) -> np.ndarray:
-    """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX], P and R by Horner's rule."""
-    p, r = (np.multiply(x, coeffs[0], np.empty(x.shape)) for coeffs in _HORNER)
+    """h(x) = 1 - x * (1 - Phi(x)) / phi(x) for an array of x in [0, _X_MAX], P and R by Horner's rule in x's type."""
+    p, r = (np.multiply(x, coeffs[0], np.empty(x.shape, x.dtype)) for coeffs in _HORNER)
     for acc, coeffs in zip((p, r), _HORNER):
         np.add(acc, coeffs[1], acc)
         for c in coeffs[2:]:
@@ -103,23 +115,24 @@ def psi(a, mu, sigma):
     """Integral of Phi((y - mu)/sigma) dy over (-inf, a], elementwise.
 
     a, mu and sigma are floats or arrays that broadcast together; psi(-inf)
-    is exactly 0. Raises ParameterError unless every sigma is positive and
-    finite.
+    is exactly 0. Evaluated in long double and rounded once to float, so
+    a <= b gives psi(a) <= psi(b) where long double is wider than float.
+    Raises ParameterError unless every sigma is positive and finite.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0.0) & np.isfinite(sigma)).all():
         raise ParameterError(f"sigma must be positive and finite, got {sigma}")
-    return _psi(a, mu, sigma)[()]
+    return _psi(a, mu, sigma, dtype=np.longdouble).astype(float)[()]
 
 
-def _psi(a, mu, sigma, out=None):
-    """psi without the check of sigma, into out if given: the kernel integrate_boxes calls."""
+def _psi(a, mu, sigma, out=None, dtype=float):
+    """psi without the check of sigma, in dtype or into out if given: integrate_boxes calls it in float."""
     # d and x are reused in place (fresh temporaries cost about as much as the
     # arithmetic); outputs go positionally but to np.maximum and np.minimum,
     # where numpy 2.4 deprecates a third positional argument
     shape = np.broadcast(a, mu, sigma).shape if out is None else out.shape
-    d = np.subtract(a, mu, np.empty(shape))
-    x = np.abs(d, np.empty(shape))
+    d = np.subtract(a, mu, np.empty(shape, dtype))
+    x = np.abs(d, np.empty(shape, dtype))
     # a subnormal sigma overflows the ratio to inf, which the clamp mends
     with np.errstate(over="ignore"):
         np.divide(x, sigma, x)

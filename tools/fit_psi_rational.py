@@ -31,7 +31,7 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-X_MAX = 40.0  # gaussian._X_MAX
+X_MAX = 40.0  # fit range; gaussian._X_MAX clamps x further out, where float exp has underflowed
 DEGREE = 9  # numerator degree of gaussian._H_NUM (denominator: DEGREE + 2)
 POINTS = 400  # Chebyshev fit points
 ITERATIONS = 30  # Lawson steps; the best iterate is kept
