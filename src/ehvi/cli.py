@@ -12,6 +12,7 @@ the bench and BO modules, csv and statistics when they run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -139,7 +140,7 @@ def cmd_gen_front(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import csv
 
-    from .bench import run_benchmark, summarize
+    from .bench import BenchmarkRecord, run_benchmark, summarize
 
     ms = _int_list(args.m)
     ns = _int_list(args.n)
@@ -150,9 +151,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algorithm", "m", "n", "seed", "rep", "ehvi", "time_ns", "boxes"])
-        for r in records:
-            writer.writerow([r.algorithm, r.m, r.n, r.seed, r.rep, r.ehvi, r.time_ns, r.boxes])
+        writer.writerow([f.name for f in dataclasses.fields(BenchmarkRecord)])
+        writer.writerows(map(dataclasses.astuple, records))
     rows = summarize(records)
     summary_path = out.with_name(out.stem + "_summary" + (out.suffix or ".csv"))
     fields = ["m", "n", "algorithm", "calls", "mean_time_ns", "std_time_ns", "mean_boxes", "max_boxes"]
@@ -173,16 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     front, belief, _ = load_request(_load_json(args.input))
     estimate = ehvi_monte_carlo(front, belief, samples=args.samples, seed=args.seed)
-    print(
-        json.dumps(
-            {
-                "mean": estimate.mean,
-                "std_error": estimate.std_error,
-                "samples": estimate.samples,
-                "seed": estimate.seed,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(estimate)))
     return 0
 
 

@@ -18,9 +18,9 @@ opens at most two new strips; the sweep ends by closing the open strips at
 n+1. The emitted boxes are disjoint, their union is exactly the nondominated
 region, and there are at most 2n+1 of them, exactly 2n+1 when no two
 points share a coordinate (Yang, Emmerich, Deutz & Fonseca, EMO 2017). This
-is the paper's CLM-based decomposition, and sweep.sweep_boxes uses it at
-m = 3: the sweep backend integrates the boxes directly rather than as the
-full region minus the dominated one.
+is the paper's CLM-based decomposition, handed to BoxDecomposition.from_ranks
+as ranks, and sweep.sweep_boxes uses it at m = 3: the sweep backend
+integrates the boxes directly, not as the full region minus the dominated one.
 
 Each point is inserted once and removed at most once, so the staircase does
 at most 2n ordered-map operations across the sweep: with a logarithmic map
@@ -77,7 +77,6 @@ def nondominated_boxes(front: Front) -> BoxDecomposition:
     for t in range(len(births)):  # close every open strip at n+1
         flat += (keys[t], keys[t + 1], vals[t], births[t], top)
     boxes = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(-1, 5).T
-    offsets = np.arange(3)[:, None] * (top + 1)  # row j indexes breaks.ravel() from j * (n+2)
-    lower, upper = (np.add(boxes[rows], offsets, order="C") for rows in ([0, 0, 3], [1, 2, 4]))
-    lower[1] = top + 1  # every box is open to -inf on axis 2, breakpoint 0 of row 1
-    return BoxDecomposition(breaks, lower, upper)
+    lower, upper = boxes[[0, 0, 3]], boxes[[1, 2, 4]]
+    lower[1] = 0  # every box is open to -inf on axis 2
+    return BoxDecomposition.from_ranks(breaks, lower, upper)

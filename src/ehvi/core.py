@@ -238,18 +238,31 @@ class BoxDecomposition(NamedTuple):
 
     breaks is (m, width), rank_form's breakpoints or grid's own sorted axes,
     with column 0 -inf on every axis. lower and upper are C-contiguous
-    (m, boxes) indices into breaks.ravel(), row j offset by j * width: box
-    b spans (flat[lower[j, b]], flat[upper[j, b]]] on axis j, flat being
-    breaks.ravel(). An axis open below indexes its -inf entry, j * width.
-    upper is (m, 1) where every box ends at one breakpoint (wfg's, at the
-    reference). signs is None for disjoint boxes, else the +1 or -1 each
-    box is taken with (wfg's overlapping ones).
+    (m, boxes) intp indices into flat = breaks.ravel(), row j offset by
+    j * width: box b spans (flat[lower[j, b]], flat[upper[j, b]]] on axis j,
+    and an axis open below indexes its -inf entry, j * width. upper is
+    (m, 1) where every box ends at one breakpoint (wfg's, at the reference).
+    signs is None for disjoint boxes, else the +1 or -1 each box is taken
+    with (wfg's overlapping ones). Every array is read-only. from_ranks
+    builds each, offsetting in place (in a copy unless C-contiguous intp)
+    distinct writeable rank arrays, lower[j, b] and upper[j, b] into breaks[j].
     """
 
     breaks: np.ndarray  # (m, width) float
-    lower: np.ndarray  # (m, boxes) int
-    upper: np.ndarray  # (m, boxes) or (m, 1) int
+    lower: np.ndarray  # (m, boxes) intp
+    upper: np.ndarray  # (m, boxes) or (m, 1) intp
     signs: np.ndarray | None = None  # (boxes,) float
+
+    @classmethod
+    def from_ranks(cls, breaks: np.ndarray, lower, upper, signs: np.ndarray | None = None) -> BoxDecomposition:
+        """The read-only decomposition of per-axis breakpoint ranks, offset in place (see the class docstring)."""
+        offsets = np.arange(0, breaks.size, breaks.shape[1])[:, None]  # j * width
+        boxes = cls(breaks, np.asarray(lower, np.intp, order="C"), np.asarray(upper, np.intp, order="C"), signs)
+        for rows in boxes[1:3]:
+            rows += offsets
+        for array in boxes if signs is not None else boxes[:3]:
+            array.flags.writeable = False
+        return boxes
 
 
 def validate_front(frame: ProblemFrame, points: Iterable[Sequence[float]]) -> Front:

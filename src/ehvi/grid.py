@@ -10,9 +10,9 @@ closed-form box integrals over all qualifying cells.
 
 The EHVI entry point enumerates every cell (that is the algorithm: Theta(n^m)
 cells, O(m) work each), vectorized and chunked so memory stays bounded, and
-integrates them itself; grid_decompose materializes the cells as a
-core.BoxDecomposition, the box type of the other backends, for the tests'
-quadrature oracle and for checks against the shared integrator.
+integrates them itself; grid_decompose hands the cells' ranks into the
+(m, n+2) breakpoints to core.BoxDecomposition.from_ranks, as the other
+backends do, for the tests' quadrature oracle and the shared integrator.
 
 The grid sorts its own axes and builds its own H-array instead of using
 core.rank_form: it is the independent reference that the sweep and wfg
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +40,8 @@ _CHUNK = 1 << 22
 _MAX_CELLS = 1 << 28
 
 
-@dataclass(frozen=True)
-class GridStructure:
-    """Per-axis sorted bounds (n+2 entries: -inf, coords, reference) plus the H-array."""
-
-    axes: tuple[np.ndarray, ...]
-    h_array: np.ndarray  # shape (n+1,)*(m-1); +inf where no front point precedes
-
-
-def build_grid(front: Front) -> GridStructure:
-    """Sort the per-axis coordinates and accumulate the H-array.
+def build_grid(front: Front) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n+2) breakpoints, row j [-inf, sorted coordinates, r_j], and the H-array, (n+1,)*(m-1) of +inf.
 
     Points are applied in descending m-th coordinate; each point lowers H on
     the contiguous rank block it weakly precedes (rank 0, lower bound -inf,
@@ -61,17 +52,15 @@ def build_grid(front: Front) -> GridStructure:
     if (n + 1) ** m > _MAX_CELLS:
         raise ParameterError(f"grid needs {n + 1}^{m} cells, more than its budget of {_MAX_CELLS}")
     pts = front.coords
-    axes = tuple(
-        np.concatenate(([-np.inf], np.sort(pts[:, j]), [front.reference[j]])) for j in range(m)
-    )
+    breaks = np.column_stack([np.full(m, -np.inf), np.sort(pts, axis=0).T, front.reference])
     h = np.full((n + 1,) * (m - 1), np.inf)
     for i in np.argsort(-pts[:, m - 1], kind="stable"):
         a = pts[i]
         block = tuple(
-            slice(int(np.searchsorted(axes[j], a[j], side="left")), None) for j in range(m - 1)
+            slice(int(np.searchsorted(breaks[j], a[j], side="left")), None) for j in range(m - 1)
         )
         np.minimum(h[block], a[m - 1], out=h[block])
-    return GridStructure(axes=axes, h_array=h)
+    return breaks, h
 
 
 def grid_decompose(front: Front) -> BoxDecomposition:
@@ -83,13 +72,11 @@ def grid_decompose(front: Front) -> BoxDecomposition:
     region bounded by the reference point. Intended for verification and
     moderate n^m; the EHVI entry point streams instead of materializing.
     """
-    g = build_grid(front)
-    breaks = np.stack(g.axes)
+    breaks, h = build_grid(front)
     wide = breaks[:, 1:] > breaks[:, :-1]
-    cells = (breaks[-1, :-1] < g.h_array[..., None]) & functools.reduce(np.logical_and.outer, wide)
-    offsets = np.arange(front.m)[:, None] * breaks.shape[1]  # row j indexes breaks.ravel() from j * (n+2)
-    lower = np.add(np.argwhere(cells).T, offsets, order="C")
-    return BoxDecomposition(breaks, lower, lower + 1)
+    cells = (breaks[-1, :-1] < h[..., None]) & functools.reduce(np.logical_and.outer, wide)
+    lower = np.stack(np.nonzero(cells))
+    return BoxDecomposition.from_ranks(breaks, lower, lower + 1)
 
 
 def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
@@ -104,16 +91,15 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
     """
     if belief.m != front.m:
         raise DimensionError(f"front has m={front.m} but belief has m={belief.m}")
-    g = build_grid(front)
+    breaks, h = build_grid(front)
     m, n = front.m, front.n
     k = n + 1
     diffs = []
-    widths = []
     for j in range(m):
-        p = psi(g.axes[j], belief.mean[j], belief.stddev[j])
+        p = psi(breaks[j], belief.mean[j], belief.stddev[j])
         diffs.append(np.maximum(p[1:] - p[:-1], 0.0))
-        widths.append(g.axes[j][1:] > g.axes[j][:-1])
-    lower_m = g.axes[m - 1][:k]  # cell lower bounds along the last axis
+    widths = breaks[:, 1:] > breaks[:, :-1]
+    lower_m = breaks[m - 1, :k]  # cell lower bounds along the last axis
 
     lead = 0
     block = k**m
@@ -140,7 +126,7 @@ def ehvi_grid(front: Front, belief: GaussianBelief) -> EhviResult:
         for j, i in enumerate(prefix):
             scale *= float(diffs[j][i])  # a Python float overflows to inf silently
             prefix_wide = prefix_wide and bool(widths[j][i])
-        hs = np.asarray(g.h_array[prefix])
+        hs = np.asarray(h[prefix])
         mask = lower_m < hs[..., None]
         if scale > 0.0:
             with np.errstate(over="ignore"):

@@ -4,15 +4,15 @@ The nondominated region of a front (the part of the region below the
 reference that no front point weakly dominates) is cut into disjoint
 half-open boxes, and EHVI is the Gaussian integral over those boxes
 (Yang, Emmerich, Deutz & Bäck, J. Glob. Optim. 2019), never the full region
-minus the dominated one. Every producer returns a core.BoxDecomposition in
-the layout the integrator reads: (m, boxes) index rows into the flattened
-per-axis breakpoints [-inf, sorted coordinates, r_j] of core.rank_form.
+minus the dominated one. Every producer hands its boxes as (m, boxes) ranks
+into the per-axis breakpoints [-inf, sorted coordinates, r_j] of
+core.rank_form to core.BoxDecomposition.from_ranks, which lays them out.
 
 - m = 2: the staircase. With the points in ascending first coordinate x
   (so descending second coordinate y), box i spans (x[i-1], x[i]] x
   (-inf, y[i-1]], with x[-1] = -inf, y[-1] = r2 and x[n] = r1: exactly n+1
-  boxes, pure index arithmetic on the breakpoints of one sort of the two
-  coordinate columns, with no ranks to look up.
+  boxes, whose ranks are index arithmetic on one sort of the two coordinate
+  columns, with nothing to look up.
 - m = 3: clm3.nondominated_boxes, the paper's CLM-based staircase sweep
   on breakpoint ranks: at most 2n+1 boxes, exactly 2n+1 when no two points
   share a coordinate, from at most 2n staircase updates.
@@ -75,12 +75,11 @@ def _staircase_boxes(front: Front) -> BoxDecomposition:
     breaks[:, 1:-1] = np.sort(front.coords.T, axis=1)
     breaks[:, -1] = front.reference
     # no two points of an m = 2 front share a coordinate: in ascending first
-    # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2, whose
-    # row starts at n+2, its -inf entry
+    # coordinate, point i has rank i+1 on axis 1 and n-i on axis 2
     i = np.arange(n + 1)
-    lower = np.stack([i, np.full(n + 1, n + 2)])
-    upper = np.stack([i + 1, 2 * n + 3 - i])
-    return BoxDecomposition(breaks, lower, upper)
+    lower = np.stack([i, np.zeros_like(i)])
+    upper = np.stack([i + 1, n + 1 - i])
+    return BoxDecomposition.from_ranks(breaks, lower, upper)
 
 
 def _sweep_boxes(front: Front) -> BoxDecomposition:
@@ -124,13 +123,12 @@ def _sweep_boxes(front: Front) -> BoxDecomposition:
     top = np.repeat(levels, [c.shape[1] for c in closed])
     grown = rows[2 * k] < top  # a box born and cut at one level has no height
     rows, top = rows.compress(grown, axis=1), top[grown]
-    lower, upper = bounds = np.empty((2, m, len(top)), dtype=np.intp)
+    lower, upper = np.empty((2, m, len(top)), dtype=np.intp)
     lower[order[:k]] = rows[:k]
     lower[order[k]] = rows[2 * k]
     upper[order[:k]] = -rows[k : 2 * k]
     upper[order[k]] = top
-    bounds += np.arange(m)[:, None] * (n + 2)  # row j indexes breaks.ravel() from j * (n+2)
-    return BoxDecomposition(breaks, lower, upper)
+    return BoxDecomposition.from_ranks(breaks, lower, upper)
 
 
 def sweep_boxes(front: Front) -> BoxDecomposition:
@@ -152,8 +150,6 @@ def sweep_boxes(front: Front) -> BoxDecomposition:
             boxes = nondominated_boxes(front)
         else:
             boxes = _sweep_boxes(front)
-        for a in boxes[:3]:
-            a.flags.writeable = False
         object.__setattr__(front, "_boxes", boxes)
     return front._boxes
 
@@ -171,10 +167,11 @@ def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
     """Volume of box(y, r) inside the boxes' union, for each row y of a (k, m) array.
 
     Row y gets the sum, over the disjoint boxes, of prod_j max(0, upper_j -
-    max(lower_j, y_j)). Over the nondominated boxes of a front that is y's
-    hypervolume improvement: a y weakly dominated by the front or outside the
-    reference overlaps no box on some axis, so its value is exactly 0.0.
-    Rows are taken in blocks of at most _CLIP_BLOCK elements of the product.
+    max(lower_j, y_j)), a zero factor zeroing its box even beside the
+    infinite one of a -inf y_j. Over the nondominated boxes of a front that
+    is y's hypervolume improvement: a y weakly dominated by the front or
+    outside the reference overlaps no box on some axis, so its value is
+    exactly 0.0. Rows go in blocks of at most _CLIP_BLOCK product elements.
     """
     flat = boxes.breaks.ravel()
     lowers, uppers = flat[boxes.lower.T], flat[boxes.upper.T]  # (boxes, m)
@@ -184,7 +181,12 @@ def clipped_volumes(boxes: BoxDecomposition, ys: np.ndarray) -> np.ndarray:
         overlap = np.maximum(ys[s : s + step, None, :], lowers)
         np.subtract(uppers, overlap, out=overlap)
         np.maximum(overlap, 0.0, out=overlap)
-        out[s : s + step] = overlap.prod(axis=2).sum(axis=1)
+        with np.errstate(invalid="ignore"):  # inf * 0 is nan, mended below
+            volume = overlap.prod(axis=2)
+        out[s : s + step] = volume.sum(axis=1)
+        if np.isnan(out[s : s + step]).any():  # a zero overlap zeroes the box even beside an infinite one
+            volume[(overlap == 0.0).any(axis=2)] = 0.0
+            out[s : s + step] = volume.sum(axis=1)
     return out
 
 
@@ -193,7 +195,7 @@ def hypervolume_improvement(y: Sequence[float], front: Front) -> float:
 
     y is taken in the front's internal minimization convention. Returns 0
     for points weakly dominated by the front (including members) and points
-    not strictly inside the reference bound.
+    not strictly inside the reference bound, else inf if a coordinate is -inf.
     """
     vec = as_vector(y)
     if len(vec) != front.m:

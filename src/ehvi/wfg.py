@@ -87,12 +87,11 @@ def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> BoxDecomp
     corners, signs = [0] * m, [1]
     if len(ranks):
         _wfg_rec(_rank_tuples(ranks), -1, corners, signs, [0])
-    width = breaks.shape[1]
-    offsets = np.arange(m)[:, None] * width  # row j indexes breaks.ravel() from j * width
     lower = np.array(corners, dtype=np.intp).reshape(-1, m).T
     del corners  # the list is as large as the array: freed before the contiguous copy
-    lower = np.add(lower, offsets, order="C")
-    return BoxDecomposition(breaks, lower, offsets + (width - 1), np.array(signs, dtype=float))
+    lower = np.ascontiguousarray(lower)  # before signs' array, so that it never meets both copies
+    upper = np.full((m, 1), breaks.shape[1] - 1)
+    return BoxDecomposition.from_ranks(breaks, lower, upper, np.array(signs, dtype=float))
 
 
 def ehvi_wfg(front: Front, belief: GaussianBelief) -> EhviResult:

@@ -61,8 +61,8 @@ def box_decomposition(bounds, m=2):
     uppers = np.array([up for _, up in bounds], dtype=float).reshape(-1, m)
     count = len(lowers)
     breaks = np.hstack([np.full((m, 1), -math.inf), lowers.T, uppers.T])
-    index = np.arange(1, count + 1) + np.arange(m)[:, None] * breaks.shape[1]
-    return BoxDecomposition(breaks, index, index + count)
+    ranks = np.tile(np.arange(1, count + 1), (m, 1))
+    return BoxDecomposition.from_ranks(breaks, ranks, ranks + count)
 
 
 def decomposition_boxes(boxes):

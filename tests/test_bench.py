@@ -17,6 +17,7 @@ from ehvi import (
 import ehvi.bench
 import ehvi.sweep
 from ehvi.bench import GEN_HIGH, GEN_LOW, benchmark_belief, benchmark_frame, summarize
+from ehvi.cli import main
 from oracles import sequential_front
 
 
@@ -81,6 +82,20 @@ def test_generate_front_validation():
         generate_front(1, 5, seed=0)
     with pytest.raises(ParameterError):
         generate_front(2, 0, seed=0)
+
+
+def test_generate_front_refuses_a_front_over_its_budget(monkeypatch, tmp_path, capsys):
+    # (2, 100, 1) compares about 1e6 coordinates; a one-point front compares none
+    monkeypatch.setattr(ehvi.bench, "_MAX_COMPARED", 10**5)
+    with pytest.raises(ParameterError, match="budget"):
+        generate_front(2, 100, 1)
+    assert generate_front(2, 1, 0) == sequential_front(2, 1, 0, GEN_LOW, GEN_HIGH)
+    out = tmp_path / "front.json"
+    for argv in (["gen-front", "--m", "2", "--n", "100", "--out", str(out)],
+                 ["bench", "--m", "2", "--n", "100", "--seeds", "1", "--reps", "1", "--out", str(out)]):
+        assert main(argv) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_benchmark_frame_and_belief():

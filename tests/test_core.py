@@ -22,7 +22,7 @@ from ehvi import (
     validate_front,
 )
 from ehvi.bench import generate_front
-from ehvi.core import rank_form
+from ehvi.core import BoxDecomposition, rank_form
 from helpers import lattice_front, min_front, random_front
 from oracles import brute_dominates, brute_hvi, brute_nondominated
 
@@ -167,6 +167,18 @@ def test_rank_form_same_from_array_and_tuples():
         from_array = rank_form(np.array(points, dtype=float), reference)
         for got, want in zip(from_array, from_tuples):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_from_ranks_offsets_in_place_and_copies_only_other_layouts():
+    breaks, _ = rank_form([[1, 3, 2], [2, 1, 2], [3, 2, 1]], [4, 5, 6])
+    lower = np.array([[0, 1], [0, 0], [1, 2]])
+    for given, in_place in ((lower.copy(), True), (lower.T.copy().T, False), (lower.astype(np.int32), False)):
+        boxes = BoxDecomposition.from_ranks(breaks, given, np.full((3, 1), 4), np.array([1.0, -1.0]))
+        assert np.shares_memory(boxes.lower, given) == in_place
+        assert boxes.lower.tolist() == [[0, 1], [5, 5], [11, 12]] and boxes.upper.tolist() == [[4], [9], [14]]
+        assert boxes.lower.flags.c_contiguous and boxes.lower.dtype == np.intp
+        assert not any(array.flags.writeable for array in boxes)
+    assert BoxDecomposition.from_ranks(breaks, lower, lower + 1).signs is None
 
 
 def test_front_coords_is_a_read_only_array_of_the_points():
@@ -358,6 +370,18 @@ def test_hvi_rejects_a_nan_coordinate():
     # an infinite coordinate has a meaning: -inf improves without bound, inf lies outside
     assert hypervolume_improvement((-math.inf, 2.0), front) == math.inf
     assert hypervolume_improvement((math.inf, 2.0), front) == 0.0
+
+
+def test_hvi_minus_inf_beside_a_zero_overlap():
+    """A box that y overlaps on no width counts 0 even where its overlap on the -inf axis is infinite."""
+    front = min_front((1.0, 1.0), [(0.2, 0.8), (0.8, 0.2)])
+    assert hypervolume_improvement((0.5, -math.inf), front) == math.inf
+    assert hypervolume_improvement((-math.inf, 1.5), front) == 0.0  # outside the reference
+    assert hypervolume_improvement((1.0, -math.inf), front) == 0.0  # on the reference
+    points = [(0.0, 0.1, 0.7, 0.6), (0.5, 0.9, 0.8, 0.0), (0.6, 0.3, 0.0, 0.0), (0.9, 0.0, 0.7, 0.2)]
+    front4 = min_front((1.0,) * 4, points)
+    assert hypervolume_improvement((0.9, 0.9, 0.9, -math.inf), front4) == math.inf
+    assert hypervolume_improvement((1.0, 0.9, 0.9, -math.inf), front4) == 0.0
 
 
 def _hvi_fronts():

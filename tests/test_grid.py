@@ -27,27 +27,27 @@ from oracles import brute_hypervolume
 
 
 def test_build_grid_worked_example():
-    g = build_grid(min_front((4.0, 4.0), [(1, 3), (2, 2), (3, 1)]))
-    assert len(g.axes) == 2 and g.h_array.shape == (4,)
-    assert list(g.axes[0]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
-    assert list(g.axes[1]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
+    breaks, h = build_grid(min_front((4.0, 4.0), [(1, 3), (2, 2), (3, 1)]))
+    assert breaks.shape == (2, 5) and h.shape == (4,)
+    assert list(breaks[0]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
+    assert list(breaks[1]) == [-math.inf, 1.0, 2.0, 3.0, 4.0]
     # lower-bound ranks -inf, 1, 2, 3 of axis 1
-    assert list(g.h_array) == [math.inf, 3.0, 2.0, 1.0]
+    assert list(h) == [math.inf, 3.0, 2.0, 1.0]
 
 
 def test_build_grid_empty_front():
-    g = build_grid(min_front((4.0, 5.0, 6.0), []))
-    assert g.h_array.shape == (1, 1)
-    assert np.isinf(g.h_array).all()
-    assert list(g.axes[2]) == [-math.inf, 6.0]
+    breaks, h = build_grid(min_front((4.0, 5.0, 6.0), []))
+    assert h.shape == (1, 1)
+    assert np.isinf(h).all()
+    assert list(breaks[2]) == [-math.inf, 6.0]
 
 
 def test_build_grid_single_point():
-    g = build_grid(min_front((4.0, 4.0, 4.0), [(1, 2, 3)]))
-    assert g.h_array.shape == (2, 2)
-    assert g.h_array[0, 0] == math.inf and g.h_array[0, 1] == math.inf
-    assert g.h_array[1, 0] == math.inf
-    assert g.h_array[1, 1] == 3.0
+    _, h = build_grid(min_front((4.0, 4.0, 4.0), [(1, 2, 3)]))
+    assert h.shape == (2, 2)
+    assert h[0, 0] == math.inf and h[0, 1] == math.inf
+    assert h[1, 0] == math.inf
+    assert h[1, 1] == 3.0
 
 
 def test_decompose_empty_front():
@@ -81,11 +81,11 @@ def test_decompose_union_volume_matches_hypervolume_complement():
 def test_decompose_disjoint_cover_by_sampling():
     for m, n, seed in [(2, 4, 0), (2, 6, 1), (3, 4, 2), (3, 6, 3)]:
         front = random_front(m, n, seed)
-        g = build_grid(front)
+        breaks, _ = build_grid(front)
         emitted = set(decomposition_boxes(grid_decompose(front)))
         for idx in itertools.product(range(n + 1), repeat=m):
-            lower = tuple(float(g.axes[j][idx[j]]) for j in range(m))
-            upper = tuple(float(g.axes[j][idx[j] + 1]) for j in range(m))
+            lower = tuple(float(breaks[j, idx[j]]) for j in range(m))
+            upper = tuple(float(breaks[j, idx[j] + 1]) for j in range(m))
             if any(lo == up for lo, up in zip(lower, upper)):
                 continue
             finite_lo = tuple(

@@ -210,9 +210,10 @@ def _assert_layout(boxes, m, open_below):
     breaks is (m, width) with a -inf column 0; lower and upper are
     C-contiguous (m, boxes) rows, or (m, 1) for upper, row j within
     [j * width, (j+1) * width); exactly the axes open_below index their
-    -inf entry, j * width, in every box.
+    -inf entry, j * width, in every box; every array is read-only.
     """
     breaks, lower, upper, signs = boxes
+    assert not any(array.flags.writeable for array in boxes if array is not None)
     width, count = breaks.shape[1], lower.shape[1]
     assert breaks.shape == (m, width) and np.isneginf(breaks[:, 0]).all()
     assert upper.shape in ((m, count), (m, 1))
@@ -270,8 +271,6 @@ def test_kept_decomposition(m):
         _assert_layout(boxes, m, _expected_open_below(front))
         assert boxes.signs is None
         assert boxes.lower.nbytes + boxes.upper.nbytes == 16 * m * boxes.lower.shape[1]
-        for array in boxes[:3]:
-            assert not array.flags.writeable
 
 
 def test_refused_front_keeps_nothing(monkeypatch):
