@@ -80,7 +80,7 @@ def wfg_boxes(points: np.ndarray | list[Vector], reference: Vector) -> BoxDecomp
     region below r that no point weakly dominates. The recursion appends
     each corner's ranks to one flat list, 8 m bytes per corner, as the ranks
     are the rank tuples' own int objects. Every box ends at the reference,
-    the last breakpoint, so upper is (m, 1).
+    the last breakpoint, so upper is (m, 1); from_ranks lays the ranks out.
     """
     m = len(reference)
     breaks, ranks = rank_form(points, reference)
